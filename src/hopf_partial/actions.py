@@ -12,48 +12,15 @@ bimodule stability, surjective Morita maps) are all checked exactly.
 from dataclasses import dataclass
 
 from .dilation import _factor_through, dilate_morphism, standard_dilation
-from .hopf import HopfAlgebraData
+from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
+                   _unit_witness, alg_prod)
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      frac, hstack, kron, rank, solve, solve_matrix, unit_vec,
                      vec_add, vec_scale)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
-                      is_global, regular_module, tensor_with_global)
+                      diagonal_action, is_global, regular_module,
+                      tensor_with_global)
 from .reports import ValidationError, ValidationReport
-
-
-def _freeze3(data):
-    return tuple(tuple(tuple(frac(x) for x in row) for row in plane)
-                 for plane in data)
-
-
-def alg_prod(mult, u, v):
-    """Product of coefficient vectors in an algebra given by constants."""
-    dim = len(mult)
-    out = [frac(0)] * dim
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            c = a * b
-            row = mult[i][j]
-            for k in range(dim):
-                if row[k] != 0:
-                    out[k] += c * row[k]
-    return tuple(out)
-
-
-def _associativity_witness(mult):
-    dim = len(mult)
-    for i in range(dim):
-        for j in range(dim):
-            ij = mult[i][j]
-            for k in range(dim):
-                if alg_prod(mult, ij, unit_vec(dim, k)) \
-                        != alg_prod(mult, unit_vec(dim, i), mult[j][k]):
-                    return (i, j, k)
-    return None
 
 
 @dataclass(frozen=True)
@@ -140,25 +107,15 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     mod = b.as_module()
     report = ValidationReport("partial module algebra")
     report.record("algebra associativity", *_flag(_associativity_witness(b.alg_mult)))
-    unit_ok = all(b.prod(b.alg_unit, unit_vec(b.dim, j)) == unit_vec(b.dim, j)
-                  and b.prod(unit_vec(b.dim, j), b.alg_unit) == unit_vec(b.dim, j)
-                  for j in range(b.dim))
-    report.record("algebra unit", unit_ok)
+    report.record("algebra unit", _unit_witness(b.alg_mult, b.alg_unit) is None)
     report.record("PA1", mod.pi_vec(h.unit) == Mat.identity(b.dim))
+    report.record("PA2", *_flag(_pa2_witness(h, b.alg_mult, b.action)))
 
-    witness = next(((i, a, c) for i in range(d)
-                    for a in range(b.dim) for c in range(b.dim)
-                    if not _pa2_holds(b, i, a, c)), None)
-    report.record("PA2", *_flag(witness))
-
-    w3 = next(((i, k, j) for i in range(d) for k in range(d)
-               for j in range(b.dim)
-               if not _pa3_holds(b, mod, i, k, j, primed=False)), None)
-    report.record("PA3", *_flag(w3))
-    w3p = next(((i, k, j) for i in range(d) for k in range(d)
-                for j in range(b.dim)
-                if not _pa3_holds(b, mod, i, k, j, primed=True)), None)
-    report.record("PA3'", *_flag(w3p))
+    for name, primed in (("PA3", False), ("PA3'", True)):
+        witness = next(((i, k, j) for i in range(d) for k in range(d)
+                        for j in range(b.dim)
+                        if not _pa3_holds(b, mod, i, k, j, primed)), None)
+        report.record(name, *_flag(witness))
 
     mod_report = check_partial_rep(mod)
     report.record("underlying partial module", mod_report.ok,
@@ -170,13 +127,19 @@ def _flag(witness):
     return witness is None, witness
 
 
-def _pa2_holds(b, i, a, c):
-    lhs = b.action[i].apply(b.alg_mult[a][c])
-    rhs = (frac(0),) * b.dim
-    for p, q, cf in b.hopf.comult_pairs(i):
-        term = b.prod(b.action[p].col(a), b.action[q].col(c))
-        rhs = vec_add(rhs, vec_scale(term, cf))
-    return lhs == rhs
+def _pa2_witness(h, mult, action):
+    """First (i, a, c) where e_i . (e_a e_c) != (e_i(1) . e_a)(e_i(2) . e_c)."""
+    dim = len(mult)
+    for i in range(h.dim):
+        for a in range(dim):
+            for c in range(dim):
+                rhs = (frac(0),) * dim
+                for p, q, cf in h.comult_pairs(i):
+                    term = alg_prod(mult, action[p].col(a), action[q].col(c))
+                    rhs = vec_add(rhs, vec_scale(term, cf))
+                if action[i].apply(mult[a][c]) != rhs:
+                    return (i, a, c)
+    return None
 
 
 def _pa3_holds(b, mod, i, k, j, primed):
@@ -199,10 +162,8 @@ def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
     mod = b.as_module()
     report.record("action multiplicative",
                   check_partial_rep(mod).ok and is_global(mod))
-    witness = next(((i, a, c) for i in range(b.hopf.dim)
-                    for a in range(b.dim) for c in range(b.dim)
-                    if not _pa2_holds(b, i, a, c)), None)
-    report.record("action through the coproduct", *_flag(witness))
+    report.record("action through the coproduct",
+                  *_flag(_pa2_witness(b.hopf, b.alg_mult, b.action)))
     report.record("unit scaled by counit",
                   all(b.act(i, b.alg_unit) == vec_scale(b.alg_unit, b.hopf.counit[i])
                       for i in range(b.hopf.dim)))
@@ -287,17 +248,14 @@ def _smash_projector(b: PartialModuleAlgebra) -> Mat:
             out = [frac(0)] * (m * d)
             for p, q, cf in h.comult_pairs(hi):
                 vec_b = b.prod(unit_vec(m, bi), b.act(p, b.alg_unit))
-                for r, cb in enumerate(vec_b):
-                    if cb != 0:
-                        out[r * d + q] += cf * cb
+                _accum(out, vec_b, unit_vec(d, q), cf, d)
             cols.append(out)
     return Mat.from_cols(cols, m * d)
 
 
-def _smash_ambient_product(b: PartialModuleAlgebra, u, v):
-    """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k, extended bilinearly."""
-    h = b.hopf
-    m, d = b.dim, h.dim
+def _smash_product(h, mult, action, u, v):
+    """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k on A (x) H, bilinearly."""
+    m, d = len(mult), h.dim
     out = [frac(0)] * (m * d)
     for iu, cu in enumerate(u):
         if cu == 0:
@@ -308,15 +266,8 @@ def _smash_ambient_product(b: PartialModuleAlgebra, u, v):
                 continue
             ci, ki = divmod(iv, d)
             for p, q, cf in h.comult_pairs(hi):
-                left = b.prod(unit_vec(m, bi), b.act(p, unit_vec(m, ci)))
-                tail = h.mult_vec(q, ki)
-                w = cu * cv * cf
-                for r, cb in enumerate(left):
-                    if cb == 0:
-                        continue
-                    for s, ch in enumerate(tail):
-                        if ch != 0:
-                            out[r * d + s] += w * cb * ch
+                left = alg_prod(mult, unit_vec(m, bi), action[p].col(ci))
+                _accum(out, left, h.mult_vec(q, ki), cu * cv * cf, d)
     return tuple(out)
 
 
@@ -351,13 +302,11 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
             raise ValidationError("smash product left its defining subspace")
         return sub.coords(v)
 
-    mult = [[coords(_smash_ambient_product(b, basis[i], basis[j]))
+    mult = [[coords(_smash_product(h, b.alg_mult, b.action, basis[i], basis[j]))
              for j in range(r)] for i in range(r)]
     unit = coords(pr.apply(_tensor_vec(b.alg_unit, h.unit)))
-    for j in range(r):
-        if (alg_prod(mult, unit, unit_vec(r, j)) != unit_vec(r, j)
-                or alg_prod(mult, unit_vec(r, j), unit) != unit_vec(r, j)):
-            raise ValidationError("1 # 1 is not a two-sided unit")
+    if _unit_witness(mult, unit) is not None:
+        raise ValidationError("1 # 1 is not a two-sided unit")
     witness = _associativity_witness(mult)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
@@ -463,10 +412,8 @@ def globalize(b: PartialModuleAlgebra):
         mb, [mult[i][j] for i in range(mb) for j in range(mb)])
     report.record("Bbar is idempotent", products.dim == mb)
 
-    action_ok = all(
-        mod.pi[i].apply(mult[a][c]) == _coproduct_product(b, mod, mult, i, a, c)
-        for i in range(d) for a in range(mb) for c in range(mb))
-    report.record("action by algebra maps", action_ok)
+    report.record("action by algebra maps",
+                  _pa2_witness(h, mult, mod.pi) is None)
 
     t = std.projected.t
     report.record("restricted action equals the partial action",
@@ -491,14 +438,6 @@ def globalize(b: PartialModuleAlgebra):
     return gb, phi, report
 
 
-def _coproduct_product(b, mod, mult, i, a, c):
-    rhs = (frac(0),) * mod.dim
-    for p, q, cf in b.hopf.comult_pairs(i):
-        rhs = vec_add(rhs, vec_scale(
-            alg_prod(mult, mod.pi[p].col(a), mod.pi[q].col(c)), cf))
-    return rhs
-
-
 def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     """Smash product Bbar # H on the full tensor space Bbar (x) H.
 
@@ -510,22 +449,9 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     mb, d = gb.dim, h.dim
     dim = mb * d
 
-    def prod_basis(iu, iv):
-        fi, hi = divmod(iu, d)
-        gi, ki = divmod(iv, d)
-        out = [frac(0)] * dim
-        for p, q, cf in h.comult_pairs(hi):
-            left = gb.prod(unit_vec(mb, fi), gb.action[p].col(gi))
-            tail = h.mult_vec(q, ki)
-            for r, cb in enumerate(left):
-                if cb == 0:
-                    continue
-                for s, ch in enumerate(tail):
-                    if ch != 0:
-                        out[r * d + s] += cf * cb * ch
-        return tuple(out)
-
-    mult = [[prod_basis(i, j) for j in range(dim)] for i in range(dim)]
+    mult = [[_smash_product(h, gb.alg_mult, gb.action,
+                            unit_vec(dim, i), unit_vec(dim, j))
+             for j in range(dim)] for i in range(dim)]
     witness = _associativity_witness(mult)
     if witness is not None:
         raise ValidationError(f"global smash product not associative at {witness}")
@@ -535,19 +461,11 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     if gb.unital:
         ones = tuple(_tensor_vec(gb.alg_unit, unit_vec(d, i)) for i in range(d))
         unit = _tensor_vec(gb.alg_unit, h.unit)
-        if any(alg_prod(mult, unit, unit_vec(dim, j)) != unit_vec(dim, j)
-               or alg_prod(mult, unit_vec(dim, j), unit) != unit_vec(dim, j)
-               for j in range(dim)):
+        if _unit_witness(mult, unit) is not None:
             raise ValidationError("1 # 1 is not a unit although Bbar is unital")
 
-    reg = regular_module(h)
-    diag = []
-    for i in range(d):
-        acc = Mat.zeros(dim, dim)
-        for p, q, cf in h.comult_pairs(i):
-            acc = acc + kron(gb.action[p], reg.pi[q]).scale(cf)
-        diag.append(acc)
-    module = PartialModule(h, dim, tuple(diag))
+    module = PartialModule(h, dim, diagonal_action(h, gb.action,
+                                                   regular_module(h).pi))
     return SmashAlgebra(h, mb, Subspace.full(dim), dim, _freeze3(mult),
                         unit, ones, module)
 
@@ -588,14 +506,8 @@ def zeta_xi(b: PartialModuleAlgebra):
             for j in range(d):
                 out = [frac(0)] * dim_bt
                 for p, q, cf in h.comult_pairs(i):
-                    y = mbar.pi[p].apply(phi_b_cols[v])
-                    z = h.mult_vec(q, j)
-                    for rr, cy in enumerate(y):
-                        if cy == 0:
-                            continue
-                        for s, cz in enumerate(z):
-                            if cz != 0:
-                                out[rr * d + s] += cf * cy * cz
+                    _accum(out, mbar.pi[p].apply(phi_b_cols[v]),
+                           h.mult_vec(q, j), cf, d)
                 zeta_cols.append(tuple(out))
     zeta = _factor_through(dec_over, Mat.from_cols(zeta_cols, dim_bt))
 
@@ -609,10 +521,7 @@ def zeta_xi(b: PartialModuleAlgebra):
                 acc = (frac(0),) * over.dim
                 for p, q, cf in h.comult_pairs(i):
                     tail = h.el_mult(h.antipode.col(q), unit_vec(d, j))
-                    src = [frac(0)] * (m * d)
-                    for s, ch in enumerate(tail):
-                        if ch != 0:
-                            src[v * d + s] += ch
+                    src = _tensor_vec(unit_vec(m, v), tail)
                     acc = vec_add(acc, vec_scale(
                         over.pi[p].apply(std_bh.theta.apply(src)), cf))
                 xi_target_cols.append(acc)
@@ -625,12 +534,7 @@ def zeta_xi(b: PartialModuleAlgebra):
     report.record("dimensions agree", over.dim == dim_bt)
 
     # Bbar (x) H with the diagonal action; zeta must intertwine
-    diag = []
-    for i in range(d):
-        acc = Mat.zeros(dim_bt, dim_bt)
-        for p, q, cf in h.comult_pairs(i):
-            acc = acc + kron(mbar.pi[p], reg.pi[q]).scale(cf)
-        diag.append(acc)
+    diag = diagonal_action(h, mbar.pi, reg.pi)
     report.record("zeta is H-linear",
                   all(zeta * over.pi[i] == diag[i] * zeta for i in range(d)))
 

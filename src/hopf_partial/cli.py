@@ -10,8 +10,7 @@ import sys
 from . import serialize as io
 from .demos import DEMOS, demo_suite
 from .dilation import standard_dilation
-from .hopf import (BUILTIN_NAMES, builtin, dual_group_algebra, sweedler_h4,
-                   validate_hopf)
+from .hopf import BUILTIN_NAMES, builtin, validate_hopf
 from .linalg import ShapeError
 from .partial import (check_partial_rep, classify_dual_c2, classify_sweedler,
                       global_core, global_shadow)
@@ -93,13 +92,13 @@ def cmd_shadow(args):
 def cmd_classify(args):
     m = io.partial_module_from_json(io.loads(_read(args.input)),
                                     _default_hopf(args))
-    if m.hopf == dual_group_algebra([[0, 1], [1, 0]]):
+    if m.hopf == builtin("kC2-dual"):
         dims, cb = classify_dual_c2(m)
         payload = {"kind": "dual-C2",
                    "dims": {"eigenvalue_1": dims[0], "eigenvalue_0": dims[1],
                             "eigenvalue_half": dims[2]},
                    "change_of_basis": io.mat_to_json(cb)}
-    elif m.hopf == sweedler_h4():
+    elif m.hopf == builtin("sweedler"):
         u, w, c, d = classify_sweedler(m)
         payload = {"kind": "sweedler",
                    "global_dim": u.dim, "pure_dim": w.dim,

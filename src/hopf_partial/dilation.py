@@ -21,9 +21,9 @@ from .linalg import (Mat, block_diag, column_space, hstack, inverse,
                      kernel_basis, kron, pivot_columns, rank, solve,
                      solve_matrix, span_closure, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
-                      direct_sum, is_global, is_module_iso)
+                      direct_sum, intertwiner_system, is_global, is_module_iso)
 from .projection import ProjectedModule, is_minimal, is_proper, restrict
-from .reports import ValidationError, ValidationReport
+from .reports import ValidationError, ValidationReport, require
 
 
 @dataclass(frozen=True)
@@ -43,19 +43,11 @@ class Dilation:
     ambient_inclusion: Mat = None
 
     @staticmethod
-    def build(source, projected, theta, proper=None, minimal=None):
+    def build(source, projected, theta):
         if theta.rows != projected.module.dim or theta.cols != source.dim:
             raise ValueError("embedding shape mismatch")
-        if proper is None:
-            proper = is_proper(projected)
-        if minimal is None:
-            minimal = is_minimal(projected)
-        return Dilation(source, projected, theta, proper, minimal)
-
-
-def _assert(cond, msg):
-    if not cond:
-        raise ValidationError(msg)
+        return Dilation(source, projected, theta, is_proper(projected),
+                        is_minimal(projected))
 
 
 def _translation_action(h, n):
@@ -99,16 +91,16 @@ def standard_dilation(m: PartialModule) -> Dilation:
     incl = closure.basis.transpose()
 
     pis = tuple(solve_matrix(incl, a * incl) for a in acts)
-    _assert(all(p is not None for p in pis), "dilation space is not action-stable")
+    require(all(p is not None for p in pis), "dilation space is not action-stable")
     module = PartialModule(h, closure.dim, pis)
 
     t_full = phi * _unit_evaluation(h, n)
     t = solve_matrix(incl, t_full * incl)
-    _assert(t is not None, "projection does not preserve the dilation space")
+    require(t is not None, "projection does not preserve the dilation space")
     projected = ProjectedModule.build(module, t)
 
     theta = solve_matrix(incl, phi)
-    _assert(theta is not None, "phi does not land in the dilation space")
+    require(theta is not None, "phi does not land in the dilation space")
     dil = Dilation(m, projected, theta, proper=True, minimal=True,
                    ambient_inclusion=incl)
     report = check_dilation(dil)
@@ -180,15 +172,15 @@ def universal_morphism(d2: Dilation) -> Mat:
     target = hstack([mod_std.pi[i] * std.theta for i in range(d)])
     phi = _factor_through(dec, target)
 
-    _assert(rank(phi) == mod_std.dim, "comparison map must be surjective")
-    _assert(all(phi * mod_n.pi[i] == mod_std.pi[i] * phi for i in range(d)),
+    require(rank(phi) == mod_std.dim, "comparison map must be surjective")
+    require(all(phi * mod_n.pi[i] == mod_std.pi[i] * phi for i in range(d)),
             "comparison map must be H-linear")
-    _assert(std.projected.t * phi == phi * d2.projected.t,
+    require(std.projected.t * phi == phi * d2.projected.t,
             "comparison map must intertwine the projections")
-    _assert(phi * d2.theta == std.theta,
+    require(phi * d2.theta == std.theta,
             "comparison map must send theta to phi")
     injective = kernel_basis(phi).dim == 0
-    _assert(injective == d2.minimal,
+    require(injective == d2.minimal,
             "bijectivity must match the minimality flag")
     return phi
 
@@ -208,9 +200,9 @@ def dilate_morphism(f: ModuleMorphism) -> Mat:
     dec = hstack([mod_m.pi[i] * std_m.theta for i in range(d)])
     target = hstack([mod_n.pi[i] * std_n.theta * f.mat for i in range(d)])
     fbar = _factor_through(dec, target)
-    _assert(fbar * std_m.theta == std_n.theta * f.mat,
+    require(fbar * std_m.theta == std_n.theta * f.mat,
             "dilated morphism must commute with the embeddings")
-    _assert(all(fbar * mod_m.pi[i] == mod_n.pi[i] * fbar for i in range(d)),
+    require(all(fbar * mod_m.pi[i] == mod_n.pi[i] * fbar for i in range(d)),
             "dilated morphism must be H-linear")
     return fbar
 
@@ -252,13 +244,10 @@ def _right_inverse_exists(m: PartialModule, std: Dilation) -> bool:
         return True
     if nb == 0:
         return False
-    rows = [kron(Mat.identity(n), std.theta.transpose())]
+    system = vstack([kron(Mat.identity(n), std.theta.transpose()),
+                     intertwiner_system(mbar.pi, m.pi)])
     flat_rhs = [x for row in Mat.identity(n).entries for x in row]
-    for i in range(m.hopf.dim):
-        rows.append(kron(Mat.identity(n), mbar.pi[i].transpose())
-                    - kron(m.pi[i], Mat.identity(nb)))
-        flat_rhs.extend([0] * (n * nb))
-    system = vstack(rows)
+    flat_rhs.extend([0] * (n * nb * m.hopf.dim))
     return solve(system, flat_rhs) is not None
 
 

@@ -15,6 +15,7 @@ the inverse antipode; construction fails if S is singular.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .linalg import (Mat, ShapeError, frac, inverse, unit_vec, vec_add,
                      vec_scale)
@@ -24,6 +25,46 @@ from .reports import ValidationError, ValidationReport
 def _freeze3(data):
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane)
                  for plane in data)
+
+
+def alg_prod(mult, u, v):
+    """Product of coefficient vectors in an algebra given by constants."""
+    dim = len(mult)
+    out = [frac(0)] * dim
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
+                continue
+            c = a * b
+            row = mult[i][j]
+            for k in range(dim):
+                if row[k] != 0:
+                    out[k] += c * row[k]
+    return tuple(out)
+
+
+def _associativity_witness(mult):
+    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
+    dim = len(mult)
+    for i in range(dim):
+        for j in range(dim):
+            ij = mult[i][j]
+            for k in range(dim):
+                if alg_prod(mult, ij, unit_vec(dim, k)) \
+                        != alg_prod(mult, unit_vec(dim, i), mult[j][k]):
+                    return (i, j, k)
+    return None
+
+
+def _unit_witness(mult, unit):
+    """First basis index j where unit fails to be a two-sided unit."""
+    dim = len(mult)
+    return next((j for j in range(dim)
+                 if alg_prod(mult, unit, unit_vec(dim, j)) != unit_vec(dim, j)
+                 or alg_prod(mult, unit_vec(dim, j), unit) != unit_vec(dim, j)),
+                None)
 
 
 @dataclass(frozen=True)
@@ -78,19 +119,7 @@ class HopfAlgebraData:
 
     def el_mult(self, u, v):
         """Product of two coefficient vectors."""
-        out = [frac(0)] * self.dim
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                c = a * b
-                row = self.mult[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] += c * row[k]
-        return tuple(out)
+        return alg_prod(self.mult, u, v)
 
     def comult_pairs(self, i):
         """Nonzero Sweedler terms of Delta(e_i) as (first, second, coeff)."""
@@ -100,9 +129,6 @@ class HopfAlgebraData:
 
     def counit_el(self, u):
         return sum((a * e for a, e in zip(u, self.counit)), frac(0))
-
-    def antipode_el(self, u):
-        return self.antipode.apply(u)
 
     def is_cocommutative(self):
         return all(self.comult[i][j][k] == self.comult[i][k][j]
@@ -119,24 +145,10 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     d = h.dim
     report = ValidationReport("hopf axioms")
 
-    witness = None
-    for i in range(d):
-        for j in range(d):
-            for l in range(d):
-                left = h.el_mult(h.mult_vec(i, j), unit_vec(d, l))
-                right = h.el_mult(unit_vec(d, i), h.mult_vec(j, l))
-                if left != right:
-                    witness = (i, j, l)
-                    break
-            if witness:
-                break
-        if witness:
-            break
+    witness = _associativity_witness(h.mult)
     report.record("associativity", witness is None, witness)
 
-    witness = next((j for j in range(d)
-                    if h.el_mult(h.unit, unit_vec(d, j)) != unit_vec(d, j)
-                    or h.el_mult(unit_vec(d, j), h.unit) != unit_vec(d, j)), None)
+    witness = _unit_witness(h.mult, h.unit)
     report.record("unit", witness is None, witness)
 
     witness = None
@@ -414,8 +426,13 @@ def s3_table():
 BUILTIN_NAMES = ("kC2", "kC2-dual", "kC3", "kS3", "kC2xC2-dual", "sweedler")
 
 
+@lru_cache(maxsize=None)
 def builtin(name: str) -> HopfAlgebraData:
-    """Look up one of the named builtin Hopf algebras."""
+    """Look up one of the named builtin Hopf algebras.
+
+    Each builtin is built and validated once; the values are immutable,
+    so every caller shares the same instance.
+    """
     if name == "kC2":
         return group_algebra(cyclic_table(2))
     if name == "kC2-dual":

@@ -16,13 +16,13 @@ classifications (dual C2 and the four-dimensional Sweedler algebra).
 
 from dataclasses import dataclass
 
-from .hopf import HopfAlgebraData, dual_group_algebra, sweedler_h4
+from .hopf import HopfAlgebraData, builtin
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      frac, inverse, kernel_basis, kron, left_mult_operator,
                      mat_to_vec, quotient_map, quotient_section,
                      restrict_operator, right_mult_operator, span_closure,
                      unit_vec, vec_to_mat, vstack)
-from .reports import ValidationError, ValidationReport
+from .reports import ValidationError, ValidationReport, require
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,58 @@ class PartialModule:
         return self.pi_vec(self.hopf.mult_vec(i, j))
 
 
+def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
+    """The n x n matrix sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
+    out = Mat.zeros(n, n)
+    for a, b, c in h.comult_pairs(i):
+        out = out + term(a, b).scale(c)
+    return out
+
+
+def twisted_conjugate(m: PartialModule, t: Mat, i, tilde) -> Mat:
+    """pi(e_i (1)) t pi(S(e_i (2))), or pi(S(e_i (1))) t pi(e_i (2)) with tilde."""
+    if tilde:
+        return comult_sum(m.hopf, i, m.dim,
+                          lambda a, b: m.pi_antipode(a) * t * m.pi[b])
+    return comult_sum(m.hopf, i, m.dim,
+                      lambda a, b: m.pi[a] * t * m.pi_antipode(b))
+
+
+def diagonal_action(h: HopfAlgebraData, left, right):
+    """Action of each e_i on a tensor product: sum c left[a] (x) right[b]."""
+    n = left[0].rows * right[0].rows
+    return tuple(comult_sum(h, i, n, lambda a, b: kron(left[a], right[b]))
+                 for i in range(h.dim))
+
+
+def quotient_action(n, rel: Subspace, ops):
+    """(q, dim, induced ops) for k^n -> k^n / rel; each op must preserve rel."""
+    q, qdim = quotient_map(n, rel)
+    section = quotient_section(n, rel)
+    induced = []
+    for k, op in enumerate(ops):
+        mat = q * op * section
+        require(mat * q == q * op,
+                f"operator {k} does not descend to the quotient")
+        induced.append(mat)
+    return q, qdim, induced
+
+
+def intertwiner_system(src, dst) -> Mat:
+    """Matrix whose kernel is the row-major flattened {f : f src[i] = dst[i] f}."""
+    s, t = src[0].rows, dst[0].rows
+    return vstack([kron(Mat.identity(t), a.transpose()) - kron(b, Mat.identity(s))
+                   for a, b in zip(src, dst)])
+
+
 def epsilon_op(m: PartialModule, i) -> Mat:
     """The operator of eps_{e_i} = pi(e_i (1)) pi(S(e_i (2)))."""
-    out = Mat.zeros(m.dim, m.dim)
-    for a, b, c in m.hopf.comult_pairs(i):
-        out = out + (m.pi[a] * m.pi_antipode(b)).scale(c)
-    return out
+    return twisted_conjugate(m, Mat.identity(m.dim), i, tilde=False)
 
 
 def epsilon_tilde_op(m: PartialModule, i) -> Mat:
     """The twin operator pi(S(e_i (1))) pi(e_i (2))."""
-    out = Mat.zeros(m.dim, m.dim)
-    for a, b, c in m.hopf.comult_pairs(i):
-        out = out + (m.pi_antipode(a) * m.pi[b]).scale(c)
-    return out
+    return twisted_conjugate(m, Mat.identity(m.dim), i, tilde=True)
 
 
 def check_partial_rep(m: PartialModule) -> ValidationReport:
@@ -95,40 +133,29 @@ def check_partial_rep(m: PartialModule) -> ValidationReport:
         return None
 
     def pr2(i, j):
-        acc = Mat.zeros(n, n)
-        for a, b, c in h.comult_pairs(j):
-            acc = acc + ((m.pi[i] * m.pi[a] - m.pi_product(i, a)) * piS[b]).scale(c)
-        return acc
+        return comult_sum(h, j, n, lambda a, b:
+                          (m.pi[i] * m.pi[a] - m.pi_product(i, a)) * piS[b])
 
     def pr3(i, j):
-        acc = Mat.zeros(n, n)
-        for a, b, c in h.comult_pairs(i):
+        def term(a, b):
             tail = m.pi_vec(h.el_mult(h.antipode.col(b), unit_vec(d, j)))
-            acc = acc + (m.pi[a] * (piS[b] * m.pi[j] - tail)).scale(c)
-        return acc
+            return m.pi[a] * (piS[b] * m.pi[j] - tail)
+        return comult_sum(h, i, n, term)
 
     def pr4(i, j):
-        acc = Mat.zeros(n, n)
-        for a, b, c in h.comult_pairs(j):
+        def term(a, b):
             head = m.pi_vec(h.el_mult(unit_vec(d, i), h.antipode.col(a)))
-            acc = acc + ((m.pi[i] * piS[a] - head) * m.pi[b]).scale(c)
-        return acc
+            return (m.pi[i] * piS[a] - head) * m.pi[b]
+        return comult_sum(h, j, n, term)
 
     def pr5(i, j):
-        acc = Mat.zeros(n, n)
-        for a, b, c in h.comult_pairs(i):
-            acc = acc + (piS[a] * (m.pi[b] * m.pi[j] - m.pi_product(b, j))).scale(c)
-        return acc
+        return comult_sum(h, i, n, lambda a, b:
+                          piS[a] * (m.pi[b] * m.pi[j] - m.pi_product(b, j)))
 
     for name, fn in (("PR2", pr2), ("PR3", pr3), ("PR4", pr4), ("PR5", pr5)):
         w = first_failure(fn)
         report.record(name, w is None, w)
     return report
-
-
-def _require(cond, msg):
-    if not cond:
-        raise ValidationError(msg)
 
 
 def is_algebra_map(m: PartialModule) -> bool:
@@ -153,9 +180,9 @@ def is_global(m: PartialModule) -> bool:
             return False
     for i in range(m.hopf.dim):
         for j in range(m.hopf.dim):
-            _require(m.pi[i] * m.pi[j] == m.pi_product(i, j),
-                     "epsilon condition holds but pi is not multiplicative; "
-                     "input is not a valid partial module")
+            require(m.pi[i] * m.pi[j] == m.pi_product(i, j),
+                    "epsilon condition holds but pi is not multiplicative; "
+                    "input is not a valid partial module")
     return True
 
 
@@ -173,7 +200,7 @@ def global_core(m: PartialModule) -> Subspace:
         return Subspace.full(m.dim)
     core = kernel_basis(vstack(devs))
     sub, _ = restrict_to_invariant(m, core)
-    _require(is_global(sub), "core restriction is not global; invalid input")
+    require(is_global(sub), "core restriction is not global; invalid input")
     return core
 
 
@@ -184,16 +211,10 @@ def global_shadow(m: PartialModule):
     for mat in _deviation_mats(m):
         rel = rel.add(column_space(mat))
     rel = span_closure(rel, m.pi)
-    q, qdim = quotient_map(n, rel)
-    section = quotient_section(n, rel)
-    pis = []
-    for p in m.pi:
-        induced = q * p * section
-        _require(induced * q == q * p, "relation span is not action-stable")
-        pis.append(induced)
+    q, qdim, pis = quotient_action(n, rel, m.pi)
     shadow = PartialModule(m.hopf, qdim, tuple(pis))
-    _require(check_partial_rep(shadow).ok, "shadow fails the partial axioms")
-    _require(is_global(shadow), "shadow action is not global")
+    require(check_partial_rep(shadow).ok, "shadow fails the partial axioms")
+    require(is_global(shadow), "shadow action is not global")
     return shadow, q
 
 
@@ -216,9 +237,7 @@ def hom_space(m: PartialModule, n: PartialModule):
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    blocks = [kron(Mat.identity(t), m.pi[i].transpose()) - kron(n.pi[i], Mat.identity(s))
-              for i in range(m.hopf.dim)]
-    ker = kernel_basis(vstack(blocks))
+    ker = kernel_basis(intertwiner_system(m.pi, n.pi))
     return [vec_to_mat(v, t, s) for v in ker.vectors()]
 
 
@@ -235,8 +254,8 @@ class ModuleMorphism:
         if mat.rows != target.dim or mat.cols != source.dim:
             raise ShapeError("morphism matrix shape mismatch")
         for i in range(source.hopf.dim):
-            _require(mat * source.pi[i] == target.pi[i] * mat,
-                     f"matrix does not intertwine the actions at index {i}")
+            require(mat * source.pi[i] == target.pi[i] * mat,
+                    f"matrix does not intertwine the actions at index {i}")
         return ModuleMorphism(source, target, mat)
 
 
@@ -265,27 +284,25 @@ def direct_sum(ms, hopf=None) -> PartialModule:
     return PartialModule(h, sum(m.dim for m in ms), pis)
 
 
+def _generated_algebra(n, gens) -> Subspace:
+    """Span of all words in the n x n matrices gens, the empty word included."""
+    seed = Subspace.from_vectors(n * n, [mat_to_vec(Mat.identity(n))]
+                                 + [mat_to_vec(g) for g in gens])
+    return span_closure(seed, [left_mult_operator(g) for g in gens])
+
+
 def image_algebra(m: PartialModule) -> Subspace:
     """Span of all words in {pi(e_i)}, as a subspace of the matrix space.
 
     This is the image of the universal algebra of partial representations
-    inside End(M), computed by saturating under left multiplication.
+    inside End(M).
     """
-    n = m.dim
-    seed = Subspace.from_vectors(n * n, [mat_to_vec(Mat.identity(n))]
-                                 + [mat_to_vec(p) for p in m.pi])
-    ops = [left_mult_operator(p) for p in m.pi]
-    return span_closure(seed, ops)
+    return _generated_algebra(m.dim, m.pi)
 
 
 def base_subalgebra(m: PartialModule) -> Subspace:
     """Multiplicative span of the epsilon operators together with the identity."""
-    n = m.dim
-    eps = [epsilon_op(m, i) for i in range(m.hopf.dim)]
-    seed = Subspace.from_vectors(n * n, [mat_to_vec(Mat.identity(n))]
-                                 + [mat_to_vec(e) for e in eps])
-    ops = [left_mult_operator(e) for e in eps]
-    return span_closure(seed, ops)
+    return _generated_algebra(m.dim, [epsilon_op(m, i) for i in range(m.hopf.dim)])
 
 
 def base_subalgebra_commutes(m: PartialModule) -> bool:
@@ -295,18 +312,12 @@ def base_subalgebra_commutes(m: PartialModule) -> bool:
 
 def tensor_with_global(m: PartialModule, n: PartialModule) -> PartialModule:
     """Diagonal action on M (x) N for a global N; stays partial."""
-    _require(is_global(n), "second tensor factor must be global")
+    require(is_global(n), "second tensor factor must be global")
     h = m.hopf
     if n.hopf != h:
         raise ValueError("modules live over different Hopf algebras")
-    pis = []
-    for i in range(h.dim):
-        acc = Mat.zeros(m.dim * n.dim, m.dim * n.dim)
-        for a, b, c in h.comult_pairs(i):
-            acc = acc + kron(m.pi[a], n.pi[b]).scale(c)
-        pis.append(acc)
-    out = PartialModule(h, m.dim * n.dim, tuple(pis))
-    _require(check_partial_rep(out).ok, "tensor with a global module fails PR")
+    out = PartialModule(h, m.dim * n.dim, diagonal_action(h, m.pi, n.pi))
+    require(check_partial_rep(out).ok, "tensor with a global module fails PR")
     return out
 
 
@@ -344,32 +355,21 @@ def tensor_over_base(m: PartialModule, n: PartialModule) -> PartialModule:
     h = m.hopf
     if n.hopf != h:
         raise ValueError("modules live over different Hopf algebras")
-    _require(check_partial_rep(m).ok and check_partial_rep(n).ok,
-             "tensor factors must be valid partial modules")
+    require(check_partial_rep(m).ok and check_partial_rep(n).ok,
+            "tensor factors must be valid partial modules")
     nm = m.dim * n.dim
     rel = Subspace.zero(nm)
     for p, q in _balanced_word_pairs(m, n):
         r = kron(p, Mat.identity(n.dim)) - kron(Mat.identity(m.dim), q)
         rel = rel.add(column_space(r))
-    diag = []
-    for i in range(h.dim):
-        acc = Mat.zeros(nm, nm)
-        for a, b, c in h.comult_pairs(i):
-            acc = acc + kron(m.pi[a], n.pi[b]).scale(c)
-        diag.append(acc)
+    diag = diagonal_action(h, m.pi, n.pi)
     for i, op in enumerate(diag):
-        _require(all(rel.contains(op.apply(v)) for v in rel.vectors()),
-                 f"relation span is not stable under the diagonal action "
-                 f"(basis index {i})")
-    q_map, qdim = quotient_map(nm, rel)
-    section = quotient_section(nm, rel)
-    pis = []
-    for op in diag:
-        induced = q_map * op * section
-        _require(induced * q_map == q_map * op, "induced action ill-defined")
-        pis.append(induced)
+        require(all(rel.contains(op.apply(v)) for v in rel.vectors()),
+                f"relation span is not stable under the diagonal action "
+                f"(basis index {i})")
+    _, qdim, pis = quotient_action(nm, rel, diag)
     out = PartialModule(h, qdim, tuple(pis))
-    _require(check_partial_rep(out).ok, "balanced tensor fails the partial axioms")
+    require(check_partial_rep(out).ok, "balanced tensor fails the partial axioms")
     return out
 
 
@@ -386,22 +386,22 @@ def classify_dual_c2(m: PartialModule):
     Returns ((n0, n1, n_half), change_of_basis) where the basis puts
     pi(p_0) into the diagonal block form diag(1, .., 0, .., 1/2, ..).
     """
-    if m.hopf != dual_group_algebra([[0, 1], [1, 0]]):
+    if m.hopf != builtin("kC2-dual"):
         raise ValueError("module is not over the dual C2 Hopf algebra")
     t = m.pi[0]
     ident = Mat.identity(m.dim)
-    _require((t * (t - ident) * (t.scale(2) - ident)).is_zero(),
-             "pi(p0) does not satisfy t(t-1)(2t-1) = 0")
+    require((t * (t - ident) * (t.scale(2) - ident)).is_zero(),
+            "pi(p0) does not satisfy t(t-1)(2t-1) = 0")
     _, v0 = _eigenbasis_columns(t, 1)
     _, v1 = _eigenbasis_columns(t, 0)
     _, vh = _eigenbasis_columns(t, frac("1/2"))
     dims = (len(v0), len(v1), len(vh))
-    _require(sum(dims) == m.dim, "eigenspaces do not fill the module")
+    require(sum(dims) == m.dim, "eigenspaces do not fill the module")
     cb = Mat.from_cols(v0 + v1 + vh, m.dim)
     diag = block_diag([Mat.identity(dims[0]),
                        Mat.zeros(dims[1], dims[1]),
                        Mat.identity(dims[2]).scale(frac("1/2"))])
-    _require(inverse(cb) * t * cb == diag, "change of basis failed to diagonalize")
+    require(inverse(cb) * t * cb == diag, "change of basis failed to diagonalize")
     return dims, cb
 
 
@@ -412,13 +412,13 @@ def classify_sweedler(m: PartialModule):
     and W = ker[g], plus the matrices of [x] and [y] on W.  The block
     relations of the classification are asserted along the way.
     """
-    if m.hopf != sweedler_h4():
+    if m.hopf != builtin("sweedler"):
         raise ValueError("module is not over the Sweedler Hopf algebra")
     g, x, y = m.pi[1], m.pi[2], m.pi[3]
-    _require(g * g * g == g, "[g]^3 = [g] fails; not a valid partial module")
+    require(g * g * g == g, "[g]^3 = [g] fails; not a valid partial module")
     u_space = kernel_basis(g * g - Mat.identity(m.dim))
     w_space = kernel_basis(g)
-    _require(u_space.dim + w_space.dim == m.dim, "0/±1 eigenspaces do not split")
+    require(u_space.dim + w_space.dim == m.dim, "0/±1 eigenspaces do not split")
 
     w_incl = w_space.basis.transpose()
     try:
@@ -427,9 +427,9 @@ def classify_sweedler(m: PartialModule):
         g_on_w = restrict_operator(g, w_incl)
     except ValueError:
         raise ValidationError("ker[g] is not stable under [x], [y]")
-    _require(g_on_w.is_zero(), "[g] does not vanish on its kernel block")
-    _require(c * d == d * c, "cd = dc fails on the pure part")
-    _require(c * c == d * d, "c^2 = d^2 fails on the pure part")
+    require(g_on_w.is_zero(), "[g] does not vanish on its kernel block")
+    require(c * d == d * c, "cd = dc fails on the pure part")
+    require(c * c == d * d, "c^2 = d^2 fails on the pure part")
 
     if u_space.dim:
         u_incl = u_space.basis.transpose()
@@ -439,12 +439,12 @@ def classify_sweedler(m: PartialModule):
             y_u = restrict_operator(y, u_incl)
         except ValueError:
             raise ValidationError("global part is not action-stable")
-        _require((x_u * x_u).is_zero(), "ab = ba = 0 fails on the global part")
-        _require(y_u == g_u * x_u, "[y] != [g][x] on the global part")
+        require((x_u * x_u).is_zero(), "ab = ba = 0 fails on the global part")
+        require(y_u == g_u * x_u, "[y] != [g][x] on the global part")
         u_module = PartialModule(m.hopf, u_space.dim,
                                  (Mat.identity(u_space.dim), g_u, x_u, y_u))
-        _require(check_partial_rep(u_module).ok and is_global(u_module),
-                 "restriction to the ±1 eigenspaces is not global")
+        require(check_partial_rep(u_module).ok and is_global(u_module),
+                "restriction to the ±1 eigenspaces is not global")
     return u_space, w_space, c, d
 
 
@@ -452,12 +452,12 @@ def w_n_module(n: int, hopf=None) -> PartialModule:
     """The pure tower module: [g] = 0 and [x] = [y] = the lower shift."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    h = hopf if hopf is not None else sweedler_h4()
-    if h != sweedler_h4():
+    h = hopf if hopf is not None else builtin("sweedler")
+    if h != builtin("sweedler"):
         raise ValueError("W_n lives over the Sweedler Hopf algebra")
     shift = Mat([[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)])
     mod = PartialModule(h, n, (Mat.identity(n), Mat.zeros(n, n), shift, shift))
-    _require(check_partial_rep(mod).ok, "W_n construction failed the axioms")
+    require(check_partial_rep(mod).ok, "W_n construction failed the axioms")
     return mod
 
 

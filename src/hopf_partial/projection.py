@@ -9,24 +9,12 @@ partial representation theory and is inverted by the dilation machinery.
 
 from dataclasses import dataclass
 
-from .linalg import (Mat, Subspace, column_space, kernel_basis, kron,
-                     pivot_columns, quotient_map, quotient_section,
-                     restrict_operator, solve_matrix, span_closure,
-                     vec_to_mat, vstack)
-from .partial import PartialModule, check_partial_rep, is_algebra_map
+from .linalg import (Mat, Subspace, column_space, kernel_basis,
+                     pivot_columns, restrict_operator, solve_matrix,
+                     span_closure, vec_to_mat, vstack)
+from .partial import (PartialModule, check_partial_rep, intertwiner_system,
+                      is_algebra_map, quotient_action, twisted_conjugate)
 from .reports import ValidationError, ValidationReport
-
-
-def _twisted(module: PartialModule, t: Mat, i: int, tilde: bool) -> Mat:
-    h = module.hopf
-    out = Mat.zeros(module.dim, module.dim)
-    for a, b, c in h.comult_pairs(i):
-        if tilde:
-            term = module.pi_antipode(a) * t * module.pi[b]
-        else:
-            term = module.pi[a] * t * module.pi_antipode(b)
-        out = out + term.scale(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -54,12 +42,12 @@ class ProjectedModule:
 
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
     """T_{e_i} = pi(e_i (1)) t pi(S(e_i (2)))."""
-    return _twisted(p.module, p.t, i, tilde=False)
+    return twisted_conjugate(p.module, p.t, i, tilde=False)
 
 
 def tilde_op(p: ProjectedModule, i: int) -> Mat:
     """The S-twisted twin pi(S(e_i (1))) t pi(e_i (2))."""
-    return _twisted(p.module, p.t, i, tilde=True)
+    return twisted_conjugate(p.module, p.t, i, tilde=True)
 
 
 def check_c_condition(module: PartialModule, t: Mat):
@@ -70,7 +58,7 @@ def check_c_condition(module: PartialModule, t: Mat):
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     for i in range(module.hopf.dim):
-        ti = _twisted(module, t, i, tilde=False)
+        ti = twisted_conjugate(module, t, i, tilde=False)
         if ti * t != t * ti:
             return False, i
     return True, None
@@ -93,8 +81,8 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     d = module.hopf.dim
-    adj = [_twisted(module, t, i, tilde=False) for i in range(d)]
-    tld = [_twisted(module, t, i, tilde=True) for i in range(d)]
+    adj = [twisted_conjugate(module, t, i, tilde=False) for i in range(d)]
+    tld = [twisted_conjugate(module, t, i, tilde=True) for i in range(d)]
     report = ValidationReport("equivalence lemma")
     w1 = next((i for i in range(d) if adj[i] * t != t * adj[i]), None)
     report.record("(i) c-condition", w1 is None, w1)
@@ -161,19 +149,9 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
 
     killed = _annihilated_submodule(module, t)
     if killed.dim:
-        q, qdim = quotient_map(module.dim, killed)
-        section = quotient_section(module.dim, killed)
-        new_pis = []
-        for mat in pis:
-            induced = q * mat * section
-            if induced * q != q * mat:
-                raise ValidationError("quotient action ill-defined")
-            new_pis.append(induced)
-        t_new = q * t * section
-        if t_new * q != q * t:
-            raise ValidationError("projection does not descend to the quotient")
-        module = PartialModule(p.module.hopf, qdim, tuple(new_pis))
-        t = t_new
+        _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
+        module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
+        t = induced[-1]
     out = ProjectedModule.build(module, t)
     if _annihilated_submodule(module, t).dim != 0:
         raise ValidationError("minimalization left a t-killed submodule")
@@ -205,7 +183,5 @@ def projected_morphism_space(p: ProjectedModule, q: ProjectedModule):
     # matrices of m -> T(h.m) on im T and y -> S(h.y) on im S
     a = [solve_matrix(incl_p, p.t * p.module.pi[i] * incl_p) for i in range(d)]
     b = [solve_matrix(incl_q, q.t * q.module.pi[i] * incl_q) for i in range(d)]
-    blocks = [kron(Mat.identity(t_dim), a[i].transpose()) - kron(b[i], Mat.identity(s))
-              for i in range(d)]
-    ker = kernel_basis(vstack(blocks))
+    ker = kernel_basis(intertwiner_system(a, b))
     return [vec_to_mat(v, t_dim, s) for v in ker.vectors()]

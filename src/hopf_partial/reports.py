@@ -68,3 +68,9 @@ class ValidationError(ValueError):
             bad = ", ".join(c.name for c in self.report.failures())
             msg = f"{self.report.subject}: failed checks: {bad}"
         super().__init__(msg)
+
+
+def require(cond, msg):
+    """Raise ValidationError(msg) unless cond holds."""
+    if not cond:
+        raise ValidationError(msg)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .actions import GlobalModuleAlgebra, PartialModuleAlgebra, SmashAlgebra
 from .hopf import BUILTIN_NAMES, HopfAlgebraData, builtin
-from .linalg import Mat, Subspace, frac
+from .linalg import Mat, frac
 from .partial import PartialModule
 from .projection import ProjectedModule
 
@@ -64,10 +64,6 @@ def _cube_from_json(data):
     if not isinstance(data, list):
         raise FormatError("expected a rank-3 scalar array")
     return [[[scalar_from_json(x) for x in row] for row in plane] for plane in data]
-
-
-def subspace_to_json(s: Subspace):
-    return {"ambient_dim": s.ambient_dim, "basis": mat_to_json(s.basis)}
 
 
 def hopf_to_json(h: HopfAlgebraData):
@@ -147,10 +143,6 @@ def projected_module_from_json(data, default_hopf=None) -> ProjectedModule:
     module = partial_module_from_json(data["module"], default_hopf)
     t = mat_from_json(data["t"], cols=module.dim)
     return ProjectedModule.build(module, t)
-
-
-def projected_module_to_json(p: ProjectedModule):
-    return {"module": partial_module_to_json(p.module), "t": mat_to_json(p.t)}
 
 
 def partial_algebra_from_json(data, default_hopf=None) -> PartialModuleAlgebra:

@@ -178,3 +178,15 @@ def test_smash_projector_commutes_with_diagonal_action():
                                    pm.regular_module(alg.hopf))
         for i in range(alg.hopf.dim):
             assert pr * bh.pi[i] == bh.pi[i] * pr
+
+
+def test_non_associative_algebra_reports_witness():
+    # unit e0, e1 e1 = e2, e1 e2 = e1, every other product of e1, e2 zero
+    mult = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, 1], [0, 1, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 0]]]
+    b = ac.PartialModuleAlgebra.build(DUAL, mult, [1, 0, 0],
+                                      [la.Mat.identity(3), la.Mat.zeros(3, 3)])
+    report = ac.check_partial_action(b)
+    assert [c.name for c in report.failures()] == ["algebra associativity"]
+    assert report.check_named("algebra associativity").witness == (1, 1, 1)

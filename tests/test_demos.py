@@ -1,5 +1,6 @@
 import pytest
 
+import hopf_partial
 from hopf_partial.demos import ALL_OPS, DEMOS, demo_suite
 
 
@@ -12,9 +13,15 @@ def test_each_demo_passes(name):
 
 
 def test_registry_covers_every_operation():
+    exported = {f"{obj.__module__.split('.')[-1]}.{name}"
+                for name, obj in vars(hopf_partial).items()
+                if callable(obj) and not isinstance(obj, type)}
+    assert {"hopf.builtin", "partial.check_partial_rep",
+            "dilation.standard_dilation"} <= exported
+    assert ALL_OPS == exported
     covered = {op for _, ops in DEMOS.values() for op in ops}
-    covered |= {"cli.run", "cli.demo_suite"}
-    assert covered == ALL_OPS
+    assert sorted(exported - covered) == []
+    assert sorted(covered - exported) == []
 
 
 def test_suite_aggregates_and_reports_coverage():

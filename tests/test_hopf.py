@@ -88,6 +88,32 @@ def test_sweedler_flipped_antipode_fails_with_witness():
     assert not check.passed and check.witness == (2,)
 
 
+def test_broken_product_entry_reports_associativity_witness():
+    h = hp.builtin("kC3")
+    mult = [[list(row) for row in plane] for plane in h.mult]
+    mult[2][2] = [0, 0, 1]
+    bad = hp.HopfAlgebraData(3, hp._freeze3(mult), h.unit, h.comult, h.counit,
+                             h.antipode, h.antipode_inv)
+    report = hp.validate_hopf(bad)
+    assert [c.name for c in report.failures()] == ["associativity"]
+    assert report.check_named("associativity").witness == (1, 1, 2)
+
+
+def test_broken_unit_reports_unit_witness():
+    h = hp.builtin("kC2-dual")
+    bad = hp.HopfAlgebraData(2, h.mult, (F(1), F(0)), h.comult, h.counit,
+                             h.antipode, h.antipode_inv)
+    report = hp.validate_hopf(bad)
+    check = report.check_named("unit")
+    assert not check.passed and check.witness == 1
+    assert report.check_named("associativity").passed
+
+
+def test_builtins_are_built_once():
+    assert hp.builtin("sweedler") is hp.builtin("sweedler")
+    assert hp.builtin("kC2-dual") == hp.dual_group_algebra(hp.cyclic_table(2))
+
+
 def test_singular_antipode_rejected_at_build():
     h = hp.sweedler_h4()
     singular = la.Mat.zeros(4, 4)

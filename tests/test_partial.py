@@ -296,3 +296,19 @@ def test_check_partial_rep_passes_on_generator_output():
     for name in ("kC2-dual", "sweedler", "kS3"):
         for _ in range(4):
             assert pm.check_partial_rep(gen.random_partial(r, name, 4)).ok
+
+
+def test_quotient_action_induces_operators():
+    rel = la.Subspace.from_vectors(3, [(1, 0, 0)])
+    op = la.Mat([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
+    q, qdim, induced = pm.quotient_action(3, rel, [op])
+    assert qdim == 2 and q * op == induced[0] * q
+    assert induced[0] == la.Mat([[2, 0], [0, 3]])
+
+
+def test_quotient_action_rejects_operator_leaving_the_relations():
+    rel = la.Subspace.from_vectors(2, [(1, 0)])
+    stable = la.Mat.identity(2)
+    leaves = la.Mat([[0, 0], [1, 0]])
+    with pytest.raises(ValidationError):
+        pm.quotient_action(2, rel, [stable, leaves])
