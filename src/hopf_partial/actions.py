@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .dilation import _factor_through, dilate_morphism, standard_dilation
 from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
-                   _unit_witness, alg_prod)
+                   _unit_witness, alg_prod, comult_vec_sum)
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      frac, hstack, kron, rank, solve, solve_matrix, unit_vec,
                      vec_add, vec_scale)
@@ -133,27 +133,22 @@ def _pa2_witness(h, mult, action):
     for i in range(h.dim):
         for a in range(dim):
             for c in range(dim):
-                rhs = (frac(0),) * dim
-                for p, q, cf in h.comult_pairs(i):
-                    term = alg_prod(mult, action[p].col(a), action[q].col(c))
-                    rhs = vec_add(rhs, vec_scale(term, cf))
+                rhs = comult_vec_sum(h, i, dim, lambda p, q: alg_prod(
+                    mult, action[p].col(a), action[q].col(c)))
                 if action[i].apply(mult[a][c]) != rhs:
                     return (i, a, c)
     return None
 
 
 def _pa3_holds(b, mod, i, k, j, primed):
-    lhs = b.action[i].apply(b.action[k].col(j))
-    rhs = (frac(0),) * b.dim
-    for p, q, cf in b.hopf.comult_pairs(i):
+    def term(p, q):
         if primed:
-            mixed = mod.pi_vec(b.hopf.mult_vec(p, k)).col(j)
-            term = b.prod(mixed, b.act(q, b.alg_unit))
-        else:
-            mixed = mod.pi_vec(b.hopf.mult_vec(q, k)).col(j)
-            term = b.prod(b.act(p, b.alg_unit), mixed)
-        rhs = vec_add(rhs, vec_scale(term, cf))
-    return lhs == rhs
+            return b.prod(mod.pi_vec(b.hopf.mult_vec(p, k)).col(j),
+                          b.act(q, b.alg_unit))
+        return b.prod(b.act(p, b.alg_unit),
+                      mod.pi_vec(b.hopf.mult_vec(q, k)).col(j))
+    lhs = b.action[i].apply(b.action[k].col(j))
+    return lhs == comult_vec_sum(b.hopf, i, b.dim, term)
 
 
 def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
@@ -198,10 +193,7 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
             b_global.hopf, [], [], [Mat.zeros(0, 0)] * b_global.hopf.dim)
 
     def coords(v):
-        c = solve(incl, v)
-        if c is None:
-            raise ValidationError("eB is not closed as expected")
-        return c
+        return _coords(incl, v, "eB is not closed as expected")
 
     mult = [[coords(b_global.prod(incl.col(i), incl.col(j)))
              for j in range(sub_dim)] for i in range(sub_dim)]
@@ -242,21 +234,16 @@ def _smash_projector(b: PartialModuleAlgebra) -> Mat:
     """The idempotent b (x) h -> b (h_(1) . 1) (x) h_(2) on B (x) H."""
     h = b.hopf
     m, d = b.dim, h.dim
-    cols = []
-    for bi in range(m):
-        for hi in range(d):
-            out = [frac(0)] * (m * d)
-            for p, q, cf in h.comult_pairs(hi):
-                vec_b = b.prod(unit_vec(m, bi), b.act(p, b.alg_unit))
-                _accum(out, vec_b, unit_vec(d, q), cf, d)
-            cols.append(out)
+    cols = [comult_vec_sum(h, hi, m * d, lambda p, q: _tensor_vec(
+                b.prod(unit_vec(m, bi), b.act(p, b.alg_unit)), unit_vec(d, q)))
+            for bi in range(m) for hi in range(d)]
     return Mat.from_cols(cols, m * d)
 
 
 def _smash_product(h, mult, action, u, v):
     """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k on A (x) H, bilinearly."""
     m, d = len(mult), h.dim
-    out = [frac(0)] * (m * d)
+    out = (frac(0),) * (m * d)
     for iu, cu in enumerate(u):
         if cu == 0:
             continue
@@ -265,10 +252,19 @@ def _smash_product(h, mult, action, u, v):
             if cv == 0:
                 continue
             ci, ki = divmod(iv, d)
-            for p, q, cf in h.comult_pairs(hi):
-                left = alg_prod(mult, unit_vec(m, bi), action[p].col(ci))
-                _accum(out, left, h.mult_vec(q, ki), cu * cv * cf, d)
-    return tuple(out)
+            out = vec_add(out, vec_scale(comult_vec_sum(
+                h, hi, m * d, lambda p, q: _tensor_vec(
+                    alg_prod(mult, unit_vec(m, bi), action[p].col(ci)),
+                    h.mult_vec(q, ki))), cu * cv))
+    return out
+
+
+def _coords(incl, v, msg):
+    """Coordinates c with incl c = v; ValidationError(msg) when v is outside."""
+    c = solve(incl, v)
+    if c is None:
+        raise ValidationError(msg)
+    return c
 
 
 def _tensor_vec(u, v):
@@ -296,11 +292,10 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     sub = column_space(pr)
     r = sub.dim
     basis = sub.vectors()
+    incl = sub.basis.transpose()
 
     def coords(v):
-        if not sub.contains(v):
-            raise ValidationError("smash product left its defining subspace")
-        return sub.coords(v)
+        return _coords(incl, v, "smash product left its defining subspace")
 
     mult = [[coords(_smash_product(h, b.alg_mult, b.action, basis[i], basis[j]))
              for j in range(r)] for i in range(r)]
@@ -332,16 +327,9 @@ def _convolution(b: PartialModuleAlgebra, u, v):
     """(f * g)(e_k) = sum f(e_k(1)) g(e_k(2)) on B^d coordinates."""
     h = b.hopf
     m, d = b.dim, h.dim
-    out = [frac(0)] * (d * m)
-    for k in range(d):
-        acc = (frac(0),) * m
-        for p, q, cf in h.comult_pairs(k):
-            fp = tuple(u[p * m + t] for t in range(m))
-            gq = tuple(v[q * m + t] for t in range(m))
-            acc = vec_add(acc, vec_scale(b.prod(fp, gq), cf))
-        for t in range(m):
-            out[k * m + t] = acc[t]
-    return tuple(out)
+    return tuple(x for k in range(d)
+                 for x in comult_vec_sum(h, k, m, lambda p, q: b.prod(
+                     u[p * m:(p + 1) * m], v[q * m:(q + 1) * m])))
 
 
 def _find_unit(mult):
@@ -382,10 +370,7 @@ def globalize(b: PartialModuleAlgebra):
     report = ValidationReport("globalization")
 
     def coords(v):
-        c = solve(incl, v)
-        if c is None:
-            raise ValidationError("convolution leaves the dilation subspace")
-        return c
+        return _coords(incl, v, "convolution leaves the dilation subspace")
 
     basis_ambient = [incl.col(j) for j in range(mb)]
     mult = [[coords(_convolution(b, basis_ambient[i], basis_ambient[j]))
@@ -419,19 +404,13 @@ def globalize(b: PartialModuleAlgebra):
     report.record("restricted action equals the partial action",
                   all(phi * b.action[i] == t * mod.pi[i] * phi for i in range(d)))
 
-    witness_ok = True
     phi_unit = phi.apply(b.alg_unit)
-    for i in range(d):
-        for j in range(m):
-            rhs = mod.pi[i].apply(phi.col(j))
-            lhs = (frac(0),) * mb
-            for p, q, cf in h.comult_pairs(i):
-                lhs = vec_add(lhs, vec_scale(
-                    alg_prod(mult, mod.pi[p].apply(phi.col(j)),
-                             mod.pi[q].apply(phi_unit)), cf))
-            if lhs != rhs:
-                witness_ok = False
-    report.record("idempotency witness identity", witness_ok)
+    report.record("idempotency witness identity",
+                  all(comult_vec_sum(h, i, mb, lambda p, q: alg_prod(
+                          mult, mod.pi[p].apply(phi.col(j)),
+                          mod.pi[q].apply(phi_unit)))
+                      == mod.pi[i].apply(phi.col(j))
+                      for i in range(d) for j in range(m)))
 
     if not report.ok:
         raise ValidationError(report)
@@ -500,15 +479,9 @@ def zeta_xi(b: PartialModuleAlgebra):
     dec_over = hstack([over.pi[i] * std_bh.theta for i in range(d)])
     phi_b_cols = [std_b.theta.col(v) for v in range(m)]
 
-    zeta_cols = []
-    for i in range(d):
-        for v in range(m):
-            for j in range(d):
-                out = [frac(0)] * dim_bt
-                for p, q, cf in h.comult_pairs(i):
-                    _accum(out, mbar.pi[p].apply(phi_b_cols[v]),
-                           h.mult_vec(q, j), cf, d)
-                zeta_cols.append(tuple(out))
+    zeta_cols = [comult_vec_sum(h, i, dim_bt, lambda p, q: _tensor_vec(
+                     mbar.pi[p].apply(phi_b_cols[v]), h.mult_vec(q, j)))
+                 for i in range(d) for v in range(m) for j in range(d)]
     zeta = _factor_through(dec_over, Mat.from_cols(zeta_cols, dim_bt))
 
     dec_bt_cols = []
@@ -518,13 +491,11 @@ def zeta_xi(b: PartialModuleAlgebra):
             for j in range(d):
                 dec_bt_cols.append(_tensor_vec(mbar.pi[i].apply(phi_b_cols[v]),
                                                unit_vec(d, j)))
-                acc = (frac(0),) * over.dim
-                for p, q, cf in h.comult_pairs(i):
-                    tail = h.el_mult(h.antipode.col(q), unit_vec(d, j))
-                    src = _tensor_vec(unit_vec(m, v), tail)
-                    acc = vec_add(acc, vec_scale(
-                        over.pi[p].apply(std_bh.theta.apply(src)), cf))
-                xi_target_cols.append(acc)
+                xi_target_cols.append(comult_vec_sum(
+                    h, i, over.dim, lambda p, q: over.pi[p].apply(
+                        std_bh.theta.apply(_tensor_vec(
+                            unit_vec(m, v),
+                            h.el_mult(h.antipode.col(q), unit_vec(d, j)))))))
     xi = _factor_through(Mat.from_cols(dec_bt_cols, dim_bt),
                          Mat.from_cols(xi_target_cols, over.dim))
 
@@ -589,57 +560,46 @@ def morita_context(b: PartialModuleAlgebra):
             for i in range(sm.dim) for j in range(sm.dim)))
 
     phi_unit = phi.apply(b.alg_unit)
-    three_ok = True
-    for a in range(m):
-        for hi in range(d):
-            e1 = [frac(0)] * dim_bt
-            e2 = [frac(0)] * dim_bt
-            e3 = [frac(0)] * dim_bt
-            for p, q, cf in h.comult_pairs(hi):
-                v1 = phi.apply(b.prod(unit_vec(m, a), b.act(p, b.alg_unit)))
-                _accum(e1, v1, unit_vec(d, q), cf, d)
-                v2 = gb.prod(phi.col(a), gb.action[p].apply(phi_unit))
-                _accum(e2, v2, unit_vec(d, q), cf, d)
-                for p2, q2, cf2 in h.comult_pairs(q):
-                    v3 = gb.prod(phi.apply(b.prod(unit_vec(m, a),
-                                                  b.act(p, b.alg_unit))),
-                                 gb.action[p2].apply(phi_unit))
-                    _accum(e3, v3, unit_vec(d, q2), cf * cf2, d)
-            if not (tuple(e1) == tuple(e2) == tuple(e3)):
-                three_ok = False
-    report.record("three expressions for Phi(b # h) agree", three_ok)
+
+    def phi_twisted(a, p):
+        """phi(e_a (e_p . 1)) in Bbar."""
+        return phi.apply(b.prod(unit_vec(m, a), b.act(p, b.alg_unit)))
+
+    def three_agree(a, hi):
+        e1 = comult_vec_sum(h, hi, dim_bt, lambda p, q: _tensor_vec(
+            phi_twisted(a, p), unit_vec(d, q)))
+        e2 = comult_vec_sum(h, hi, dim_bt, lambda p, q: _tensor_vec(
+            gb.prod(phi.col(a), gb.action[p].apply(phi_unit)), unit_vec(d, q)))
+        e3 = comult_vec_sum(h, hi, dim_bt, lambda p, q: comult_vec_sum(
+            h, q, dim_bt, lambda p2, q2: _tensor_vec(
+                gb.prod(phi_twisted(a, p), gb.action[p2].apply(phi_unit)),
+                unit_vec(d, q2))))
+        return e1 == e2 == e3
+
+    report.record("three expressions for Phi(b # h) agree",
+                  all(three_agree(a, hi) for a in range(m) for hi in range(d)))
 
     # the evaluated form of the same identity, block by block in B^d
     incl_bbar = standard_dilation(b.as_module()).ambient_inclusion
     b_module = b.as_module()
-    section_ok = True
-    for a in range(m):
-        for hi in range(d):
-            w = (frac(0),) * mb
-            for p, q, cf in h.comult_pairs(hi):
-                w = vec_add(w, vec_scale(
-                    gb.prod(phi.apply(b.prod(unit_vec(m, a), b.act(p, b.alg_unit))),
-                            gb.action[q].apply(phi_unit)), cf))
-            ambient = incl_bbar.apply(w)
-            for k in range(d):
-                block = tuple(ambient[k * m: (k + 1) * m])
-                rhs = (frac(0),) * m
-                for r, s, cf in h.comult_pairs(k):
-                    mixed = b_module.pi_vec(h.mult_vec(s, hi))
-                    rhs = vec_add(rhs, vec_scale(
-                        b.prod(b.action[r].col(a), mixed.apply(b.alg_unit)), cf))
-                if block != rhs:
-                    section_ok = False
-    report.record("evaluated smash identity", section_ok)
+
+    def evaluated_holds(a, hi):
+        w = comult_vec_sum(h, hi, mb, lambda p, q: gb.prod(
+            phi_twisted(a, p), gb.action[q].apply(phi_unit)))
+        ambient = incl_bbar.apply(w)
+        return all(ambient[k * m:(k + 1) * m]
+                   == comult_vec_sum(h, k, m, lambda r, s: b.prod(
+                       b.action[r].col(a),
+                       b_module.pi_vec(h.mult_vec(s, hi)).apply(b.alg_unit)))
+                   for k in range(d))
+
+    report.record("evaluated smash identity",
+                  all(evaluated_holds(a, hi) for a in range(m) for hi in range(d)))
 
     p_space = column_space(phi_amb)
-    q_vecs = []
-    for i in range(d):
-        for v in range(m):
-            out = [frac(0)] * dim_bt
-            for p, q, cf in h.comult_pairs(i):
-                _accum(out, gb.action[p].apply(phi.col(v)), unit_vec(d, q), cf, d)
-            q_vecs.append(tuple(out))
+    q_vecs = [comult_vec_sum(h, i, dim_bt, lambda p, q: _tensor_vec(
+                  gb.action[p].apply(phi.col(v)), unit_vec(d, q)))
+              for i in range(d) for v in range(m)]
     q_space = Subspace.from_vectors(dim_bt, q_vecs)
 
     phi_sm_image = column_space(phi_sm)
@@ -668,12 +628,3 @@ def morita_context(b: PartialModuleAlgebra):
                  for pv in p_space.vectors()])
     report.record("mu surjective onto Bbar#H", mu_image.dim == dim_bt)
     return p_space, q_space, report
-
-
-def _accum(out, bvec, hvec, cf, d):
-    for r, cb in enumerate(bvec):
-        if cb == 0:
-            continue
-        for s, ch in enumerate(hvec):
-            if ch != 0:
-                out[r * d + s] += cf * cb * ch

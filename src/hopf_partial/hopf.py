@@ -45,6 +45,29 @@ def alg_prod(mult, u, v):
     return tuple(out)
 
 
+def comult_vec_sum(h, i, dim, term):
+    """The dim-vector sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
+    out = (frac(0),) * dim
+    for a, b, c in h.comult_pairs(i):
+        v = term(a, b)
+        out = vec_add(out, v if c == 1 else vec_scale(v, c))
+    return out
+
+
+def _collect(terms):
+    """Sum (key, coeff) pairs into a dict of tensor coefficients, zeros dropped."""
+    out = {}
+    for key, c in terms:
+        out[key] = out.get(key, frac(0)) + c
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def _comult_el(h, u):
+    """Delta of the coefficient vector u, as tensor coefficients."""
+    return _collect(((a, b), c * cc) for k, c in enumerate(u) if c != 0
+                    for a, b, cc in h.comult_pairs(k))
+
+
 def _associativity_witness(mult):
     """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
     dim = len(mult)
@@ -151,49 +174,30 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     witness = _unit_witness(h.mult, h.unit)
     report.record("unit", witness is None, witness)
 
-    witness = None
-    for i in range(d):
-        left = {}
-        for p, c, cpc in h.comult_pairs(i):
-            for a, b, cab in h.comult_pairs(p):
-                key = (a, b, c)
-                left[key] = left.get(key, frac(0)) + cpc * cab
-        right = {}
-        for a, p, cap in h.comult_pairs(i):
-            for b, c, cbc in h.comult_pairs(p):
-                key = (a, b, c)
-                right[key] = right.get(key, frac(0)) + cap * cbc
-        left = {k: v for k, v in left.items() if v != 0}
-        right = {k: v for k, v in right.items() if v != 0}
-        if left != right:
-            witness = (i,)
-            break
+    witness = next(((i,) for i in range(d)
+                    if _collect(((a, b, c), cpc * cab)
+                                for p, c, cpc in h.comult_pairs(i)
+                                for a, b, cab in h.comult_pairs(p))
+                    != _collect(((a, b, c), cap * cbc)
+                                for a, p, cap in h.comult_pairs(i)
+                                for b, c, cbc in h.comult_pairs(p))), None)
     report.record("coassociativity", witness is None, witness)
 
-    witness = None
-    for i in range(d):
-        left_leg = [frac(0)] * d
-        right_leg = [frac(0)] * d
-        for j, k, c in h.comult_pairs(i):
-            left_leg[k] += c * h.counit[j]
-            right_leg[j] += c * h.counit[k]
-        if tuple(left_leg) != unit_vec(d, i) or tuple(right_leg) != unit_vec(d, i):
-            witness = (i,)
-            break
+    witness = next(((i,) for i in range(d)
+                    if comult_vec_sum(h, i, d, lambda j, k:
+                                      vec_scale(unit_vec(d, k), h.counit[j]))
+                    != unit_vec(d, i)
+                    or comult_vec_sum(h, i, d, lambda j, k:
+                                      vec_scale(unit_vec(d, j), h.counit[k]))
+                    != unit_vec(d, i)), None)
     report.record("counit", witness is None, witness)
 
     witness = None
     if h.counit_el(h.unit) != 1:
         witness = ("counit of unit",)
-    delta_unit = {}
-    for i, c in enumerate(h.unit):
-        if c == 0:
-            continue
-        for j, k, cc in h.comult_pairs(i):
-            delta_unit[(j, k)] = delta_unit.get((j, k), frac(0)) + c * cc
     expected = {(j, k): h.unit[j] * h.unit[k]
                 for j in range(d) for k in range(d) if h.unit[j] * h.unit[k] != 0}
-    if witness is None and {k: v for k, v in delta_unit.items() if v != 0} != expected:
+    if witness is None and _comult_el(h, h.unit) != expected:
         witness = ("comult of unit",)
     if witness is None:
         for i in range(d):
@@ -202,47 +206,25 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
                 if h.counit_el(prod) != h.counit[i] * h.counit[j]:
                     witness = (i, j, "counit multiplicative")
                     break
-                left = {}
-                for k, c in enumerate(prod):
-                    if c == 0:
-                        continue
-                    for a, b, cc in h.comult_pairs(k):
-                        left[(a, b)] = left.get((a, b), frac(0)) + c * cc
-                right = {}
-                for p, q, cpq in h.comult_pairs(i):
-                    for r, s, crs in h.comult_pairs(j):
-                        pr = h.mult_vec(p, r)
-                        qs = h.mult_vec(q, s)
-                        for a in range(d):
-                            if pr[a] == 0:
-                                continue
-                            for b in range(d):
-                                if qs[b] == 0:
-                                    continue
-                                key = (a, b)
-                                right[key] = right.get(key, frac(0)) + cpq * crs * pr[a] * qs[b]
-                left = {k: v for k, v in left.items() if v != 0}
-                right = {k: v for k, v in right.items() if v != 0}
-                if left != right:
+                right = _collect(((a, b), cpq * crs * x * y)
+                                 for p, q, cpq in h.comult_pairs(i)
+                                 for r, s, crs in h.comult_pairs(j)
+                                 for a, x in enumerate(h.mult_vec(p, r)) if x != 0
+                                 for b, y in enumerate(h.mult_vec(q, s)) if y != 0)
+                if _comult_el(h, prod) != right:
                     witness = (i, j, "comult multiplicative")
                     break
             if witness:
                 break
     report.record("bialgebra", witness is None, witness)
 
-    witness = None
-    for i in range(d):
-        left = [frac(0)] * d
-        right = [frac(0)] * d
-        for j, k, c in h.comult_pairs(i):
-            s_first = h.antipode.col(j)
-            left = vec_add(left, vec_scale(h.el_mult(s_first, unit_vec(d, k)), c))
-            s_second = h.antipode.col(k)
-            right = vec_add(right, vec_scale(h.el_mult(unit_vec(d, j), s_second), c))
-        target = vec_scale(h.unit, h.counit[i])
-        if tuple(left) != target or tuple(right) != target:
-            witness = (i,)
-            break
+    witness = next(((i,) for i in range(d)
+                    if comult_vec_sum(h, i, d, lambda j, k:
+                                      h.el_mult(h.antipode.col(j), unit_vec(d, k)))
+                    != vec_scale(h.unit, h.counit[i])
+                    or comult_vec_sum(h, i, d, lambda j, k:
+                                      h.el_mult(unit_vec(d, j), h.antipode.col(k)))
+                    != vec_scale(h.unit, h.counit[i])), None)
     report.record("antipode", witness is None, witness)
 
     ident = Mat.identity(d)
@@ -374,30 +356,11 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
                     != dst.el_mult(f.col(i), f.col(j))), None)
     report.record("multiplicative", witness is None, witness)
 
-    witness = None
-    for i in range(src.dim):
-        left = {}
-        for j, k, c in src.comult_pairs(i):
-            fj, fk = f.col(j), f.col(k)
-            for a in range(dst.dim):
-                if fj[a] == 0:
-                    continue
-                for b in range(dst.dim):
-                    if fk[b] == 0:
-                        continue
-                    left[(a, b)] = left.get((a, b), frac(0)) + c * fj[a] * fk[b]
-        right = {}
-        fi = f.col(i)
-        for cidx, cc in enumerate(fi):
-            if cc == 0:
-                continue
-            for a, b, cab in dst.comult_pairs(cidx):
-                right[(a, b)] = right.get((a, b), frac(0)) + cc * cab
-        left = {k: v for k, v in left.items() if v != 0}
-        right = {k: v for k, v in right.items() if v != 0}
-        if left != right:
-            witness = (i,)
-            break
+    witness = next(((i,) for i in range(src.dim)
+                    if _collect(((a, b), c * x * y) for j, k, c in src.comult_pairs(i)
+                                for a, x in enumerate(f.col(j)) if x != 0
+                                for b, y in enumerate(f.col(k)) if y != 0)
+                    != _comult_el(dst, f.col(i))), None)
     report.record("comultiplicative", witness is None, witness)
 
     report.record("counit", all(dst.counit_el(f.col(i)) == src.counit[i]

@@ -403,6 +403,13 @@ def span_closure(seed: Subspace, operators) -> Subspace:
         current = nxt
 
 
+def first_unstable(sub: Subspace, operators):
+    """Index of the first operator mapping some vector of sub outside it, or None."""
+    return next((k for k, op in enumerate(operators)
+                 if not all(sub.contains(op.apply(v)) for v in sub.vectors())),
+                None)
+
+
 def quotient_map(ambient_dim, w: Subspace):
     """Surjection q: k^n -> k^(n - dim w) with kernel exactly w.
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebraData, builtin
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     frac, inverse, kernel_basis, kron, left_mult_operator,
-                     mat_to_vec, quotient_map, quotient_section,
-                     restrict_operator, right_mult_operator, span_closure,
-                     unit_vec, vec_to_mat, vstack)
+                     first_unstable, frac, inverse, kernel_basis, kron,
+                     left_mult_operator, mat_to_vec, quotient_map,
+                     quotient_section, restrict_operator, right_mult_operator,
+                     span_closure, vec_to_mat, vstack)
 from .reports import ValidationError, ValidationReport, require
 
 
@@ -56,10 +56,6 @@ class PartialModule:
     def pi_antipode(self, i):
         """pi(S(e_i))."""
         return self.pi_vec(self.hopf.antipode.col(i))
-
-    def pi_product(self, i, j):
-        """pi(e_i e_j)."""
-        return self.pi_vec(self.hopf.mult_vec(i, j))
 
 
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
@@ -116,44 +112,44 @@ def epsilon_tilde_op(m: PartialModule, i) -> Mat:
     return twisted_conjugate(m, Mat.identity(m.dim), i, tilde=True)
 
 
+def _deviation_table(m: PartialModule, xs, ys):
+    """D[x][y] = pi(x) pi(y) - pi(xy) for Hopf coefficient vectors x in xs, y in ys."""
+    pi_xs = [m.pi_vec(x) for x in xs]
+    pi_ys = [m.pi_vec(y) for y in ys]
+    return [[px * py - m.pi_vec(m.hopf.el_mult(x, y)) for y, py in zip(ys, pi_ys)]
+            for x, px in zip(xs, pi_xs)]
+
+
+def _basis_deviations(m: PartialModule):
+    """pi(e_i) pi(e_j) - pi(e_i e_j) for all basis pairs, row-major."""
+    basis = Mat.identity(m.hopf.dim).col_list()
+    return [dev for row in _deviation_table(m, basis, basis) for dev in row]
+
+
 def check_partial_rep(m: PartialModule) -> ValidationReport:
     """Evaluate PR1-PR5 for every basis pair, with a witness pair on failure."""
     h = m.hopf
     d = h.dim
     n = m.dim
     report = ValidationReport("partial representation")
-    piS = [m.pi_antipode(b) for b in range(d)]
     report.record("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))
 
-    def first_failure(deviation):
-        for i in range(d):
-            for j in range(d):
-                if not deviation(i, j).is_zero():
-                    return (i, j)
-        return None
+    basis = Mat.identity(d).col_list()
+    s_cols = h.antipode.col_list()
+    piS = [m.pi_vec(s) for s in s_cols]
+    dev = _deviation_table(m, basis, basis)
+    dev_sb = _deviation_table(m, s_cols, basis)
+    dev_bs = _deviation_table(m, basis, s_cols)
 
-    def pr2(i, j):
-        return comult_sum(h, j, n, lambda a, b:
-                          (m.pi[i] * m.pi[a] - m.pi_product(i, a)) * piS[b])
-
-    def pr3(i, j):
-        def term(a, b):
-            tail = m.pi_vec(h.el_mult(h.antipode.col(b), unit_vec(d, j)))
-            return m.pi[a] * (piS[b] * m.pi[j] - tail)
-        return comult_sum(h, i, n, term)
-
-    def pr4(i, j):
-        def term(a, b):
-            head = m.pi_vec(h.el_mult(unit_vec(d, i), h.antipode.col(a)))
-            return (m.pi[i] * piS[a] - head) * m.pi[b]
-        return comult_sum(h, j, n, term)
-
-    def pr5(i, j):
-        return comult_sum(h, i, n, lambda a, b:
-                          piS[a] * (m.pi[b] * m.pi[j] - m.pi_product(b, j)))
-
-    for name, fn in (("PR2", pr2), ("PR3", pr3), ("PR4", pr4), ("PR5", pr5)):
-        w = first_failure(fn)
+    identities = (
+        ("PR2", lambda i, j: comult_sum(h, j, n, lambda a, b: dev[i][a] * piS[b])),
+        ("PR3", lambda i, j: comult_sum(h, i, n, lambda a, b: m.pi[a] * dev_sb[b][j])),
+        ("PR4", lambda i, j: comult_sum(h, j, n, lambda a, b: dev_bs[i][a] * m.pi[b])),
+        ("PR5", lambda i, j: comult_sum(h, i, n, lambda a, b: piS[a] * dev[b][j])),
+    )
+    for name, deviation in identities:
+        w = next(((i, j) for i in range(d) for j in range(d)
+                  if not deviation(i, j).is_zero()), None)
         report.record(name, w is None, w)
     return report
 
@@ -162,9 +158,7 @@ def is_algebra_map(m: PartialModule) -> bool:
     """Direct globality test: pi respects unit and products of basis elements."""
     if m.pi_vec(m.hopf.unit) != Mat.identity(m.dim):
         return False
-    d = m.hopf.dim
-    return all(m.pi[i] * m.pi[j] == m.pi_product(i, j)
-               for i in range(d) for j in range(d))
+    return all(dev.is_zero() for dev in _basis_deviations(m))
 
 
 def is_global(m: PartialModule) -> bool:
@@ -178,24 +172,15 @@ def is_global(m: PartialModule) -> bool:
     for i in range(m.hopf.dim):
         if epsilon_op(m, i) != ident.scale(m.hopf.counit[i]):
             return False
-    for i in range(m.hopf.dim):
-        for j in range(m.hopf.dim):
-            require(m.pi[i] * m.pi[j] == m.pi_product(i, j),
-                    "epsilon condition holds but pi is not multiplicative; "
-                    "input is not a valid partial module")
+    require(all(dev.is_zero() for dev in _basis_deviations(m)),
+            "epsilon condition holds but pi is not multiplicative; "
+            "input is not a valid partial module")
     return True
-
-
-def _deviation_mats(m: PartialModule):
-    """The operators pi(e_i) pi(e_j) - pi(e_i e_j) for all basis pairs."""
-    d = m.hopf.dim
-    return [m.pi[i] * m.pi[j] - m.pi_product(i, j)
-            for i in range(d) for j in range(d)]
 
 
 def global_core(m: PartialModule) -> Subspace:
     """Largest global submodule: {v : pi(e_i) pi(e_j) v = pi(e_i e_j) v}."""
-    devs = [mat for mat in _deviation_mats(m) if not mat.is_zero()]
+    devs = [mat for mat in _basis_deviations(m) if not mat.is_zero()]
     if not devs:
         return Subspace.full(m.dim)
     core = kernel_basis(vstack(devs))
@@ -208,7 +193,7 @@ def global_shadow(m: PartialModule):
     """Largest global quotient with the induced action and its projection."""
     n = m.dim
     rel = Subspace.zero(n)
-    for mat in _deviation_mats(m):
+    for mat in _basis_deviations(m):
         rel = rel.add(column_space(mat))
     rel = span_closure(rel, m.pi)
     q, qdim, pis = quotient_action(n, rel, m.pi)
@@ -363,10 +348,9 @@ def tensor_over_base(m: PartialModule, n: PartialModule) -> PartialModule:
         r = kron(p, Mat.identity(n.dim)) - kron(Mat.identity(m.dim), q)
         rel = rel.add(column_space(r))
     diag = diagonal_action(h, m.pi, n.pi)
-    for i, op in enumerate(diag):
-        require(all(rel.contains(op.apply(v)) for v in rel.vectors()),
-                f"relation span is not stable under the diagonal action "
-                f"(basis index {i})")
+    i = first_unstable(rel, diag)
+    require(i is None, f"relation span is not stable under the diagonal action "
+                       f"(basis index {i})")
     _, qdim, pis = quotient_action(nm, rel, diag)
     out = PartialModule(h, qdim, tuple(pis))
     require(check_partial_rep(out).ok, "balanced tensor fails the partial axioms")

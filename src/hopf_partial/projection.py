@@ -9,7 +9,7 @@ partial representation theory and is inverted by the dilation machinery.
 
 from dataclasses import dataclass
 
-from .linalg import (Mat, Subspace, column_space, kernel_basis,
+from .linalg import (Mat, Subspace, column_space, first_unstable, kernel_basis,
                      pivot_columns, restrict_operator, solve_matrix,
                      span_closure, vec_to_mat, vstack)
 from .partial import (PartialModule, check_partial_rep, intertwiner_system,
@@ -126,11 +126,9 @@ def _annihilated_submodule(module: PartialModule, t: Mat) -> Subspace:
     """{x : t pi(h) x = 0 for all h}, the largest submodule killed by t."""
     stacked = vstack([t * p for p in module.pi])
     ker = kernel_basis(stacked)
-    for p in module.pi:
-        for v in ker.vectors():
-            if not ker.contains(p.apply(v)):
-                raise ValidationError("annihilated space is not action-stable; "
-                                      "module is not global")
+    if first_unstable(ker, module.pi) is not None:
+        raise ValidationError("annihilated space is not action-stable; "
+                              "module is not global")
     return ker
 
 

@@ -9,6 +9,10 @@ from hopf_partial.reports import ValidationError
 F = Fraction
 
 
+def _failures(report):
+    return [(c.name, c.witness) for c in report.failures()]
+
+
 @pytest.mark.parametrize("name", hp.BUILTIN_NAMES)
 def test_builtin_algebras_are_valid(name):
     assert hp.validate_hopf(hp.builtin(name)).ok
@@ -152,10 +156,44 @@ def test_dual_c2_isomorphic_to_group_algebra():
 def test_morphism_report_catches_non_morphism():
     dual = hp.builtin("kC2-dual")
     kc2 = hp.builtin("kC2")
-    assert not hp.hopf_morphism_report(dual, kc2, la.Mat.identity(2)).ok
+    report = hp.hopf_morphism_report(dual, kc2, la.Mat.identity(2))
+    assert _failures(report) == [("unit", None), ("multiplicative", (0, 1)),
+                                 ("comultiplicative", (0,)), ("counit", None)]
 
 
 def test_is_cocommutative():
     assert hp.builtin("kS3").is_cocommutative()
     assert hp.builtin("kC2-dual").is_cocommutative()
     assert not hp.sweedler_h4().is_cocommutative()
+
+
+def test_broken_comultiplication_witnesses():
+    # Delta(x) = g (x) x + 1 (x) x in place of g (x) x + x (x) 1
+    h = hp.sweedler_h4()
+    comult = [[list(row) for row in plane] for plane in h.comult]
+    comult[2] = [[0] * 4 for _ in range(4)]
+    comult[2][1][2] = comult[2][0][2] = 1
+    bad = hp.HopfAlgebraData(4, h.mult, h.unit, hp._freeze3(comult), h.counit,
+                             h.antipode, h.antipode_inv)
+    assert _failures(hp.validate_hopf(bad)) == [
+        ("coassociativity", (2,)), ("counit", (2,)),
+        ("bialgebra", (1, 2, "comult multiplicative")), ("antipode", (2,))]
+
+
+def test_broken_counit_witnesses():
+    h = hp.sweedler_h4()
+    bad = hp.HopfAlgebraData(4, h.mult, h.unit, h.comult, (F(1), F(-1), F(0), F(0)),
+                             h.antipode, h.antipode_inv)
+    assert _failures(hp.validate_hopf(bad)) == [("counit", (1,)), ("antipode", (1,))]
+
+
+def test_comult_vec_sum():
+    h = hp.sweedler_h4()
+    # Delta(x) = g (x) x + x (x) 1: the sum of the first legs is g + x
+    assert hp.comult_vec_sum(h, 2, 4, lambda a, b: la.unit_vec(4, a)) \
+        == (F(0), F(1), F(1), F(0))
+    # an empty Delta(e_i) sums to the zero vector of the requested length
+    zero = hp._freeze3([[[0] * 4 for _ in range(4)] for _ in range(4)])
+    empty = hp.HopfAlgebraData(4, h.mult, h.unit, zero, h.counit,
+                               h.antipode, h.antipode_inv)
+    assert hp.comult_vec_sum(empty, 2, 3, lambda a, b: (F(1),) * 3) == (F(0),) * 3

@@ -59,6 +59,15 @@ def test_span_closure_cyclic_shift_fills_space():
     assert la.span_closure(seed, [shift]).dim == 3
 
 
+def test_first_unstable_names_the_first_operator_leaving_the_subspace():
+    sub = la.Subspace.from_vectors(3, [(1, 0, 0)])
+    diag = la.Mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])
+    shift = la.Mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    assert la.first_unstable(sub, [diag, la.Mat.identity(3)]) is None
+    assert la.first_unstable(sub, [diag, shift, shift]) == 1
+    assert la.first_unstable(la.Subspace.zero(3), [shift]) is None
+
+
 @given(small_square, small_square)
 @settings(max_examples=30, deadline=None)
 def test_span_closure_idempotent(a, b):

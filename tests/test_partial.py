@@ -312,3 +312,22 @@ def test_quotient_action_rejects_operator_leaving_the_relations():
     leaves = la.Mat([[0, 0], [1, 0]])
     with pytest.raises(ValidationError):
         pm.quotient_action(2, rel, [stable, leaves])
+
+
+# Witnesses pinned on two invalid two-dimensional Sweedler candidates
+# (basis order 1, g, x, y); each fails one pair of the PR identities.
+PR_CANDIDATES = [
+    ([[0, 0], [0, -1]], [[1, 0], [1, 0]], [[-1, 0], [-1, 0]],
+     {"PR3": (2, 1), "PR5": (2, 1)}),
+    ([[1, 0], [1, 0]], [[0, 0], [1, 0]], [[0, 0], [-1, 0]],
+     {"PR2": (1, 3), "PR4": (1, 3)}),
+]
+
+
+@pytest.mark.parametrize("g, x, y, failures", PR_CANDIDATES)
+def test_partial_rep_witnesses_of_invalid_sweedler_candidates(g, x, y, failures):
+    cand = pm.PartialModule(H4, 2, (la.Mat.identity(2), la.Mat(g), la.Mat(x), la.Mat(y)))
+    report = pm.check_partial_rep(cand)
+    assert [(c.name, c.witness) for c in report.failures()] == sorted(failures.items())
+    assert report.check_named("PR1 unit").passed
+    assert not pm.is_algebra_map(cand)

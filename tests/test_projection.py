@@ -213,3 +213,11 @@ def test_restriction_functor_fully_faithful():
         rp, _ = pj.restrict(p)
         rq, _ = pj.restrict(q)
         assert len(direct) == len(pm.hom_space(rp, rq))
+
+
+def test_annihilated_submodule_rejects_a_partial_module():
+    # on W_3 the kernel of t pi(h) for t = diag(0, 0, 1) is span(e_0),
+    # which the shift [x] moves to e_1
+    t = la.Mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    with pytest.raises(ValidationError, match="annihilated space is not action-stable"):
+        pj._annihilated_submodule(pm.w_n_module(3), t)
