@@ -283,9 +283,13 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     multiplication with the elements 1 # e_i and checks it satisfies the
     five partial representation identities.
     """
+    return _partial_smash(b, _smash_projector(b))
+
+
+def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
+    """partial_smash(b), given the smash projector pr = _smash_projector(b)."""
     h = b.hopf
-    m, d = b.dim, h.dim
-    pr = _smash_projector(b)
+    d = h.dim
     if pr * pr != pr:
         raise ValidationError("smash projector is not idempotent; "
                               "input is not a valid partial action")
@@ -510,8 +514,8 @@ def zeta_xi(b: PartialModuleAlgebra):
                   all(zeta * over.pi[i] == diag[i] * zeta for i in range(d)))
 
     # the partial smash product is a direct summand of B (x) H
-    sm = partial_smash(b)
     pr = _smash_projector(b)
+    sm = _partial_smash(b, pr)
     report.record("smash idempotent commutes with the action",
                   all(pr * bh.pi[i] == bh.pi[i] * pr for i in range(d)))
 

@@ -2,8 +2,18 @@
 
 Every other module is built on top of the primitives here: canonical
 reduced echelon forms, kernels, images, quotients, Kronecker products and
-span-saturation fixpoints.  Scalars are `fractions.Fraction`, so all
-results are exact; there is no floating point anywhere in the package.
+span-saturation fixpoints.  All results are exact; there is no floating
+point anywhere in the package.
+
+A `Mat` stores integers: ``num`` is a tuple of integer rows and ``den`` one
+positive common denominator, and the matrix is num / den.  The pair is
+kept canonical: gcd(den, all numerators) == 1, so the zero matrix has
+den == 1, and two matrices are equal exactly when their pairs are.
+Products, sums and elimination run on Python integers.  Elimination is
+fraction-free: rows are kept primitive (integer rows with content 1),
+cross-multiplied to clear a column, and divided by their pivots only when
+the reduced echelon form is read off.  The entry views (``m[i, j]``,
+``row``, ``col``, ``entries``) are `fractions.Fraction`s built on demand.
 
 Conventions, fixed once for the whole package:
 
@@ -16,6 +26,9 @@ Conventions, fixed once for the whole package:
 """
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 
 
 class ShapeError(ValueError):
@@ -56,21 +69,89 @@ def unit_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+# -- integer representation ---------------------------------------------------
+
+def _int_row(v):
+    """Integer numerators of v over the lcm of its denominators, and that lcm."""
+    v = [x if isinstance(x, (int, Fraction)) else frac(x) for x in v]
+    d = lcm(*[x.denominator for x in v])
+    if d == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
+def _fracs(row, den):
+    if den == 1:
+        return tuple(map(Fraction, row))
+    return tuple(Fraction(x, den) for x in row)
+
+
+def _primitive(row):
+    """row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _mat(num, den, cols):
+    """Mat from a pair that is already canonical."""
+    m = object.__new__(Mat)
+    object.__setattr__(m, "num", tuple(map(tuple, num)))
+    object.__setattr__(m, "den", den)
+    object.__setattr__(m, "rows", len(num))
+    object.__setattr__(m, "cols", cols)
+    return m
+
+
+def _reduced(num, den, cols):
+    """Mat num / den (den != 0), brought to canonical form."""
+    if den < 0:
+        den, num = -den, [[-x for x in r] for r in num]
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if g != 1:
+            den //= g
+            num = [[x // g for x in r] for r in num]
+    return _mat(num, den, cols)
+
+
+def _common_den(mats):
+    """lcm of the denominators and, per matrix, the factor that lifts it there.
+
+    Numerators of canonical matrices lifted to the lcm are canonical again:
+    a prime power dividing the lcm exactly comes from some matrix, and that
+    matrix has a numerator the prime does not divide.
+    """
+    den = lcm(*[m.den for m in mats])
+    return den, [den // m.den for m in mats]
+
+
+def _lift(row, f):
+    return row if f == 1 else [f * x for x in row]
+
+
+def _transpose(m):
+    return _mat(list(zip(*m.num)) if m.rows else [()] * m.cols, m.den, m.rows)
+
+
 class Mat:
-    """Immutable dense matrix of Fractions.
+    """Immutable dense rational matrix: integer numerators over one denominator.
 
     Zero-row matrices keep an explicit column count so that maps like the
     quotient by a full subspace still compose correctly.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "num", "den")
 
     def __init__(self, entries, cols=None):
-        body = tuple(tuple(frac(x) for x in row) for row in entries)
-        if body and any(len(r) != len(body[0]) for r in body):
+        body = [_int_row(row) for row in entries]
+        if body and any(len(r) != len(body[0][0]) for r, _ in body):
             raise ShapeError("ragged rows")
-        ncols = len(body[0]) if body else (cols if cols is not None else 0)
-        object.__setattr__(self, "entries", body)
+        ncols = len(body[0][0]) if body else (cols if cols is not None else 0)
+        # over the lcm of reduced fractions' denominators the pair is canonical
+        den = lcm(*[d for _, d in body])
+        object.__setattr__(self, "num",
+                           tuple(tuple(_lift(r, den // d)) for r, d in body))
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "rows", len(body))
         object.__setattr__(self, "cols", ncols)
 
@@ -79,70 +160,79 @@ class Mat:
 
     @staticmethod
     def zeros(rows, cols):
-        return Mat([[ZERO] * cols for _ in range(rows)], cols=cols)
+        return _mat(((0,) * cols,) * rows, 1, cols)
 
     @staticmethod
     def identity(n):
-        return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)],
-                   cols=n)
+        return _mat([[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @staticmethod
     def from_cols(cols, rows=None):
         """Build a matrix whose columns are the given vectors."""
-        cols = [tuple(frac(x) for x in c) for c in cols]
+        cols = list(cols)
         if rows is None:
             if not cols:
                 raise ShapeError("need explicit row count for empty column list")
             rows = len(cols[0])
         if any(len(c) != rows for c in cols):
             raise ShapeError("column length mismatch")
-        return Mat([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
+        return _transpose(Mat(cols, cols=rows))
+
+    @property
+    def entries(self):
+        """The entries as a tuple of rows of Fractions."""
+        return tuple(_fracs(r, self.den) for r in self.num)
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self.num[i][j], self.den)
 
     def row(self, i):
-        return self.entries[i]
+        return _fracs(self.num[i], self.den)
 
     def col(self, j):
         if not 0 <= j < self.cols:
             raise IndexError("column index out of range")
-        return tuple(r[j] for r in self.entries)
+        return _fracs([r[j] for r in self.num], self.den)
 
     def col_list(self):
         return [self.col(j) for j in range(self.cols)]
 
     def __eq__(self, other):
         return (isinstance(other, Mat)
-                and (self.rows, self.cols) == (other.rows, other.cols)
-                and self.entries == other.entries)
+                and (self.rows, self.cols, self.den, self.num)
+                == (other.rows, other.cols, other.den, other.num))
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.den, self.num))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Mat[{self.rows}x{self.cols}: {body}]"
 
+    def _combine(self, other, sign):
+        den, (f, g) = _common_den((self, other))
+        g *= sign
+        return _reduced([[f * x + g * y for x, y in zip(a, b)]
+                         for a, b in zip(self.num, other.num)], den, self.cols)
+
     def __add__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("addition shape mismatch")
-        return Mat([vec_add(a, b) for a, b in zip(self.entries, other.entries)],
-                   cols=self.cols)
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("subtraction shape mismatch")
-        return Mat([vec_sub(a, b) for a, b in zip(self.entries, other.entries)],
-                   cols=self.cols)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _mat([[-x for x in r] for r in self.num], self.den, self.cols)
 
     def scale(self, c):
         c = frac(c)
-        return Mat([[c * x for x in row] for row in self.entries], cols=self.cols)
+        return _reduced([[c.numerator * x for x in r] for r in self.num],
+                        self.den * c.denominator, self.cols)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -151,22 +241,23 @@ class Mat:
             raise ShapeError(f"product shape mismatch {self.cols} vs {other.rows}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat.zeros(self.rows, other.cols)
-        bt = list(zip(*other.entries))
-        return Mat([[sum(a * b for a, b in zip(row, col)) for col in bt]
-                    for row in self.entries], cols=other.cols)
+        bt = list(zip(*other.num))
+        return _reduced([[sum(map(mul, row, col)) for col in bt] for row in self.num],
+                        self.den * other.den, other.cols)
 
     def apply(self, v):
         """Matrix times column vector."""
         if len(v) != self.cols:
             raise ShapeError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(row, v)), ZERO)
-                     for row in self.entries)
+        vn, d = _int_row(v)
+        d *= self.den
+        return tuple(Fraction(sum(map(mul, row, vn)), d) for row in self.num)
 
     def transpose(self):
-        return Mat([self.col(j) for j in range(self.cols)], cols=self.rows)
+        return _transpose(self)
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(map(any, self.num))
 
     def power(self, k):
         if self.rows != self.cols:
@@ -184,9 +275,10 @@ def hstack(mats):
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack row mismatch")
-    total = sum(m.cols for m in mats)
-    return Mat([sum((list(m.row(i)) for m in mats), []) for i in range(rows)],
-               cols=total)
+    den, lifts = _common_den(mats)
+    return _mat([list(chain.from_iterable(_lift(m.num[i], f)
+                                          for m, f in zip(mats, lifts)))
+                 for i in range(rows)], den, sum(m.cols for m in mats))
 
 
 def vstack(mats):
@@ -194,56 +286,68 @@ def vstack(mats):
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack column mismatch")
-    return Mat([row for m in mats for row in m.entries], cols=cols)
+    den, lifts = _common_den(mats)
+    return _mat([_lift(row, f) for m, f in zip(mats, lifts) for row in m.num],
+                den, cols)
 
 
 def block_diag(mats):
     mats = list(mats)
-    total_r = sum(m.rows for m in mats)
     total_c = sum(m.cols for m in mats)
-    out = [[ZERO] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            for j in range(m.cols):
-                out[r0 + i][c0 + j] = m[i, j]
-        r0 += m.rows
+    den, lifts = _common_den(mats)
+    out = []
+    c0 = 0
+    for m, f in zip(mats, lifts):
+        left, right = [0] * c0, [0] * (total_c - c0 - m.cols)
+        out.extend(left + _lift(list(row), f) + right for row in m.num)
         c0 += m.cols
-    return Mat(out, cols=total_c)
+    return _mat(out, den, total_c)
 
 
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product, (a kron b)(v kron w) = a v kron b w, first factor major."""
-    out = [[ZERO] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a[i, j]
-            if aij == 0:
-                continue
-            for k in range(b.rows):
-                for l in range(b.cols):
-                    out[i * b.rows + k][j * b.cols + l] = aij * b[k, l]
-    return Mat(out, cols=a.cols * b.cols)
+    return _reduced([[x * y for x in ra for y in rb] for ra in a.num for rb in b.num],
+                    a.den * b.den, a.cols * b.cols)
 
 
-def _rref(rows):
-    """In-place reduced row echelon form; returns pivot column indices."""
-    if not rows:
-        return []
-    n_rows, n_cols = len(rows), len(rows[0])
+# -- fraction-free elimination --------------------------------------------------
+
+def _eliminate(rows, n_cols):
+    """Fraction-free Gauss-Jordan elimination on integer rows, in place.
+
+    Returns the pivot columns.  Afterwards row r < len(pivots) is primitive,
+    has its pivot in column pivots[r] and zeros in every other pivot column,
+    and the remaining rows are zero; row r divided by its pivot entry is
+    row r of the reduced row echelon form.  Each step clears a column by
+    cross-multiplication, row_i * p - row_r * f with the common factor of
+    p and f taken out, and then removes the row's content.  The pivot is
+    the candidate entry of least absolute value, which keeps the integers
+    small; the reduced echelon form does not depend on that choice.
+    """
+    for i, row in enumerate(rows):
+        rows[i] = _primitive(row)
+    n_rows = len(rows)
     pivots = []
     r = 0
     for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if rows[i][c] != 0), None)
-        if pivot is None:
+        best = None
+        for i in range(r, n_rows):
+            x = rows[i][c]
+            if x and (best is None or abs(x) < abs(rows[best][c])):
+                best = i
+                if x == 1 or x == -1:
+                    break
+        if best is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [inv * x for x in rows[r]]
+        rows[r], rows[best] = rows[best], rows[r]
+        prow = rows[r]
+        p = prow[c]
         for i in range(n_rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(rows[i], prow)])
         pivots.append(c)
         r += 1
         if r == n_rows:
@@ -251,11 +355,21 @@ def _rref(rows):
     return pivots
 
 
+def _by_pivots(rows, pivots, n_cols, lo=0, hi=None):
+    """Mat of columns lo:hi of the eliminated rows, each divided by its pivot."""
+    heads = [rows[r][p] for r, p in enumerate(pivots)]
+    den = lcm(*heads)
+    return _reduced([[x * (den // h) for x in rows[r][lo:hi]]
+                     for r, h in enumerate(heads)], den, n_cols)
+
+
 def rref(a: Mat):
     """Reduced row echelon form of a, plus its pivot column indices."""
-    rows = [list(r) for r in a.entries]
-    pivots = _rref(rows)
-    return Mat(rows, cols=a.cols), pivots
+    rows = [list(r) for r in a.num]
+    pivots = _eliminate(rows, a.cols)
+    red = _by_pivots(rows, pivots, a.cols)
+    zero_rows = ((0,) * a.cols,) * (a.rows - len(pivots))
+    return _mat(red.num + zero_rows, red.den, a.cols), pivots
 
 
 def rank(a: Mat) -> int:
@@ -265,6 +379,29 @@ def rank(a: Mat) -> int:
 def pivot_columns(a: Mat):
     """Indices of a maximal independent set of columns (leftmost choice)."""
     return rref(a)[1]
+
+
+def _pivots(echelon: Mat):
+    return [next(j for j, x in enumerate(row) if x) for row in echelon.num]
+
+
+def _in_span(echelon: Mat, v):
+    """Is the integer vector v a combination of the rows of a reduced echelon Mat?
+
+    In reduced echelon form the combination is forced: its coefficients are
+    the entries of v in the pivot columns.
+    """
+    if not echelon.rows:
+        return not any(v)
+    coeffs = [v[p] for p in _pivots(echelon)]
+    den = echelon.den
+    return all(den * x == sum(map(mul, coeffs, col))
+               for x, col in zip(v, zip(*echelon.num)))
+
+
+def _image(op: Mat, v):
+    """op applied to the integer vector v, up to the positive factor op.den."""
+    return [sum(map(mul, row, v)) for row in op.num]
 
 
 class Subspace:
@@ -287,12 +424,11 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient_dim, vectors):
-        vectors = [tuple(frac(x) for x in v) for v in vectors]
-        if any(len(v) != ambient_dim for v in vectors):
+        rows = [_int_row(v)[0] for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
             raise ShapeError("vector length does not match ambient dimension")
-        rows = [list(v) for v in vectors if not is_zero_vec(v)]
-        pivots = _rref(rows)
-        return Subspace(ambient_dim, Mat(rows[: len(pivots)], cols=ambient_dim))
+        pivots = _eliminate(rows, ambient_dim)
+        return Subspace(ambient_dim, _by_pivots(rows, pivots, ambient_dim))
 
     @staticmethod
     def zero(ambient_dim):
@@ -321,16 +457,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient_dim})"
 
     def contains(self, v):
-        """Exact membership test by reduction against the echelon basis."""
-        v = [frac(x) for x in v]
+        """Exact membership test against the echelon basis."""
+        v = _int_row(v)[0]
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
-        for row in self.basis.entries:
-            p = next(j for j, x in enumerate(row) if x != 0)
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return all(x == 0 for x in v)
+        return _in_span(self.basis, v)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.vectors())
@@ -368,23 +499,28 @@ def kernel_basis(a: Mat) -> Subspace:
     free = [c for c in range(n) if c not in pivots]
     vecs = []
     for f in free:
-        v = [ZERO] * n
-        v[f] = ONE
+        # den * (e_f - sum_r red[r, f] e_{pivots[r]})
+        v = [0] * n
+        v[f] = red.den
         for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
+            v[p] = -red.num[r][f]
         vecs.append(v)
     return Subspace.from_vectors(n, vecs)
 
 
 def column_space(a: Mat) -> Subspace:
-    return Subspace.from_vectors(a.rows, a.col_list())
+    return Subspace.from_vectors(a.rows, list(zip(*a.num)))
 
 
 def span_closure(seed: Subspace, operators) -> Subspace:
     """Smallest subspace containing seed and invariant under every operator.
 
-    Saturation terminates in at most ambient_dim rounds since the dimension
-    strictly grows until the fixpoint.
+    Each round applies the operators only to the basis rows that are new
+    since the previous round, which yields the same sequence of subspaces
+    as applying them to the whole basis; saturation terminates in at most
+    ambient_dim rounds since the dimension strictly grows until the
+    fixpoint.  Vectors are handled as integer rows (positive multiples of
+    the rational ones), which span the same spaces.
     """
     operators = list(operators)
     n = seed.ambient_dim
@@ -392,21 +528,24 @@ def span_closure(seed: Subspace, operators) -> Subspace:
         if op.rows != n or op.cols != n:
             raise ShapeError("operator does not act on the ambient space")
     current = seed
+    fresh = current.basis.num
     while True:
-        new_vecs = current.vectors()
-        for op in operators:
-            for v in current.vectors():
-                new_vecs.append(op.apply(v))
-        nxt = Subspace.from_vectors(n, new_vecs)
+        images = [_image(op, v) for op in operators for v in fresh]
+        nxt = Subspace.from_vectors(n, list(current.basis.num) + images)
         if nxt.dim == current.dim:
             return nxt
+        # rows of nxt with a new pivot complete a basis of current to nxt
+        old = set(_pivots(current.basis))
+        fresh = [row for row, p in zip(nxt.basis.num, _pivots(nxt.basis))
+                 if p not in old]
         current = nxt
 
 
 def first_unstable(sub: Subspace, operators):
     """Index of the first operator mapping some vector of sub outside it, or None."""
     return next((k for k, op in enumerate(operators)
-                 if not all(sub.contains(op.apply(v)) for v in sub.vectors())),
+                 if not all(_in_span(sub.basis, _image(op, v))
+                            for v in sub.basis.num)),
                 None)
 
 
@@ -419,23 +558,23 @@ def quotient_map(ambient_dim, w: Subspace):
     """
     if w.ambient_dim != ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    pivots = [next(j for j, x in enumerate(row) if x != 0)
-              for row in w.basis.entries]
+    pivots = _pivots(w.basis)
     others = [c for c in range(ambient_dim) if c not in pivots]
+    den = w.basis.den
     rows = []
     for c in others:
-        row = [ZERO] * ambient_dim
-        row[c] = ONE
+        # den * (e_c - sum_r w[r, c] e_{pivots[r]}), as a row
+        row = [0] * ambient_dim
+        row[c] = den
         for r, p in enumerate(pivots):
-            row[p] = -w.basis[r, c]
+            row[p] = -w.basis.num[r][c]
         rows.append(row)
-    return Mat(rows, cols=ambient_dim), len(others)
+    return _reduced(rows, den, ambient_dim), len(others)
 
 
 def quotient_section(ambient_dim, w: Subspace) -> Mat:
     """Right inverse of quotient_map(ambient_dim, w)."""
-    pivots = [next(j for j, x in enumerate(row) if x != 0)
-              for row in w.basis.entries]
+    pivots = _pivots(w.basis)
     others = [c for c in range(ambient_dim) if c not in pivots]
     return Mat.from_cols([unit_vec(ambient_dim, c) for c in others], ambient_dim)
 
@@ -446,13 +585,17 @@ def solve(a: Mat, b):
         raise ShapeError("right hand side length mismatch")
     if a.rows == 0:
         return tuple([ZERO] * a.cols)
-    rows = [list(r) + [frac(x)] for r, x in zip(a.entries, b)]
-    pivots = _rref(rows)
+    # row i of [a | b] times den * denominator(b_i) is an integer row
+    rows = []
+    for r, x in zip(a.num, b):
+        x = frac(x)
+        rows.append(_lift(list(r), x.denominator) + [x.numerator * a.den])
+    pivots = _eliminate(rows, a.cols + 1)
     if a.cols in pivots:
         return None
     x = [ZERO] * a.cols
     for r, p in enumerate(pivots):
-        x[p] = rows[r][a.cols]
+        x[p] = Fraction(rows[r][a.cols], rows[r][p])
     return tuple(x)
 
 
@@ -472,11 +615,13 @@ def solve_matrix(a: Mat, b: Mat):
 def inverse(a: Mat) -> Mat:
     if a.rows != a.cols:
         raise ShapeError("only square matrices invert")
-    rows = [list(r) + list(unit_vec(a.rows, i)) for i, r in enumerate(a.entries)]
-    pivots = _rref(rows)
-    if pivots != list(range(a.rows)):
+    n = a.rows
+    # [a | I] times den, row by row
+    rows = [list(r) + [a.den * (i == j) for j in range(n)] for i, r in enumerate(a.num)]
+    pivots = _eliminate(rows, 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat([row[a.rows:] for row in rows], cols=a.rows)
+    return _by_pivots(rows, pivots, n, n)
 
 
 def restrict_operator(op: Mat, incl: Mat) -> Mat:
@@ -493,7 +638,7 @@ def restrict_operator(op: Mat, incl: Mat) -> Mat:
 
 def mat_to_vec(m: Mat):
     """Row-major flattening of a matrix into a single vector."""
-    return tuple(x for row in m.entries for x in row)
+    return _fracs(chain.from_iterable(m.num), m.den)
 
 
 def vec_to_mat(v, rows, cols):

@@ -146,10 +146,11 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
     module = PartialModule(p.module.hopf, closure.dim, pis)
 
     killed = _annihilated_submodule(module, t)
-    if killed.dim:
-        _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
-        module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
-        t = induced[-1]
+    if not killed.dim:
+        return ProjectedModule.build(module, t)
+    _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
+    module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
+    t = induced[-1]
     out = ProjectedModule.build(module, t)
     if _annihilated_submodule(module, t).dim != 0:
         raise ValidationError("minimalization left a t-killed submodule")

@@ -147,6 +147,20 @@ def test_zeta_xi_on_shipped_examples():
         assert xi * zeta == la.Mat.identity(xi.rows)
 
 
+def test_zeta_xi_builds_the_smash_projector_once(monkeypatch):
+    half = shipped_partial_algebras()["kC2-dual-half"]
+    builds = []
+    original = ac._smash_projector
+
+    def counted(b):
+        builds.append(b)
+        return original(b)
+
+    monkeypatch.setattr(ac, "_smash_projector", counted)
+    ac.zeta_xi(half)
+    assert builds == [half]
+
+
 def test_morita_context_on_shipped_examples():
     algebras = shipped_partial_algebras()
     for name in ("kC2-dual-half", "kC2-dual-mixed-2", "sweedler-pure-1"):

@@ -4,12 +4,16 @@
 methods by attribute name and counts calls of some functions by their
 dotted name; a rename or deletion in the library would make the traced
 run raise or silently report zero.  The names are read from that file.
+The benchmark's output checks (``bench_exact.rows_of``, ``workloads.canon``)
+read ``Mat.entries``, ``rows`` and ``cols`` by attribute, so their shape is
+pinned here too.
 """
 
 import ast
 import importlib
 import importlib.util
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -74,3 +78,20 @@ def test_dilation_cache_statistics_exist():
     info = standard_dilation.cache_info()
     assert info.hits >= 0 and info.misses >= 0
     assert callable(standard_dilation.cache_clear)
+
+
+@pytest.mark.parametrize("mat, shape", [
+    (Mat([[1, "1/2", Fraction(-3, 4)], [0, 2, "5"]]), (2, 3)),
+    (Mat.identity(1), (1, 1)),
+    (Mat.zeros(0, 3), (0, 3)),
+    (Mat([[], []]), (2, 0)),
+])
+def test_entries_are_rows_of_fractions(mat, shape):
+    assert (mat.rows, mat.cols) == shape
+    entries = mat.entries
+    assert type(entries) is tuple and len(entries) == mat.rows
+    for row in entries:
+        assert type(row) is tuple and len(row) == mat.cols
+        assert all(type(x) is Fraction for x in row)
+    assert [[mat[i, j] for j in range(mat.cols)] for i in range(mat.rows)] \
+        == [list(row) for row in entries]

@@ -176,6 +176,38 @@ def test_minimalize_drops_killed_summand(p37):
     assert r_pad.pi == r_slim.pi
 
 
+def _count_annihilated_calls(monkeypatch):
+    calls = []
+    original = pj._annihilated_submodule
+
+    def counted(module, t):
+        calls.append((module, t))
+        return original(module, t)
+
+    monkeypatch.setattr(pj, "_annihilated_submodule", counted)
+    return calls
+
+
+def test_minimalize_checks_an_unquotiented_module_once(monkeypatch, p36):
+    calls = _count_annihilated_calls(monkeypatch)
+    pj.minimalize(p36)
+    assert len(calls) == 1
+
+
+def test_minimalize_rechecks_the_quotient(monkeypatch):
+    # Under the commutation condition the action closure of im t has no
+    # t-killed submodule (none among ~1600 random valid Sweedler pairs), so
+    # the quotient branch is reached here by a pair that skips `build`:
+    # on W_2 with t = diag(1, 0), span(e_1) is a submodule killed by t.
+    g = la.Mat([[1, 0], [0, -1]])
+    w2 = pm.PartialModule(H4, 2, (la.Mat.identity(2), g, SHIFT2, g * SHIFT2))
+    calls = _count_annihilated_calls(monkeypatch)
+    slim = pj.minimalize(pj.ProjectedModule(w2, la.Mat([[1, 0], [0, 0]])))
+    assert slim.module.dim == 1
+    assert len(calls) == 2
+    assert calls[1] == (slim.module, slim.t)
+
+
 def test_minimalize_preserves_restriction_up_to_identification():
     r = gen.rng("minimalize")
     for _ in range(8):
