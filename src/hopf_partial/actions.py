@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 from .dilation import _factor_through, dilate_morphism, standard_dilation
 from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
-                   _unit_witness, alg_prod, comult_vec_sum)
+                   _mult_terms, _unit_witness, alg_prod, comult_vec_sum)
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      frac, hstack, kron, rank, solve, solve_matrix, unit_vec,
-                     vec_add, vec_scale)
+                     vec_scale)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       diagonal_action, is_global, regular_module,
                       tensor_with_global)
@@ -33,6 +33,9 @@ class PartialModuleAlgebra:
     alg_unit: tuple
     action: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "mult_terms", _mult_terms(self.alg_mult))
+
     @staticmethod
     def build(hopf, alg_mult, alg_unit, action):
         alg_mult = _freeze3(alg_mult)
@@ -46,7 +49,7 @@ class PartialModuleAlgebra:
         return PartialModuleAlgebra(hopf, dim, alg_mult, alg_unit, action)
 
     def prod(self, u, v):
-        return alg_prod(self.alg_mult, u, v)
+        return alg_prod(self.mult_terms, u, v)
 
     def as_module(self) -> PartialModule:
         return PartialModule(self.hopf, self.dim, self.action)
@@ -66,11 +69,11 @@ class GlobalModuleAlgebra:
     unital: bool
     alg_unit: tuple = None
 
-    def prod(self, u, v):
-        return alg_prod(self.alg_mult, u, v)
+    def __post_init__(self):
+        object.__setattr__(self, "mult_terms", _mult_terms(self.alg_mult))
 
-    def as_module(self) -> PartialModule:
-        return PartialModule(self.hopf, self.dim, self.action)
+    def prod(self, u, v):
+        return alg_prod(self.mult_terms, u, v)
 
 
 @dataclass(frozen=True)
@@ -92,8 +95,11 @@ class SmashAlgebra:
     h_embedding: tuple
     module: PartialModule
 
+    def __post_init__(self):
+        object.__setattr__(self, "mult_terms", _mult_terms(self.mult))
+
     def prod(self, u, v):
-        return alg_prod(self.mult, u, v)
+        return alg_prod(self.mult_terms, u, v)
 
 
 def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
@@ -106,10 +112,10 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     d = h.dim
     mod = b.as_module()
     report = ValidationReport("partial module algebra")
-    report.record("algebra associativity", *_flag(_associativity_witness(b.alg_mult)))
-    report.record("algebra unit", _unit_witness(b.alg_mult, b.alg_unit) is None)
+    report.record("algebra associativity", *_flag(_associativity_witness(b.mult_terms)))
+    report.record("algebra unit", _unit_witness(b.mult_terms, b.alg_unit) is None)
     report.record("PA1", mod.pi_vec(h.unit) == Mat.identity(b.dim))
-    report.record("PA2", *_flag(_pa2_witness(h, b.alg_mult, b.action)))
+    report.record("PA2", *_flag(_pa2_witness(b)))
 
     for name, primed in (("PA3", False), ("PA3'", True)):
         witness = next(((i, k, j) for i in range(d) for k in range(d)
@@ -127,17 +133,14 @@ def _flag(witness):
     return witness is None, witness
 
 
-def _pa2_witness(h, mult, action):
+def _pa2_witness(b):
     """First (i, a, c) where e_i . (e_a e_c) != (e_i(1) . e_a)(e_i(2) . e_c)."""
-    dim = len(mult)
-    for i in range(h.dim):
-        for a in range(dim):
-            for c in range(dim):
-                rhs = comult_vec_sum(h, i, dim, lambda p, q: alg_prod(
-                    mult, action[p].col(a), action[q].col(c)))
-                if action[i].apply(mult[a][c]) != rhs:
-                    return (i, a, c)
-    return None
+    cols = [m.col_list() for m in b.action]
+    return next(((i, a, c) for i in range(b.hopf.dim)
+                 for a in range(b.dim) for c in range(b.dim)
+                 if b.action[i].apply(b.alg_mult[a][c]) != comult_vec_sum(
+                     b.hopf, i, b.dim, lambda p, q: b.prod(cols[p][a], cols[q][c]))),
+                None)
 
 
 def _pa3_holds(b, mod, i, k, j, primed):
@@ -157,8 +160,7 @@ def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
     mod = b.as_module()
     report.record("action multiplicative",
                   check_partial_rep(mod).ok and is_global(mod))
-    report.record("action through the coproduct",
-                  *_flag(_pa2_witness(b.hopf, b.alg_mult, b.action)))
+    report.record("action through the coproduct", *_flag(_pa2_witness(b)))
     report.record("unit scaled by counit",
                   all(b.act(i, b.alg_unit) == vec_scale(b.alg_unit, b.hopf.counit[i])
                       for i in range(b.hopf.dim)))
@@ -240,23 +242,28 @@ def _smash_projector(b: PartialModuleAlgebra) -> Mat:
     return Mat.from_cols(cols, m * d)
 
 
-def _smash_product(h, mult, action, u, v):
-    """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k on A (x) H, bilinearly."""
-    m, d = len(mult), h.dim
-    out = (frac(0),) * (m * d)
-    for iu, cu in enumerate(u):
-        if cu == 0:
-            continue
-        bi, hi = divmod(iu, d)
-        for iv, cv in enumerate(v):
-            if cv == 0:
-                continue
-            ci, ki = divmod(iv, d)
-            out = vec_add(out, vec_scale(comult_vec_sum(
-                h, hi, m * d, lambda p, q: _tensor_vec(
-                    alg_prod(mult, unit_vec(m, bi), action[p].col(ci)),
-                    h.mult_vec(q, ki))), cu * cv))
-    return out
+def _action_cols(alg):
+    """cols[p][c]: the nonzero (s, x) of column c of the action of e_p."""
+    return [[tuple((s, x) for s, x in enumerate(col) if x) for col in m.col_list()]
+            for m in alg.action]
+
+
+def _smash_product(alg, cols, u, v):
+    """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k on A (x) H, bilinearly,
+    summed over the sparse tables into one buffer; cols = _action_cols(alg)."""
+    h, d = alg.hopf, alg.hopf.dim
+    out = [frac(0)] * (alg.dim * d)
+    v = [(divmod(iv, d), cv) for iv, cv in enumerate(v) if cv]
+    for (bi, hi), cu in [(divmod(iu, d), cu) for iu, cu in enumerate(u) if cu]:
+        for (ci, ki), cv in v:
+            for p, q, c in h.comult_terms[hi]:
+                right, c = h.mult_terms[q][ki], c * cu * cv
+                for s, x in cols[p][ci] if right else ():
+                    for a, y in alg.mult_terms[bi][s]:
+                        w = c * x * y
+                        for t, z in right:
+                            out[a * d + t] += w * z
+    return tuple(out)
 
 
 def _coords(incl, v, msg):
@@ -269,11 +276,7 @@ def _coords(incl, v, msg):
 
 def _tensor_vec(u, v):
     """Coordinates of u (x) v, first factor major."""
-    out = []
-    for a in u:
-        for c in v:
-            out.append(a * c)
-    return tuple(out)
+    return tuple(a * c for a in u for c in v)
 
 
 def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
@@ -288,8 +291,7 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
 
 def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     """partial_smash(b), given the smash projector pr = _smash_projector(b)."""
-    h = b.hopf
-    d = h.dim
+    h, d = b.hopf, b.hopf.dim
     if pr * pr != pr:
         raise ValidationError("smash projector is not idempotent; "
                               "input is not a valid partial action")
@@ -301,23 +303,22 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     def coords(v):
         return _coords(incl, v, "smash product left its defining subspace")
 
-    mult = [[coords(_smash_product(h, b.alg_mult, b.action, basis[i], basis[j]))
+    cols = _action_cols(b)
+    mult = [[coords(_smash_product(b, cols, basis[i], basis[j]))
              for j in range(r)] for i in range(r)]
     unit = coords(pr.apply(_tensor_vec(b.alg_unit, h.unit)))
-    if _unit_witness(mult, unit) is not None:
+    terms = _mult_terms(mult)
+    if _unit_witness(terms, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
-    witness = _associativity_witness(mult)
+    witness = _associativity_witness(terms)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
 
-    ones = []
-    pis = []
-    for i in range(d):
-        ci = coords(pr.apply(_tensor_vec(b.alg_unit, unit_vec(d, i))))
-        ones.append(ci)
-        pis.append(Mat.from_cols([alg_prod(mult, ci, unit_vec(r, j))
-                                  for j in range(r)], r))
-    module = PartialModule(h, r, tuple(pis))
+    ones = [coords(pr.apply(_tensor_vec(b.alg_unit, unit_vec(d, i))))
+            for i in range(d)]
+    module = PartialModule(h, r, tuple(
+        Mat.from_cols([alg_prod(terms, ci, unit_vec(r, j)) for j in range(r)], r)
+        for ci in ones))
     rep = check_partial_rep(module)
     if not rep.ok:
         raise ValidationError(rep)
@@ -387,22 +388,20 @@ def globalize(b: PartialModuleAlgebra):
 
     phi = std.theta
     report.record("phi multiplicative",
-                  all(phi.apply(b.alg_mult[i][j])
-                      == alg_prod(mult, phi.col(i), phi.col(j))
+                  all(phi.apply(b.alg_mult[i][j]) == gb.prod(phi.col(i), phi.col(j))
                       for i in range(m) for j in range(m)))
 
     phi_image = column_space(phi)
     report.record("phi(B) is a two-sided ideal",
-                  all(phi_image.contains(alg_prod(mult, unit_vec(mb, k), phi.col(j)))
-                      and phi_image.contains(alg_prod(mult, phi.col(j), unit_vec(mb, k)))
+                  all(phi_image.contains(gb.prod(unit_vec(mb, k), phi.col(j)))
+                      and phi_image.contains(gb.prod(phi.col(j), unit_vec(mb, k)))
                       for k in range(mb) for j in range(m)))
 
     products = Subspace.from_vectors(
         mb, [mult[i][j] for i in range(mb) for j in range(mb)])
     report.record("Bbar is idempotent", products.dim == mb)
 
-    report.record("action by algebra maps",
-                  _pa2_witness(h, mult, mod.pi) is None)
+    report.record("action by algebra maps", _pa2_witness(gb) is None)
 
     t = std.projected.t
     report.record("restricted action equals the partial action",
@@ -410,8 +409,8 @@ def globalize(b: PartialModuleAlgebra):
 
     phi_unit = phi.apply(b.alg_unit)
     report.record("idempotency witness identity",
-                  all(comult_vec_sum(h, i, mb, lambda p, q: alg_prod(
-                          mult, mod.pi[p].apply(phi.col(j)),
+                  all(comult_vec_sum(h, i, mb, lambda p, q: gb.prod(
+                          mod.pi[p].apply(phi.col(j)),
                           mod.pi[q].apply(phi_unit)))
                       == mod.pi[i].apply(phi.col(j))
                       for i in range(d) for j in range(m)))
@@ -431,26 +430,23 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     h = gb.hopf
     mb, d = gb.dim, h.dim
     dim = mb * d
-
-    mult = [[_smash_product(h, gb.alg_mult, gb.action,
-                            unit_vec(dim, i), unit_vec(dim, j))
+    cols = _action_cols(gb)
+    mult = [[_smash_product(gb, cols, unit_vec(dim, i), unit_vec(dim, j))
              for j in range(dim)] for i in range(dim)]
-    witness = _associativity_witness(mult)
-    if witness is not None:
-        raise ValidationError(f"global smash product not associative at {witness}")
-
-    unit = None
-    ones = ()
+    unit, ones = None, ()
     if gb.unital:
         ones = tuple(_tensor_vec(gb.alg_unit, unit_vec(d, i)) for i in range(d))
         unit = _tensor_vec(gb.alg_unit, h.unit)
-        if _unit_witness(mult, unit) is not None:
-            raise ValidationError("1 # 1 is not a unit although Bbar is unital")
-
     module = PartialModule(h, dim, diagonal_action(h, gb.action,
                                                    regular_module(h).pi))
-    return SmashAlgebra(h, mb, Subspace.full(dim), dim, _freeze3(mult),
-                        unit, ones, module)
+    out = SmashAlgebra(h, mb, Subspace.full(dim), dim, _freeze3(mult),
+                       unit, ones, module)
+    witness = _associativity_witness(out.mult_terms)
+    if witness is not None:
+        raise ValidationError(f"global smash product not associative at {witness}")
+    if unit is not None and _unit_witness(out.mult_terms, unit) is not None:
+        raise ValidationError("1 # 1 is not a unit although Bbar is unital")
+    return out
 
 
 # -- the comparison of the two smash products ----------------------------------

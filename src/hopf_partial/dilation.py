@@ -55,8 +55,7 @@ def _translation_action(h, n):
     acts = []
     for i in range(h.dim):
         # block (j, q) carries mult[j][i][q] times the identity of M
-        coeffs = Mat([[h.mult[j][i][q] for q in range(h.dim)]
-                      for j in range(h.dim)])
+        coeffs = Mat([h.mult_vec(j, i) for j in range(h.dim)])
         acts.append(kron(coeffs, Mat.identity(n)))
     return acts
 

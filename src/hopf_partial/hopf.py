@@ -12,6 +12,12 @@ A Hopf algebra of dimension d is stored as plain arrays:
 Every axiom is a finite exact tensor-contraction identity, checked by
 ``validate_hopf``.  Constructors always validate their output and compute
 the inverse antipode; construction fails if S is singular.
+
+Products, Sweedler sums and the axiom witnesses read sparse tables, built
+once per object in ``__post_init__``: ``mult_terms[i][j]`` lists the (k, c)
+with c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c)
+of Delta(e_i).  The algebras of ``actions`` carry ``mult_terms`` too.  They
+are attributes, not fields, so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field
@@ -27,28 +33,30 @@ def _freeze3(data):
                  for plane in data)
 
 
-def alg_prod(mult, u, v):
-    """Product of coefficient vectors in an algebra given by constants."""
-    dim = len(mult)
-    out = [frac(0)] * dim
+def _mult_terms(mult):
+    """The sparse table of mult: terms[i][j] lists the (k, c) with c != 0."""
+    return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
+                       for row in plane) for plane in mult)
+
+
+def alg_prod(terms, u, v):
+    """Product of coefficient vectors, given the sparse table of the algebra."""
+    out = [frac(0)] * len(terms)
+    v = [(j, b) for j, b in enumerate(v) if b]
     for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            c = a * b
-            row = mult[i][j]
-            for k in range(dim):
-                if row[k] != 0:
-                    out[k] += c * row[k]
+        if a:
+            row = terms[i]
+            for j, b in v:
+                c = a * b
+                for k, x in row[j]:
+                    out[k] += c * x
     return tuple(out)
 
 
 def comult_vec_sum(h, i, dim, term):
     """The dim-vector sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
     out = (frac(0),) * dim
-    for a, b, c in h.comult_pairs(i):
+    for a, b, c in h.comult_terms[i]:
         v = term(a, b)
         out = vec_add(out, v if c == 1 else vec_scale(v, c))
     return out
@@ -58,35 +66,33 @@ def _collect(terms):
     """Sum (key, coeff) pairs into a dict of tensor coefficients, zeros dropped."""
     out = {}
     for key, c in terms:
-        out[key] = out.get(key, frac(0)) + c
-    return {key: c for key, c in out.items() if c != 0}
+        out[key] = out[key] + c if key in out else c
+    return {key: c for key, c in out.items() if c}
 
 
 def _comult_el(h, u):
     """Delta of the coefficient vector u, as tensor coefficients."""
-    return _collect(((a, b), c * cc) for k, c in enumerate(u) if c != 0
-                    for a, b, cc in h.comult_pairs(k))
+    return _collect(((a, b), c * cc) for k, c in enumerate(u) if c
+                    for a, b, cc in h.comult_terms[k])
 
 
-def _associativity_witness(mult):
+def _associativity_witness(terms):
     """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
-    dim = len(mult)
-    for i in range(dim):
-        for j in range(dim):
-            ij = mult[i][j]
-            for k in range(dim):
-                if alg_prod(mult, ij, unit_vec(dim, k)) \
-                        != alg_prod(mult, unit_vec(dim, i), mult[j][k]):
+    for i, row in enumerate(terms):
+        for j, ij in enumerate(row):
+            for k, jk in enumerate(terms[j]):
+                if _collect((s, c * x) for p, c in ij for s, x in terms[p][k]) \
+                        != _collect((s, c * x) for q, c in jk for s, x in row[q]):
                     return (i, j, k)
     return None
 
 
-def _unit_witness(mult, unit):
+def _unit_witness(terms, unit):
     """First basis index j where unit fails to be a two-sided unit."""
-    dim = len(mult)
+    dim = len(terms)
     return next((j for j in range(dim)
-                 if alg_prod(mult, unit, unit_vec(dim, j)) != unit_vec(dim, j)
-                 or alg_prod(mult, unit_vec(dim, j), unit) != unit_vec(dim, j)),
+                 if alg_prod(terms, unit, unit_vec(dim, j)) != unit_vec(dim, j)
+                 or alg_prod(terms, unit_vec(dim, j), unit) != unit_vec(dim, j)),
                 None)
 
 
@@ -102,6 +108,12 @@ class HopfAlgebraData:
     # presentation only: two algebras are the same Hopf data irrespective
     # of how their basis elements are named
     labels: tuple = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mult_terms", _mult_terms(self.mult))
+        object.__setattr__(self, "comult_terms", tuple(
+            tuple((j, k, c) for j, row in enumerate(plane)
+                  for k, c in enumerate(row) if c) for plane in self.comult))
 
     @staticmethod
     def build(dim, mult, unit, comult, counit, antipode, antipode_inv=None,
@@ -142,22 +154,18 @@ class HopfAlgebraData:
 
     def el_mult(self, u, v):
         """Product of two coefficient vectors."""
-        return alg_prod(self.mult, u, v)
+        return alg_prod(self.mult_terms, u, v)
 
     def comult_pairs(self, i):
         """Nonzero Sweedler terms of Delta(e_i) as (first, second, coeff)."""
-        return [(j, k, c)
-                for j, row in enumerate(self.comult[i])
-                for k, c in enumerate(row) if c != 0]
+        return list(self.comult_terms[i])
 
     def counit_el(self, u):
         return sum((a * e for a, e in zip(u, self.counit)), frac(0))
 
     def is_cocommutative(self):
-        return all(self.comult[i][j][k] == self.comult[i][k][j]
-                   for i in range(self.dim)
-                   for j in range(self.dim)
-                   for k in range(self.dim))
+        return all(self.comult[i][k][j] == c
+                   for i, terms in enumerate(self.comult_terms) for j, k, c in terms)
 
     def label(self, i):
         return self.labels[i] if self.labels else f"e{i}"
@@ -168,36 +176,33 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     d = h.dim
     report = ValidationReport("hopf axioms")
 
-    witness = _associativity_witness(h.mult)
+    witness = _associativity_witness(h.mult_terms)
     report.record("associativity", witness is None, witness)
 
-    witness = _unit_witness(h.mult, h.unit)
+    witness = _unit_witness(h.mult_terms, h.unit)
     report.record("unit", witness is None, witness)
 
     witness = next(((i,) for i in range(d)
                     if _collect(((a, b, c), cpc * cab)
-                                for p, c, cpc in h.comult_pairs(i)
-                                for a, b, cab in h.comult_pairs(p))
+                                for p, c, cpc in h.comult_terms[i]
+                                for a, b, cab in h.comult_terms[p])
                     != _collect(((a, b, c), cap * cbc)
-                                for a, p, cap in h.comult_pairs(i)
-                                for b, c, cbc in h.comult_pairs(p))), None)
+                                for a, p, cap in h.comult_terms[i]
+                                for b, c, cbc in h.comult_terms[p])), None)
     report.record("coassociativity", witness is None, witness)
 
     witness = next(((i,) for i in range(d)
-                    if comult_vec_sum(h, i, d, lambda j, k:
-                                      vec_scale(unit_vec(d, k), h.counit[j]))
-                    != unit_vec(d, i)
-                    or comult_vec_sum(h, i, d, lambda j, k:
-                                      vec_scale(unit_vec(d, j), h.counit[k]))
-                    != unit_vec(d, i)), None)
+                    if _collect((k, c * h.counit[j]) for j, k, c in h.comult_terms[i])
+                    != {i: 1}
+                    or _collect((j, c * h.counit[k]) for j, k, c in h.comult_terms[i])
+                    != {i: 1}), None)
     report.record("counit", witness is None, witness)
 
     witness = None
     if h.counit_el(h.unit) != 1:
         witness = ("counit of unit",)
-    expected = {(j, k): h.unit[j] * h.unit[k]
-                for j in range(d) for k in range(d) if h.unit[j] * h.unit[k] != 0}
-    if witness is None and _comult_el(h, h.unit) != expected:
+    elif _comult_el(h, h.unit) != _collect(((j, k), a * b) for j, a in enumerate(h.unit)
+                                           for k, b in enumerate(h.unit)):
         witness = ("comult of unit",)
     if witness is None:
         for i in range(d):
@@ -207,10 +212,10 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
                     witness = (i, j, "counit multiplicative")
                     break
                 right = _collect(((a, b), cpq * crs * x * y)
-                                 for p, q, cpq in h.comult_pairs(i)
-                                 for r, s, crs in h.comult_pairs(j)
-                                 for a, x in enumerate(h.mult_vec(p, r)) if x != 0
-                                 for b, y in enumerate(h.mult_vec(q, s)) if y != 0)
+                                 for p, q, cpq in h.comult_terms[i]
+                                 for r, s, crs in h.comult_terms[j]
+                                 for a, x in h.mult_terms[p][r]
+                                 for b, y in h.mult_terms[q][s])
                 if _comult_el(h, prod) != right:
                     witness = (i, j, "comult multiplicative")
                     break
@@ -357,7 +362,7 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
     report.record("multiplicative", witness is None, witness)
 
     witness = next(((i,) for i in range(src.dim)
-                    if _collect(((a, b), c * x * y) for j, k, c in src.comult_pairs(i)
+                    if _collect(((a, b), c * x * y) for j, k, c in src.comult_terms[i]
                                 for a, x in enumerate(f.col(j)) if x != 0
                                 for b, y in enumerate(f.col(k)) if y != 0)
                     != _comult_el(dst, f.col(i))), None)

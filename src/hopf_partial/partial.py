@@ -47,11 +47,8 @@ class PartialModule:
 
     def pi_vec(self, coeffs):
         """pi of a general Hopf element given by its coefficient vector."""
-        out = Mat.zeros(self.dim, self.dim)
-        for i, c in enumerate(coeffs):
-            if c != 0:
-                out = out + self.pi[i].scale(c)
-        return out
+        return _mat_sum(((self.pi[i], c) for i, c in enumerate(coeffs) if c),
+                        self.dim)
 
     def pi_antipode(self, i):
         """pi(S(e_i))."""
@@ -60,10 +57,13 @@ class PartialModule:
 
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
     """The n x n matrix sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
-    out = Mat.zeros(n, n)
-    for a, b, c in h.comult_pairs(i):
-        out = out + term(a, b).scale(c)
-    return out
+    return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), n)
+
+
+def _mat_sum(terms, n):
+    """sum c m over (m, c) pairs; unscaled when c == 1, Mat.zeros(n, n) if none."""
+    mats = [m if c == 1 else m.scale(c) for m, c in terms]
+    return sum(mats[1:], mats[0]) if mats else Mat.zeros(n, n)
 
 
 def twisted_conjugate(m: PartialModule, t: Mat, i, tilde) -> Mat:

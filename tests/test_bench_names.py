@@ -6,10 +6,13 @@ dotted name; a rename or deletion in the library would make the traced
 run raise or silently report zero.  The names are read from that file.
 The benchmark's output checks (``bench_exact.rows_of``, ``workloads.canon``)
 read ``Mat.entries``, ``rows`` and ``cols`` by attribute, so their shape is
-pinned here too.
+pinned here too.  ``workloads.canon`` also hashes every dataclass field into
+the reference digests, so the field names of the value types are pinned:
+derived data such as the sparse structure tables must stay out of them.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -17,8 +20,12 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_partial import hopf as hp
+from hopf_partial.actions import (GlobalModuleAlgebra, PartialModuleAlgebra,
+                                  SmashAlgebra)
 from hopf_partial.dilation import standard_dilation
 from hopf_partial.linalg import Mat, Subspace
+from hopf_partial.partial import PartialModule
 
 TRACE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "perfbench", "bench_trace.py")
@@ -95,3 +102,26 @@ def test_entries_are_rows_of_fractions(mat, shape):
         assert all(type(x) is Fraction for x in row)
     assert [[mat[i, j] for j in range(mat.cols)] for i in range(mat.rows)] \
         == [list(row) for row in entries]
+
+
+@pytest.mark.parametrize("cls, names", [
+    (hp.HopfAlgebraData, ("dim", "mult", "unit", "comult", "counit", "antipode",
+                          "antipode_inv", "labels")),
+    (PartialModule, ("hopf", "dim", "pi")),
+    (PartialModuleAlgebra, ("hopf", "dim", "alg_mult", "alg_unit", "action")),
+    (GlobalModuleAlgebra, ("hopf", "dim", "alg_mult", "action", "unital",
+                           "alg_unit")),
+    (SmashAlgebra, ("hopf", "factor_dim", "ambient", "dim", "mult", "unit",
+                    "h_embedding", "module")),
+])
+def test_digest_hashed_fields(cls, names):
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+def test_equal_constants_give_equal_hopf_algebras():
+    a = hp.group_algebra(hp.cyclic_table(3))
+    b = hp.HopfAlgebraData.build(
+        3, [[[int(x) for x in row] for row in plane] for plane in a.mult],
+        [str(x) for x in a.unit], a.comult, a.counit, a.antipode.entries)
+    assert a is not b and a.mult_terms is not b.mult_terms
+    assert a == b and hash(a) == hash(b)

@@ -186,6 +186,42 @@ def test_tensor_over_base_pure_against_global_collapses():
     assert out.dim == 0
 
 
+# A valid 3-dim partial kS3 module: tests/gen.py's rng("snapa") draw under the
+# default seed, after one random_dual_c2_partial(r, 4) and one
+# random_sweedler_partial(r, 4), is random_ks3_partial(r, 3).  Its base
+# algebra commutes, yet tensor_over_base reports the relation span unstable.
+SNAPA_KS3 = (
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    [["17/6", "-55/6", "13/6"], ["2/3", "-7/3", "1/3"], ["1/2", "-5/2", "-1/2"]],
+    [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    [["-7/3", "17/3", "-7/3"], ["-5/12", "7/12", "-5/12"], ["7/4", "-29/4", "7/4"]],
+    [[1, -5, 1], [0, 0, 0], [-1, 5, -1]],
+    [[-4, 14, -2], [-1, "7/2", "-1/2"], [1, "-7/2", "1/2"]],
+)
+
+
+@pytest.mark.xfail(strict=True, raises=ValidationError,
+                   reason="tensor_over_base rejects a valid kS3 module")
+def test_tensor_over_base_of_a_valid_ks3_module():
+    m = pm.PartialModule.build(hp.builtin("kS3"), [la.Mat(p) for p in SNAPA_KS3])
+    assert pm.check_partial_rep(m).ok and pm.base_subalgebra_commutes(m)
+    out = pm.tensor_over_base(m, m)
+    assert pm.check_partial_rep(out).ok
+
+
+def test_matrix_sweedler_sums_of_nothing_are_zero():
+    zero = hp._freeze3([[[0] * 4] * 4] * 4)
+    h = hp.HopfAlgebraData(4, H4.mult, H4.unit, zero, H4.counit,
+                           H4.antipode, H4.antipode_inv)
+    assert pm.comult_sum(h, 2, 3, lambda a, b: la.Mat.identity(3)) == la.Mat.zeros(3, 3)
+    w2 = pm.w_n_module(2)
+    assert w2.pi_vec((0, 0, 0, 0)) == la.Mat.zeros(2, 2)
+    assert pm.comult_sum(H4, 2, 2, lambda a, b: w2.pi[a] * w2.pi[b]) \
+        == w2.pi[1] * w2.pi[2] + w2.pi[2]
+    assert w2.pi_vec((F(1, 2), 0, 1, -1)) \
+        == w2.pi[0].scale(F(1, 2)) + w2.pi[2] - w2.pi[3]
+
+
 def test_classify_dual_c2(graded):
     dims, cb = pm.classify_dual_c2(graded)
     assert dims == (1, 1, 1) and cb == la.Mat.identity(3)
