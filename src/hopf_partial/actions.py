@@ -17,7 +17,7 @@ from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      frac, hstack, kron, rank, solve, solve_matrix, unit_vec,
                      vec_scale)
-from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
+from .partial import (ModuleMorphism, PartialModule, _memo, check_partial_rep,
                       diagonal_action, is_global, regular_module,
                       tensor_with_global)
 from .reports import ValidationError, ValidationReport
@@ -52,7 +52,13 @@ class PartialModuleAlgebra:
         return alg_prod(self.mult_terms, u, v)
 
     def as_module(self) -> PartialModule:
-        return PartialModule(self.hopf, self.dim, self.action)
+        """The underlying partial module, one instance per algebra.
+
+        Sharing the instance lets its PR1-PR5 checks run once, whether
+        check_partial_action or standard_dilation asks first.
+        """
+        return _memo(self, "_module",
+                     lambda: PartialModule(self.hopf, self.dim, self.action))
 
     def act(self, i, u):
         return self.action[i].apply(u)
@@ -117,10 +123,11 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     report.record("PA1", mod.pi_vec(h.unit) == Mat.identity(b.dim))
     report.record("PA2", *_flag(_pa2_witness(b)))
 
+    table = _translate_table(b, mod)
     for name, primed in (("PA3", False), ("PA3'", True)):
         witness = next(((i, k, j) for i in range(d) for k in range(d)
                         for j in range(b.dim)
-                        if not _pa3_holds(b, mod, i, k, j, primed)), None)
+                        if not _pa3_holds(b, table, i, k, j, primed)), None)
         report.record(name, *_flag(witness))
 
     mod_report = check_partial_rep(mod)
@@ -143,13 +150,19 @@ def _pa2_witness(b):
                 None)
 
 
-def _pa3_holds(b, mod, i, k, j, primed):
+def _translate_table(b, mod):
+    """table[p][k] = pi(e_p e_k) on the algebra, for every basis pair."""
+    d = b.hopf.dim
+    return [[mod.pi_vec(b.hopf.mult_vec(p, k)) for k in range(d)]
+            for p in range(d)]
+
+
+def _pa3_holds(b, table, i, k, j, primed):
+    """PA3 (or PA3') at (e_i, e_k, b_j); table = _translate_table(b, mod)."""
     def term(p, q):
         if primed:
-            return b.prod(mod.pi_vec(b.hopf.mult_vec(p, k)).col(j),
-                          b.act(q, b.alg_unit))
-        return b.prod(b.act(p, b.alg_unit),
-                      mod.pi_vec(b.hopf.mult_vec(q, k)).col(j))
+            return b.prod(table[p][k].col(j), b.act(q, b.alg_unit))
+        return b.prod(b.act(p, b.alg_unit), table[q][k].col(j))
     lhs = b.action[i].apply(b.action[k].col(j))
     return lhs == comult_vec_sum(b.hopf, i, b.dim, term)
 
@@ -581,7 +594,7 @@ def morita_context(b: PartialModuleAlgebra):
 
     # the evaluated form of the same identity, block by block in B^d
     incl_bbar = standard_dilation(b.as_module()).ambient_inclusion
-    b_module = b.as_module()
+    table = _translate_table(b, b.as_module())
 
     def evaluated_holds(a, hi):
         w = comult_vec_sum(h, hi, mb, lambda p, q: gb.prod(
@@ -590,7 +603,7 @@ def morita_context(b: PartialModuleAlgebra):
         return all(ambient[k * m:(k + 1) * m]
                    == comult_vec_sum(h, k, m, lambda r, s: b.prod(
                        b.action[r].col(a),
-                       b_module.pi_vec(h.mult_vec(s, hi)).apply(b.alg_unit)))
+                       table[s][hi].apply(b.alg_unit)))
                    for k in range(d))
 
     report.record("evaluated smash identity",

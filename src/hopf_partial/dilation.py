@@ -109,7 +109,15 @@ def standard_dilation(m: PartialModule) -> Dilation:
 
 
 def check_dilation(d: Dilation) -> ValidationReport:
-    """Re-verify every dilation property independently of the constructor."""
+    """Verify the six dilation properties of d, one Check each.
+
+    theta's rank, the intertwining, the image of theta and the isomorphism
+    from the source to the restriction are recomputed on every call.  The
+    restriction of d.projected (with its PR1-PR5 check), is_proper and
+    is_minimal are memoized on that ProjectedModule: the first call on an
+    instance computes them, and later calls, such as a caller's check
+    after the one inside standard_dilation, read them from the memos.
+    """
     report = ValidationReport("dilation")
     mod = d.projected.module
     t = d.projected.t

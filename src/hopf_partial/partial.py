@@ -22,7 +22,7 @@ from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      left_mult_operator, mat_to_vec, quotient_map,
                      quotient_section, restrict_operator, right_mult_operator,
                      span_closure, vec_to_mat, vstack)
-from .reports import ValidationError, ValidationReport, require
+from .reports import Check, ValidationError, ValidationReport, require
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,22 @@ class PartialModule:
     def pi_antipode(self, i):
         """pi(S(e_i))."""
         return self.pi_vec(self.hopf.antipode.col(i))
+
+
+def _memo(obj, name, compute):
+    """compute() stored on the frozen obj as the non-field attribute name.
+
+    The first call that returns stores its value and later calls read it;
+    a compute() that raises stores nothing.  Non-field attributes stay out
+    of ==, hash and the dataclass fields, so an equal new object starts
+    with no memo and is verified from scratch.
+    """
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = compute()
+        object.__setattr__(obj, name, value)
+        return value
 
 
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
@@ -127,12 +143,23 @@ def _basis_deviations(m: PartialModule):
 
 
 def check_partial_rep(m: PartialModule) -> ValidationReport:
-    """Evaluate PR1-PR5 for every basis pair, with a witness pair on failure."""
+    """Evaluate PR1-PR5 for every basis pair, with a witness pair on failure.
+
+    The checks are evaluated once per instance and kept on m as a frozen
+    tuple; every call returns a new report built from them, so a caller
+    may extend its report freely.  An equal but newly built module is
+    evaluated afresh.
+    """
+    checks = _memo(m, "_partial_rep_checks", lambda: _evaluate_partial_rep(m))
+    return ValidationReport("partial representation", list(checks))
+
+
+def _evaluate_partial_rep(m: PartialModule):
+    """The PR1-PR5 Checks of m, in order."""
     h = m.hopf
     d = h.dim
     n = m.dim
-    report = ValidationReport("partial representation")
-    report.record("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))
+    checks = [Check("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))]
 
     basis = Mat.identity(d).col_list()
     s_cols = h.antipode.col_list()
@@ -150,8 +177,8 @@ def check_partial_rep(m: PartialModule) -> ValidationReport:
     for name, deviation in identities:
         w = next(((i, j) for i in range(d) for j in range(d)
                   if not deviation(i, j).is_zero()), None)
-        report.record(name, w is None, w)
-    return report
+        checks.append(Check(name, w is None, w))
+    return tuple(checks)
 
 
 def is_algebra_map(m: PartialModule) -> bool:

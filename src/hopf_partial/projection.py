@@ -5,6 +5,12 @@ commutes with every twisted conjugate T_h = pi(h_(1)) T pi(S(h_(2))).
 Pairs (module, T) satisfying this commutation restrict to partial modules
 on the image of T; that restriction is the bridge between global and
 partial representation theory and is inverted by the dilation machinery.
+
+A ProjectedModule is immutable, so what is proved about it is proved once:
+restrict, is_proper and is_minimal store their result on the instance the
+first time they return and hand it back on later calls.  The memos are
+not dataclass fields, so == and hash ignore them, and an equal but newly
+built instance is verified from scratch.
 """
 
 from dataclasses import dataclass
@@ -12,8 +18,9 @@ from dataclasses import dataclass
 from .linalg import (Mat, Subspace, column_space, first_unstable, kernel_basis,
                      pivot_columns, restrict_operator, solve_matrix,
                      span_closure, vec_to_mat, vstack)
-from .partial import (PartialModule, check_partial_rep, intertwiner_system,
-                      is_algebra_map, quotient_action, twisted_conjugate)
+from .partial import (PartialModule, _memo, check_partial_rep,
+                      intertwiner_system, is_algebra_map, quotient_action,
+                      twisted_conjugate)
 from .reports import ValidationError, ValidationReport
 
 
@@ -106,7 +113,14 @@ def restrict(p: ProjectedModule):
 
     The restricted matrices are written in the pivot-column basis of im t;
     the inclusion matrix records the embedding into the ambient module.
+    The result is verified against PR1-PR5 once and memoized on p, so a
+    repeated restrict(p) returns the same pair without recomputing; a
+    restriction that fails raises ValidationError and stores nothing.
     """
+    return _memo(p, "_restriction", lambda: _restrict(p))
+
+
+def _restrict(p: ProjectedModule):
     incl = image_basis(p.t)
     pis = []
     for i in range(p.module.hopf.dim):
@@ -158,11 +172,15 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
 
 
 def is_minimal(p: ProjectedModule) -> bool:
-    return _annihilated_submodule(p.module, p.t).dim == 0
+    """No nonzero submodule is killed by t; memoized on p."""
+    return _memo(p, "_minimal",
+                 lambda: _annihilated_submodule(p.module, p.t).dim == 0)
 
 
 def is_proper(p: ProjectedModule) -> bool:
-    return span_closure(column_space(p.t), p.module.pi).dim == p.module.dim
+    """The module is generated by im t; memoized on p."""
+    return _memo(p, "_proper", lambda: span_closure(
+        column_space(p.t), p.module.pi).dim == p.module.dim)
 
 
 def projected_morphism_space(p: ProjectedModule, q: ProjectedModule):

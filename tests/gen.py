@@ -300,3 +300,22 @@ def random_morphism(r, source, target) -> pm.ModuleMorphism:
 
 def zero_one_vectors(dim):
     return [v for v in itertools.product((0, 1), repeat=dim) if any(v)]
+
+
+def count_partial_rep_checks(monkeypatch):
+    """Record the module of every PR1-PR5 evaluation from now on.
+
+    check_partial_rep evaluates through partial._evaluate_partial_rep, so
+    counting there sees every route to it; the standard_dilation cache is
+    cleared so that no earlier result is reused.
+    """
+    calls = []
+    original = pm._evaluate_partial_rep
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(pm, "_evaluate_partial_rep", counted)
+    standard_dilation.cache_clear()
+    return calls

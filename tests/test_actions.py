@@ -10,6 +10,8 @@ from hopf_partial.demos import (graded_group_algebra, scalar_algebra,
                                 shipped_partial_algebras)
 from hopf_partial.reports import ValidationError
 
+import gen
+
 F = Fraction
 
 DUAL = hp.builtin("kC2-dual")
@@ -101,6 +103,46 @@ def test_partial_smash_module_satisfies_partial_axioms():
         assert pm.check_partial_rep(sm.module).ok
 
 
+def _pa3_witness_by_definition(b, primed):
+    """First (i, k, j) breaking PA3 (PA3'), with pi(e_p e_k) rebuilt per term."""
+    h, mod = b.hopf, b.as_module()
+    for i in range(h.dim):
+        for k in range(h.dim):
+            for j in range(b.dim):
+                rhs = (F(0),) * b.dim
+                for p, q, c in h.comult_pairs(i):
+                    if primed:
+                        term = b.prod(mod.pi_vec(h.mult_vec(p, k)).col(j),
+                                      b.act(q, b.alg_unit))
+                    else:
+                        term = b.prod(b.act(p, b.alg_unit),
+                                      mod.pi_vec(h.mult_vec(q, k)).col(j))
+                    rhs = la.vec_add(rhs, la.vec_scale(term, c))
+                if b.action[i].apply(b.action[k].col(j)) != rhs:
+                    return i, k, j
+    return None
+
+
+@pytest.mark.parametrize("index, col, pa3, pa3_primed", [
+    (3, 0, (3, 1, 0), (2, 1, 0)),
+    (2, 1, (2, 0, 0), (2, 1, 0)),
+    (1, 1, (1, 1, 0), (1, 1, 0)),
+])
+def test_pa3_witnesses_of_a_perturbed_action(index, col, pa3, pa3_primed):
+    b = shipped_partial_algebras()["sweedler-mixed-2"]
+    assert ac.check_partial_action(b).ok
+    rows = [list(r) for r in b.action[index].entries]
+    rows[0][col] += 1
+    action = list(b.action)
+    action[index] = la.Mat(rows)
+    bad = ac.PartialModuleAlgebra.build(b.hopf, b.alg_mult, b.alg_unit, action)
+    report = ac.check_partial_action(bad)
+    assert report.check_named("PA3").witness == pa3 \
+        == _pa3_witness_by_definition(bad, primed=False)
+    assert report.check_named("PA3'").witness == pa3_primed \
+        == _pa3_witness_by_definition(bad, primed=True)
+
+
 def test_globalize_reports_all_properties():
     half = shipped_partial_algebras()["kC2-dual-half"]
     gb, phi, report = ac.globalize(half)
@@ -111,6 +153,19 @@ def test_globalize_reports_all_properties():
         "Bbar is idempotent", "action by algebra maps",
         "restricted action equals the partial action",
         "idempotency witness identity"}
+
+
+def test_globalize_checks_the_underlying_module_once(monkeypatch):
+    mixed = shipped_partial_algebras()["kC2-dual-mixed-2"]
+    calls = gen.count_partial_rep_checks(monkeypatch)
+    gb, phi, report = ac.globalize(mixed)
+    assert report.ok
+    # check_partial_action and standard_dilation share one check of
+    # mixed.as_module(); the second is of the restriction inside
+    # standard_dilation, an equal module built anew
+    assert len(calls) == 2
+    assert calls[0] is mixed.as_module()
+    assert calls[1] == calls[0] and calls[1] is not calls[0]
 
 
 def test_globalize_global_input_gives_isomorphic_copy():

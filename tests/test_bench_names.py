@@ -23,9 +23,11 @@ import pytest
 from hopf_partial import hopf as hp
 from hopf_partial.actions import (GlobalModuleAlgebra, PartialModuleAlgebra,
                                   SmashAlgebra)
-from hopf_partial.dilation import standard_dilation
+from hopf_partial.dilation import Dilation, standard_dilation
 from hopf_partial.linalg import Mat, Subspace
-from hopf_partial.partial import PartialModule
+from hopf_partial.partial import PartialModule, w_n_module
+from hopf_partial.projection import (ProjectedModule, is_minimal, is_proper,
+                                     restrict)
 
 TRACE_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                           os.pardir, "perfbench", "bench_trace.py")
@@ -113,9 +115,23 @@ def test_entries_are_rows_of_fractions(mat, shape):
                            "alg_unit")),
     (SmashAlgebra, ("hopf", "factor_dim", "ambient", "dim", "mult", "unit",
                     "h_embedding", "module")),
+    (ProjectedModule, ("module", "t")),
+    (Dilation, ("source", "projected", "theta", "proper", "minimal",
+                "ambient_inclusion")),
 ])
 def test_digest_hashed_fields(cls, names):
     assert tuple(f.name for f in dataclasses.fields(cls)) == names
+
+
+def test_memos_leave_equality_and_hash_alone():
+    std = standard_dilation(w_n_module(2)).projected
+    p = ProjectedModule(std.module, std.t)
+    twin = ProjectedModule(std.module, std.t)
+    before = hash(p)
+    restrict(p)
+    assert is_proper(p) and is_minimal(p)
+    assert p == twin and twin == p and hash(p) == hash(twin) == before
+    assert hash(p) == hash((p.module, p.t))
 
 
 def test_equal_constants_give_equal_hopf_algebras():

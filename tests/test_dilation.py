@@ -92,6 +92,45 @@ def test_round_trip_is_isomorphism():
             assert rep.ok
 
 
+@pytest.mark.parametrize("hopf_name", ["kS3", "sweedler"])
+def test_round_trip_checks_each_module_once(monkeypatch, hopf_name):
+    m = gen.random_partial(gen.rng(f"checks-once-{hopf_name}"), hopf_name, 3)
+    calls = gen.count_partial_rep_checks(monkeypatch)
+    dil = dl.standard_dilation(m)
+    report = dl.check_dilation(dil)
+    back, incl = pj.restrict(dil.projected)
+    assert report.ok
+    # the input, checked by standard_dilation, then its restriction,
+    # checked inside standard_dilation's own check_dilation
+    assert calls == [m, back]
+
+    again = dl.check_dilation(dil)
+    assert len(calls) == 2
+    assert again is not report
+    assert again.to_json() == report.to_json() and len(again.checks) == 6
+    again.record("extra", False)
+    assert dl.check_dilation(dil).ok
+
+    # an equal but new instance carries no memo and is verified afresh
+    fresh = pj.ProjectedModule(dil.projected.module, dil.projected.t)
+    assert fresh == dil.projected and fresh is not dil.projected
+    assert pj.restrict(fresh) == (back, incl)
+    assert len(calls) == 3
+
+
+def test_failed_restriction_is_not_memoized(monkeypatch):
+    # t = [[1, -2], [0, 0]] breaks the commutation condition on kC2, and
+    # its image carries g -> -2, which is not a partial representation
+    p = pj.ProjectedModule(pm.regular_module(hp.builtin("kC2")),
+                           la.Mat([[1, -2], [0, 0]]))
+    calls = gen.count_partial_rep_checks(monkeypatch)
+    for attempt in (1, 2):
+        with pytest.raises(ValidationError, match="PR2"):
+            pj.restrict(p)
+        assert len(calls) == attempt
+    assert "_restriction" not in vars(p)
+
+
 def test_universal_morphism_identity_case():
     dil = dl.standard_dilation(partially_graded_module(1, 1, 1))
     phi = dl.universal_morphism(dil)

@@ -334,6 +334,26 @@ def test_check_partial_rep_passes_on_generator_output():
             assert pm.check_partial_rep(gen.random_partial(r, name, 4)).ok
 
 
+def test_check_partial_rep_evaluates_once_and_hands_out_new_reports(monkeypatch):
+    g = la.Mat([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    x = la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    cand = pm.PartialModule(H4, 3, (la.Mat.identity(3), g, x, g * x))
+    calls = gen.count_partial_rep_checks(monkeypatch)
+    first = pm.check_partial_rep(cand)
+    assert calls == [cand]
+    assert [c.name for c in first.checks] == ["PR1 unit", "PR2", "PR3", "PR4",
+                                              "PR5"]
+    assert not first.ok
+    expected = first.to_json()
+    first.record("extra", True)
+    second = pm.check_partial_rep(cand)
+    assert second is not first and len(calls) == 1
+    assert second.to_json() == expected
+    # an equal module built anew is evaluated again, to the same report
+    again = pm.check_partial_rep(pm.PartialModule(H4, 3, cand.pi))
+    assert len(calls) == 2 and again.to_json() == expected
+
+
 def test_quotient_action_induces_operators():
     rel = la.Subspace.from_vectors(3, [(1, 0, 0)])
     op = la.Mat([[1, 1, 0], [0, 2, 0], [0, 0, 3]])
