@@ -207,12 +207,10 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
         return PartialModuleAlgebra.build(
             b_global.hopf, [], [], [Mat.zeros(0, 0)] * b_global.hopf.dim)
 
-    def coords(v):
-        return _coords(incl, v, "eB is not closed as expected")
-
-    mult = [[coords(b_global.prod(incl.col(i), incl.col(j)))
-             for j in range(sub_dim)] for i in range(sub_dim)]
-    unit = coords(e)
+    basis = incl.col_list()
+    prods = [b_global.prod(u, v) for u in basis for v in basis]
+    *coords, unit = _coords(incl, prods + [e], "eB is not closed as expected")
+    mult = [coords[i * sub_dim:(i + 1) * sub_dim] for i in range(sub_dim)]
     action = [solve_matrix(incl, left_e * b_global.action[i] * incl)
               for i in range(b_global.hopf.dim)]
     out = PartialModuleAlgebra.build(b_global.hopf, mult, unit, action)
@@ -279,12 +277,15 @@ def _smash_product(alg, cols, u, v):
     return tuple(out)
 
 
-def _coords(incl, v, msg):
-    """Coordinates c with incl c = v; ValidationError(msg) when v is outside."""
-    c = solve(incl, v)
+def _coords(incl, vecs, msg):
+    """Coordinates c_k with incl c_k = vecs[k], by one solve_matrix.
+
+    Raises ValidationError(msg) when any vector is outside the span.
+    """
+    c = solve_matrix(incl, Mat.from_cols(vecs, incl.rows))
     if c is None:
         raise ValidationError(msg)
-    return c
+    return c.col_list()
 
 
 def _tensor_vec(u, v):
@@ -313,13 +314,13 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     basis = sub.vectors()
     incl = sub.basis.transpose()
 
-    def coords(v):
-        return _coords(incl, v, "smash product left its defining subspace")
-
     cols = _action_cols(b)
-    mult = [[coords(_smash_product(b, cols, basis[i], basis[j]))
-             for j in range(r)] for i in range(r)]
-    unit = coords(pr.apply(_tensor_vec(b.alg_unit, h.unit)))
+    prods = [_smash_product(b, cols, u, v) for u in basis for v in basis]
+    units = [pr.apply(_tensor_vec(b.alg_unit, k))
+             for k in [h.unit] + [unit_vec(d, i) for i in range(d)]]
+    coords = _coords(incl, prods + units, "smash product left its defining subspace")
+    mult = [coords[i * r:(i + 1) * r] for i in range(r)]
+    unit, *ones = coords[r * r:]
     terms = _mult_terms(mult)
     if _unit_witness(terms, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
@@ -327,8 +328,6 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
 
-    ones = [coords(pr.apply(_tensor_vec(b.alg_unit, unit_vec(d, i))))
-            for i in range(d)]
     module = PartialModule(h, r, tuple(
         Mat.from_cols([alg_prod(terms, ci, unit_vec(r, j)) for j in range(r)], r)
         for ci in ones))
@@ -387,12 +386,10 @@ def globalize(b: PartialModuleAlgebra):
 
     report = ValidationReport("globalization")
 
-    def coords(v):
-        return _coords(incl, v, "convolution leaves the dilation subspace")
-
-    basis_ambient = [incl.col(j) for j in range(mb)]
-    mult = [[coords(_convolution(b, basis_ambient[i], basis_ambient[j]))
-             for j in range(mb)] for i in range(mb)]
+    basis = incl.col_list()
+    prods = _coords(incl, [_convolution(b, u, v) for u in basis for v in basis],
+                    "convolution leaves the dilation subspace")
+    mult = [prods[i * mb:(i + 1) * mb] for i in range(mb)]
 
     unit_coords = _find_unit(mult)
     gb = GlobalModuleAlgebra(h, mb, _freeze3(mult), mod.pi,

@@ -17,9 +17,8 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import (Mat, block_diag, column_space, hstack, inverse,
-                     kernel_basis, kron, pivot_columns, rank, solve,
-                     solve_matrix, span_closure, vstack)
+from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
+                     rank, solve, solve_matrix, span_closure, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, intertwiner_system, is_global, is_module_iso)
 from .projection import ProjectedModule, is_minimal, is_proper, restrict
@@ -145,18 +144,16 @@ def check_dilation(d: Dilation) -> ValidationReport:
 def _factor_through(dec: Mat, target: Mat) -> Mat:
     """The unique F with F dec = target, given that dec has full row rank.
 
-    Existence needs ker dec contained in ker target; that containment is
-    verified by an exact product comparison after solving on a pivot
-    column basis.
+    F exists exactly when ker dec is contained in ker target, that is when
+    the exact system dec^T F^T = target^T is consistent: its consistency
+    is the kernel-containment check.
     """
-    piv = pivot_columns(dec)
-    if len(piv) != dec.rows:
+    if rank(dec) != dec.rows:
         raise ValidationError("decomposition map is not surjective")
-    base = Mat.from_cols([dec.col(j) for j in piv], dec.rows)
-    f = Mat.from_cols([target.col(j) for j in piv], target.rows) * inverse(base)
-    if f * dec != target:
+    ft = solve_matrix(dec.transpose(), target.transpose())
+    if ft is None:
         raise ValidationError("map is not well defined: kernel containment fails")
-    return f
+    return ft.transpose()
 
 
 def universal_morphism(d2: Dilation) -> Mat:
@@ -284,12 +281,7 @@ def dilation_preserves_sums(ms) -> ValidationReport:
     canonical = Mat.from_cols(cols, total_bar_dim) if cols \
         else Mat.zeros(total_bar_dim, 0)
 
-    bijective = canonical.rows == canonical.cols
-    if bijective and canonical.rows:
-        try:
-            inverse(canonical)
-        except ValueError:
-            bijective = False
+    bijective = canonical.rows == canonical.cols == rank(canonical)
     report.record("canonical map bijective", bijective)
 
     if ms and bijective:

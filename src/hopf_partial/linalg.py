@@ -12,8 +12,10 @@ den == 1, and two matrices are equal exactly when their pairs are.
 Products, sums and elimination run on Python integers.  Elimination is
 fraction-free: rows are kept primitive (integer rows with content 1),
 cross-multiplied to clear a column, and divided by their pivots only when
-the reduced echelon form is read off.  The entry views (``m[i, j]``,
-``row``, ``col``, ``entries``) are `fractions.Fraction`s built on demand.
+the reduced echelon form is read off.  Every linear system a X = B, the
+inverse (B = I) included, is one elimination of the block [a | B].  The
+entry views (``m[i, j]``, ``row``, ``col``, ``entries``) are
+`fractions.Fraction`s built on demand.
 
 Conventions, fixed once for the whole package:
 
@@ -355,11 +357,11 @@ def _eliminate(rows, n_cols):
     return pivots
 
 
-def _by_pivots(rows, pivots, n_cols, lo=0, hi=None):
-    """Mat of columns lo:hi of the eliminated rows, each divided by its pivot."""
+def _by_pivots(rows, pivots, n_cols, lo=0):
+    """Mat of columns lo: of the eliminated rows, each divided by its pivot."""
     heads = [rows[r][p] for r, p in enumerate(pivots)]
     den = lcm(*heads)
-    return _reduced([[x * (den // h) for x in rows[r][lo:hi]]
+    return _reduced([[x * (den // h) for x in rows[r][lo:]]
                      for r, h in enumerate(heads)], den, n_cols)
 
 
@@ -583,45 +585,39 @@ def solve(a: Mat, b):
     """One solution x of a x = b, or None if the system is inconsistent."""
     if len(b) != a.rows:
         raise ShapeError("right hand side length mismatch")
-    if a.rows == 0:
-        return tuple([ZERO] * a.cols)
-    # row i of [a | b] times den * denominator(b_i) is an integer row
-    rows = []
-    for r, x in zip(a.num, b):
-        x = frac(x)
-        rows.append(_lift(list(r), x.denominator) + [x.numerator * a.den])
-    pivots = _eliminate(rows, a.cols + 1)
-    if a.cols in pivots:
-        return None
-    x = [ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = Fraction(rows[r][a.cols], rows[r][p])
-    return tuple(x)
+    x = solve_matrix(a, Mat([[v] for v in b], cols=1))
+    return None if x is None else x.col(0)
 
 
 def solve_matrix(a: Mat, b: Mat):
-    """One solution X of a X = b, or None."""
+    """One solution X of a X = b, or None if some column is inconsistent.
+
+    One elimination of the integer block den * [a | b]: the system is
+    inconsistent exactly when a pivot falls in b's columns, and otherwise
+    row p of X is the b part of the echelon row with pivot p (free
+    variables are zero).
+    """
     if a.rows != b.rows:
         raise ShapeError("row count mismatch")
-    cols = []
-    for j in range(b.cols):
-        x = solve(a, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return Mat.from_cols(cols, a.cols) if cols else Mat.zeros(a.cols, 0)
+    _, (fa, fb) = _common_den((a, b))
+    rows = [_lift(list(r), fa) + _lift(list(s), fb) for r, s in zip(a.num, b.num)]
+    pivots = _eliminate(rows, a.cols + b.cols)
+    if pivots and pivots[-1] >= a.cols:
+        return None
+    sol = _by_pivots(rows, pivots, b.cols, a.cols)
+    x = [(0,) * b.cols] * a.cols
+    for p, row in zip(pivots, sol.num):
+        x[p] = row
+    return _mat(x, sol.den, b.cols)
 
 
 def inverse(a: Mat) -> Mat:
     if a.rows != a.cols:
         raise ShapeError("only square matrices invert")
-    n = a.rows
-    # [a | I] times den, row by row
-    rows = [list(r) + [a.den * (i == j) for j in range(n)] for i, r in enumerate(a.num)]
-    pivots = _eliminate(rows, 2 * n)
-    if pivots != list(range(n)):
+    x = solve_matrix(a, Mat.identity(a.rows))
+    if x is None:
         raise ValueError("matrix is singular")
-    return _by_pivots(rows, pivots, n, n)
+    return x
 
 
 def restrict_operator(op: Mat, incl: Mat) -> Mat:

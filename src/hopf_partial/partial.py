@@ -20,8 +20,8 @@ from .hopf import HopfAlgebraData, builtin
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      first_unstable, frac, inverse, kernel_basis, kron,
                      left_mult_operator, mat_to_vec, quotient_map,
-                     quotient_section, restrict_operator, right_mult_operator,
-                     span_closure, vec_to_mat, vstack)
+                     quotient_section, rank, restrict_operator,
+                     right_mult_operator, span_closure, vec_to_mat, vstack)
 from .reports import Check, ValidationError, ValidationReport, require
 
 
@@ -274,13 +274,8 @@ class ModuleMorphism:
 def is_module_iso(f: Mat, m: PartialModule, n: PartialModule) -> bool:
     if f.rows != n.dim or f.cols != m.dim or m.dim != n.dim:
         return False
-    if any(f * m.pi[i] != n.pi[i] * f for i in range(m.hopf.dim)):
-        return False
-    try:
-        inverse(f)
-    except ValueError:
-        return False
-    return True
+    return (all(f * m.pi[i] == n.pi[i] * f for i in range(m.hopf.dim))
+            and rank(f) == m.dim)
 
 
 def direct_sum(ms, hopf=None) -> PartialModule:

@@ -151,7 +151,8 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
 
     First the module is replaced by the action closure of im t, then any
     leftover submodule annihilated by t is quotiented away.  Both steps
-    leave the restriction untouched.
+    leave the restriction untouched.  The returned pair is proved to have
+    no t-killed submodule, and that is recorded as its is_minimal memo.
     """
     closure = span_closure(column_space(p.t), p.module.pi)
     incl = closure.basis.transpose()
@@ -160,14 +161,14 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
     module = PartialModule(p.module.hopf, closure.dim, pis)
 
     killed = _annihilated_submodule(module, t)
-    if not killed.dim:
-        return ProjectedModule.build(module, t)
-    _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
-    module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
-    t = induced[-1]
+    if killed.dim:
+        _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
+        module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
+        t = induced[-1]
     out = ProjectedModule.build(module, t)
-    if _annihilated_submodule(module, t).dim != 0:
+    if killed.dim and _annihilated_submodule(module, t).dim != 0:
         raise ValidationError("minimalization left a t-killed submodule")
+    _memo(out, "_minimal", lambda: True)
     return out
 
 

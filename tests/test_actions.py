@@ -97,6 +97,14 @@ def test_partial_smash_of_trivial_action_is_full_tensor():
     assert got == want_coords
 
 
+def test_coords_solves_a_whole_table_and_rejects_any_vector_outside():
+    incl = la.Mat([[1, 0], [1, 0], [0, 2]])
+    assert ac._coords(incl, [(1, 1, 0), (0, 0, 1)], "outside") == [
+        (F(1), F(0)), (F(0), F(1, 2))]
+    with pytest.raises(ValidationError, match="^outside$"):
+        ac._coords(incl, [(1, 1, 0), (1, 0, 0)], "outside")
+
+
 def test_partial_smash_module_satisfies_partial_axioms():
     for alg in shipped_partial_algebras().values():
         sm = ac.partial_smash(alg)

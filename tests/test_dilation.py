@@ -229,6 +229,17 @@ def test_dilation_preserves_mono_epi():
     assert la.rank(gbar) == 2  # surjective onto the 2-dim dilation
 
 
+def test_factor_through_rejects_a_rank_deficient_decomposition():
+    with pytest.raises(ValidationError, match="decomposition map is not surjective"):
+        dl._factor_through(la.Mat([[1, 1], [2, 2]]), la.Mat([[1, 1]]))
+
+
+def test_factor_through_rejects_a_target_that_does_not_factor():
+    # ker dec is spanned by (1, -1), which the target does not kill
+    with pytest.raises(ValidationError, match="kernel containment fails"):
+        dl._factor_through(la.Mat([[1, 1]]), la.Mat([[1, 0]]))
+
+
 def test_dimension_bound():
     r = gen.rng("dimension-bound")
     for name in ("kC2-dual", "sweedler"):

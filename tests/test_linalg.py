@@ -159,6 +159,21 @@ def test_solve_and_inverse():
         la.inverse(la.Mat([[1, 1], [1, 1]]))
 
 
+def test_solve_matrix_eliminates_once_for_all_columns(monkeypatch):
+    widths = []
+    original = la._eliminate
+
+    def counted(rows, n_cols):
+        widths.append(n_cols)
+        return original(rows, n_cols)
+
+    monkeypatch.setattr(la, "_eliminate", counted)
+    a = la.Mat([[2, 1], [1, 1], [0, 3]])
+    x = la.Mat([[1, 0, 2, -1, F(1, 2)], [0, 1, 1, 1, 3]])
+    assert la.solve_matrix(a, a * x) == x
+    assert widths == [a.cols + x.cols]
+
+
 def test_subspace_membership_and_canonical_equality():
     s1 = la.Subspace.from_vectors(3, [(1, 1, 0), (0, 0, 1)])
     s2 = la.Subspace.from_vectors(3, [(2, 2, 2), (1, 1, -1)])

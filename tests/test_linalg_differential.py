@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_linalg as ref
 from hopf_partial import linalg as la
@@ -197,18 +197,32 @@ def test_rref_and_rank_match(pair):
     assert la.rank(a) == ref.rank(ra)
 
 
-@given(st.data())
-@SETTINGS
-def test_solve_matches(data):
-    a, ra = data.draw(pairs())
+@st.composite
+def systems(draw):
+    """a on both backends, a vector b and a matrix B on both backends."""
+    a, ra = draw(pairs())
     # a consistent right-hand side half of the time
-    if data.draw(st.booleans()):
-        b = ra.apply(data.draw(numeric_vectors(ra.cols)))
+    if draw(st.booleans()):
+        b = ra.apply(draw(numeric_vectors(ra.cols)))
     else:
-        b = data.draw(vectors(ra.rows))
+        b = draw(vectors(ra.rows))
+    return a, ra, b, draw(pairs(a.rows, draw(dims)))
+
+
+def explicit_system(a, cols, b, rhs, rhs_cols):
+    """An explicit input of test_solve_matches."""
+    return (*both(a, cols), b, both(rhs, rhs_cols))
+
+
+@given(systems())
+@example(explicit_system([], 3, [], [], 2))
+@example(explicit_system([[1, 2], [3, 4]], 2, [1, 0], [[], []], 0))
+# every column of B is consistent except the last, so X is None
+@example(explicit_system([[1, 2], [2, 4]], 2, [1, 3], [[1, 2, 0], [2, 4, 1]], 3))
+@SETTINGS
+def test_solve_matches(system):
+    a, ra, b, (b_new, b_ref) = system
     assert la.solve(a, b) == ref.solve(ra, b)
-    k = data.draw(dims)
-    b_new, b_ref = data.draw(pairs(a.rows, k))
     x, rx = la.solve_matrix(a, b_new), ref.solve_matrix(ra, b_ref)
     assert (x is None) == (rx is None)
     if x is not None:
@@ -217,6 +231,7 @@ def test_solve_matches(data):
 
 
 @given(st.integers(min_value=0, max_value=4).flatmap(lambda n: pairs(n, n)))
+@example(both([], 0))
 @SETTINGS
 def test_inverse_matches_including_singular(pair):
     a, ra = pair

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_partial import dilation as dl
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
@@ -189,8 +190,13 @@ def _count_annihilated_calls(monkeypatch):
 
 
 def test_minimalize_checks_an_unquotiented_module_once(monkeypatch, p36):
+    # minimalize records that its result is minimal, so neither is_minimal
+    # nor Dilation.build looks for a t-killed submodule again
     calls = _count_annihilated_calls(monkeypatch)
-    pj.minimalize(p36)
+    slim = pj.minimalize(p36)
+    assert pj.is_minimal(slim)
+    restricted, incl = pj.restrict(slim)
+    assert dl.Dilation.build(restricted, slim, incl).minimal
     assert len(calls) == 1
 
 
