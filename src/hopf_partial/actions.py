@@ -11,12 +11,13 @@ bimodule stability, surjective Morita maps) are all checked exactly.
 
 from dataclasses import dataclass
 
-from .dilation import _factor_through, dilate_morphism, standard_dilation
+from .dilation import (_factor_through, _translates, dilate_morphism,
+                       standard_dilation)
 from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
                    _mult_terms, _unit_witness, alg_prod, comult_vec_sum)
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     frac, hstack, kron, rank, solve, solve_matrix, unit_vec,
-                     vec_scale)
+                     frac, kron, rank, restrict_operators, solve, solve_matrix,
+                     unit_vec, vec_scale)
 from .partial import (ModuleMorphism, PartialModule, _memo, check_partial_rep,
                       diagonal_action, is_global, regular_module,
                       tensor_with_global)
@@ -211,8 +212,7 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
     prods = [b_global.prod(u, v) for u in basis for v in basis]
     *coords, unit = _coords(incl, prods + [e], "eB is not closed as expected")
     mult = [coords[i * sub_dim:(i + 1) * sub_dim] for i in range(sub_dim)]
-    action = [solve_matrix(incl, left_e * b_global.action[i] * incl)
-              for i in range(b_global.hopf.dim)]
+    action = restrict_operators([left_e * a for a in b_global.action], incl)
     out = PartialModuleAlgebra.build(b_global.hopf, mult, unit, action)
     rep = check_partial_action(out)
     if not rep.ok:
@@ -485,14 +485,13 @@ def zeta_xi(b: PartialModuleAlgebra):
 
     report = ValidationReport("smash dilation comparison")
 
-    # columns of the source decompositions, indexed by (i, source basis)
-    dec_over = hstack([over.pi[i] * std_bh.theta for i in range(d)])
     phi_b_cols = [std_b.theta.col(v) for v in range(m)]
 
     zeta_cols = [comult_vec_sum(h, i, dim_bt, lambda p, q: _tensor_vec(
                      mbar.pi[p].apply(phi_b_cols[v]), h.mult_vec(q, j)))
                  for i in range(d) for v in range(m) for j in range(d)]
-    zeta = _factor_through(dec_over, Mat.from_cols(zeta_cols, dim_bt))
+    zeta = _factor_through(_translates(over, std_bh.theta),
+                           Mat.from_cols(zeta_cols, dim_bt))
 
     dec_bt_cols = []
     xi_target_cols = []

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
-                     rank, solve, solve_matrix, span_closure, vstack)
+                     rank, restrict_operators, solve, solve_matrix,
+                     span_closure, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, intertwiner_system, is_global, is_module_iso)
 from .projection import ProjectedModule, is_minimal, is_proper, restrict
@@ -88,14 +89,10 @@ def standard_dilation(m: PartialModule) -> Dilation:
     closure = span_closure(column_space(phi), acts)
     incl = closure.basis.transpose()
 
-    pis = tuple(solve_matrix(incl, a * incl) for a in acts)
-    require(all(p is not None for p in pis), "dilation space is not action-stable")
-    module = PartialModule(h, closure.dim, pis)
-
     t_full = phi * _unit_evaluation(h, n)
-    t = solve_matrix(incl, t_full * incl)
-    require(t is not None, "projection does not preserve the dilation space")
-    projected = ProjectedModule.build(module, t)
+    ops = restrict_operators(acts + [t_full], incl)
+    module = PartialModule(h, closure.dim, ops[:-1])
+    projected = ProjectedModule.build(module, ops[-1])
 
     theta = solve_matrix(incl, phi)
     require(theta is not None, "phi does not land in the dilation space")
@@ -156,6 +153,11 @@ def _factor_through(dec: Mat, target: Mat) -> Mat:
     return ft.transpose()
 
 
+def _translates(module: PartialModule, theta: Mat) -> Mat:
+    """[pi(e_0) theta | ... | pi(e_{d-1}) theta], the translates of theta's columns."""
+    return hstack([p * theta for p in module.pi])
+
+
 def universal_morphism(d2: Dilation) -> Mat:
     """Comparison map from a proper dilation onto the standard one.
 
@@ -172,9 +174,8 @@ def universal_morphism(d2: Dilation) -> Mat:
     mod_std = std.projected.module
     d = mod_n.hopf.dim
 
-    dec = hstack([mod_n.pi[i] * d2.theta for i in range(d)])
-    target = hstack([mod_std.pi[i] * std.theta for i in range(d)])
-    phi = _factor_through(dec, target)
+    phi = _factor_through(_translates(mod_n, d2.theta),
+                          _translates(mod_std, std.theta))
 
     require(rank(phi) == mod_std.dim, "comparison map must be surjective")
     require(all(phi * mod_n.pi[i] == mod_std.pi[i] * phi for i in range(d)),
@@ -201,9 +202,8 @@ def dilate_morphism(f: ModuleMorphism) -> Mat:
     d = f.source.hopf.dim
     mod_m = std_m.projected.module
     mod_n = std_n.projected.module
-    dec = hstack([mod_m.pi[i] * std_m.theta for i in range(d)])
-    target = hstack([mod_n.pi[i] * std_n.theta * f.mat for i in range(d)])
-    fbar = _factor_through(dec, target)
+    fbar = _factor_through(_translates(mod_m, std_m.theta),
+                           _translates(mod_n, std_n.theta * f.mat))
     require(fbar * std_m.theta == std_n.theta * f.mat,
             "dilated morphism must commute with the embeddings")
     require(all(fbar * mod_m.pi[i] == mod_n.pi[i] * fbar for i in range(d)),

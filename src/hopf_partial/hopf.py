@@ -167,9 +167,6 @@ class HopfAlgebraData:
         return all(self.comult[i][k][j] == c
                    for i, terms in enumerate(self.comult_terms) for j, k, c in terms)
 
-    def label(self, i):
-        return self.labels[i] if self.labels else f"e{i}"
-
 
 def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     """Check every Hopf axiom, reporting a witness index tuple on failure."""

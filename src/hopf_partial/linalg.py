@@ -13,9 +13,11 @@ Products, sums and elimination run on Python integers.  Elimination is
 fraction-free: rows are kept primitive (integer rows with content 1),
 cross-multiplied to clear a column, and divided by their pivots only when
 the reduced echelon form is read off.  Every linear system a X = B, the
-inverse (B = I) included, is one elimination of the block [a | B].  The
-entry views (``m[i, j]``, ``row``, ``col``, ``entries``) are
-`fractions.Fraction`s built on demand.
+inverse (B = I) included, is one elimination of the block [a | B], and a
+family of operators gets its matrices on an invariant subspace from one
+elimination of [incl | op_1 incl | ... | op_k incl].  The entry views
+(``m[i, j]``, ``row``, ``col``, ``entries``) are `fractions.Fraction`s
+built on demand.
 
 Conventions, fixed once for the whole package:
 
@@ -52,10 +54,6 @@ ONE = Fraction(1)
 
 def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(u, c):
@@ -620,16 +618,22 @@ def inverse(a: Mat) -> Mat:
     return x
 
 
-def restrict_operator(op: Mat, incl: Mat) -> Mat:
-    """Matrix of op on the invariant subspace spanned by the columns of incl.
+def restrict_operators(ops, incl: Mat):
+    """Matrices of each op on the invariant subspace spanned by the columns of incl.
 
-    Raises if the subspace is not actually invariant.
+    One elimination of [incl | op_1 incl | ... | op_k incl]; block j of the
+    solution, brought to canonical form, is the matrix of op_j.  Raises if
+    the subspace is not invariant under some op.
     """
-    image = op * incl
-    r = solve_matrix(incl, image)
-    if r is None:
+    ops = list(ops)
+    if not ops:
+        return ()
+    x = solve_matrix(incl, hstack([op * incl for op in ops]))
+    if x is None:
         raise ValueError("subspace is not invariant under the operator")
-    return r
+    k = incl.cols
+    return tuple(_reduced([row[j * k:(j + 1) * k] for row in x.num], x.den, k)
+                 for j in range(len(ops)))
 
 
 def mat_to_vec(m: Mat):

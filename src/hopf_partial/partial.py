@@ -20,7 +20,7 @@ from .hopf import HopfAlgebraData, builtin
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      first_unstable, frac, inverse, kernel_basis, kron,
                      left_mult_operator, mat_to_vec, quotient_map,
-                     quotient_section, rank, restrict_operator,
+                     quotient_section, rank, restrict_operators,
                      right_mult_operator, span_closure, vec_to_mat, vstack)
 from .reports import Check, ValidationError, ValidationReport, require
 
@@ -238,7 +238,7 @@ def is_pure(m: PartialModule) -> bool:
 def restrict_to_invariant(m: PartialModule, sub: Subspace):
     """Module induced on an action-invariant subspace, plus the inclusion."""
     incl = sub.basis.transpose()
-    pis = tuple(restrict_operator(p, incl) for p in m.pi)
+    pis = restrict_operators(m.pi, incl)
     return PartialModule(m.hopf, sub.dim, pis), incl
 
 
@@ -428,9 +428,7 @@ def classify_sweedler(m: PartialModule):
 
     w_incl = w_space.basis.transpose()
     try:
-        c = restrict_operator(x, w_incl)
-        d = restrict_operator(y, w_incl)
-        g_on_w = restrict_operator(g, w_incl)
+        c, d, g_on_w = restrict_operators((x, y, g), w_incl)
     except ValueError:
         raise ValidationError("ker[g] is not stable under [x], [y]")
     require(g_on_w.is_zero(), "[g] does not vanish on its kernel block")
@@ -440,9 +438,7 @@ def classify_sweedler(m: PartialModule):
     if u_space.dim:
         u_incl = u_space.basis.transpose()
         try:
-            g_u = restrict_operator(g, u_incl)
-            x_u = restrict_operator(x, u_incl)
-            y_u = restrict_operator(y, u_incl)
+            g_u, x_u, y_u = restrict_operators((g, x, y), u_incl)
         except ValueError:
             raise ValidationError("global part is not action-stable")
         require((x_u * x_u).is_zero(), "ab = ba = 0 fails on the global part")

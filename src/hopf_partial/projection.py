@@ -16,11 +16,9 @@ built instance is verified from scratch.
 from dataclasses import dataclass
 
 from .linalg import (Mat, Subspace, column_space, first_unstable, kernel_basis,
-                     pivot_columns, restrict_operator, solve_matrix,
-                     span_closure, vec_to_mat, vstack)
-from .partial import (PartialModule, _memo, check_partial_rep,
-                      intertwiner_system, is_algebra_map, quotient_action,
-                      twisted_conjugate)
+                     pivot_columns, restrict_operators, span_closure, vstack)
+from .partial import (PartialModule, _memo, check_partial_rep, hom_space,
+                      is_algebra_map, quotient_action, twisted_conjugate)
 from .reports import ValidationError, ValidationReport
 
 
@@ -122,14 +120,8 @@ def restrict(p: ProjectedModule):
 
 def _restrict(p: ProjectedModule):
     incl = image_basis(p.t)
-    pis = []
-    for i in range(p.module.hopf.dim):
-        moved = p.t * p.module.pi[i] * incl
-        coords = solve_matrix(incl, moved)
-        if coords is None:
-            raise ValidationError("t pi(h) does not map im t into itself")
-        pis.append(coords)
-    out = PartialModule(p.module.hopf, incl.cols, tuple(pis))
+    pis = restrict_operators([p.t * q for q in p.module.pi], incl)
+    out = PartialModule(p.module.hopf, incl.cols, pis)
     rep = check_partial_rep(out)
     if not rep.ok:
         raise ValidationError(rep)
@@ -156,13 +148,13 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
     """
     closure = span_closure(column_space(p.t), p.module.pi)
     incl = closure.basis.transpose()
-    pis = tuple(restrict_operator(q, incl) for q in p.module.pi)
-    t = restrict_operator(p.t, incl)
-    module = PartialModule(p.module.hopf, closure.dim, pis)
+    ops = restrict_operators((*p.module.pi, p.t), incl)
+    module = PartialModule(p.module.hopf, closure.dim, ops[:-1])
+    t = ops[-1]
 
     killed = _annihilated_submodule(module, t)
     if killed.dim:
-        _, qdim, induced = quotient_action(module.dim, killed, pis + (t,))
+        _, qdim, induced = quotient_action(module.dim, killed, ops)
         module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
         t = induced[-1]
     out = ProjectedModule.build(module, t)
@@ -187,19 +179,10 @@ def is_proper(p: ProjectedModule) -> bool:
 def projected_morphism_space(p: ProjectedModule, q: ProjectedModule):
     """Morphisms (M,T) -> (N,S): maps f on the images with f(T(h.m)) = S(h.f(m)).
 
-    Computed straight from the defining equation using the ambient data, so
-    it is an independent route to the intertwiner space of the restrictions.
+    On im T the map m -> T(h.m) is the action of the restriction, so these
+    are the intertwiners between restrict(p) and restrict(q), read from the
+    memoized restrictions.
     """
     if p.module.hopf != q.module.hopf:
         raise ValueError("different Hopf algebras")
-    incl_p = image_basis(p.t)
-    incl_q = image_basis(q.t)
-    d = p.module.hopf.dim
-    s, t_dim = incl_p.cols, incl_q.cols
-    if s == 0 or t_dim == 0:
-        return []
-    # matrices of m -> T(h.m) on im T and y -> S(h.y) on im S
-    a = [solve_matrix(incl_p, p.t * p.module.pi[i] * incl_p) for i in range(d)]
-    b = [solve_matrix(incl_q, q.t * q.module.pi[i] * incl_q) for i in range(d)]
-    ker = kernel_basis(intertwiner_system(a, b))
-    return [vec_to_mat(v, t_dim, s) for v in ker.vectors()]
+    return hom_space(restrict(p)[0], restrict(q)[0])

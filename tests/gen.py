@@ -9,6 +9,7 @@ generator bug cannot silently weaken a test.
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 
 from hopf_partial import hopf as hp
@@ -317,5 +318,28 @@ def count_partial_rep_checks(monkeypatch):
         return original(m)
 
     monkeypatch.setattr(pm, "_evaluate_partial_rep", counted)
+    standard_dilation.cache_clear()
+    return calls
+
+
+def count_solves(monkeypatch):
+    """Record the left-hand side of every linalg.solve_matrix call from now on.
+
+    Every hopf_partial module that imported solve_matrix gets the counting
+    wrapper too, so direct calls and calls made inside linalg are both
+    seen; the standard_dilation cache is cleared so that no earlier result
+    is reused.
+    """
+    calls = []
+    original = la.solve_matrix
+
+    def counted(a, b):
+        calls.append(a)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "hopf_partial" or name.startswith("hopf_partial.")) \
+                and getattr(module, "solve_matrix", None) is original:
+            monkeypatch.setattr(module, "solve_matrix", counted)
     standard_dilation.cache_clear()
     return calls

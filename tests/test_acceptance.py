@@ -86,8 +86,7 @@ def test_criterion_03_sweedler_classification():
         assert c * d == d * c and c * c == d * d
         if u_space.dim:
             incl = u_space.basis.transpose()
-            g_u = la.restrict_operator(g, incl)
-            x_u = la.restrict_operator(m.pi[2], incl)
+            g_u, x_u = la.restrict_operators([g, m.pi[2]], incl)
             u_mod = pm.PartialModule(H4, u_space.dim,
                                      (la.Mat.identity(u_space.dim),
                                       g_u, x_u, g_u * x_u))

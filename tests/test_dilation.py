@@ -118,6 +118,14 @@ def test_round_trip_checks_each_module_once(monkeypatch, hopf_name):
     assert len(calls) == 3
 
 
+def test_standard_dilation_solves_twice_against_its_inclusion(monkeypatch):
+    m = gen.random_ks3_partial(gen.rng("count"), 3)
+    calls = gen.count_solves(monkeypatch)
+    dil = dl.standard_dilation(m)
+    # the d translation operators and t in one solve, theta in the other
+    assert sum(a == dil.ambient_inclusion for a in calls) == 2
+
+
 def test_failed_restriction_is_not_memoized(monkeypatch):
     # t = [[1, -2], [0, 0]] breaks the commutation condition on kC2, and
     # its image carries g -> -2, which is not a partial representation

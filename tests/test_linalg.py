@@ -186,4 +186,4 @@ def test_restrict_operator_rejects_non_invariant():
     op = la.Mat([[0, 1], [1, 0]])
     incl = la.Mat([[1], [0]])
     with pytest.raises(ValueError):
-        la.restrict_operator(op, incl)
+        la.restrict_operators([op], incl)

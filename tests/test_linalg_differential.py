@@ -244,6 +244,50 @@ def test_inverse_matches_including_singular(pair):
         assert_same(la.inverse(a), expected)
 
 
+@st.composite
+def operator_families(draw):
+    """Entries of an n x k inclusion and of up to three n x n operators.
+
+    Three operators in four have the form incl R W, whose image lies in
+    the span of incl, so that invariant families are common.
+    """
+    n, k = draw(dims), draw(dims)
+    incl = draw(entries(n, k))
+    ref_incl = ref.Mat(incl, cols=k)
+    family = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.integers(min_value=0, max_value=3)):
+            r = ref.Mat(draw(raw_matrix(k, k)), cols=k)
+            w = ref.Mat(draw(raw_matrix(k, n)), cols=n)
+            family.append([list(row) for row in (ref_incl * r * w).entries])
+        else:
+            family.append(draw(entries(n, n)))
+    return n, k, incl, family
+
+
+@given(operator_families())
+@example((2, 1, [[1], [0]], []))
+@example((2, 0, [[], []], [[[1, 2], [3, 4]]]))
+@example((2, 2, [[1, 2], [0, "1/3"]],
+          [[[1, 2], [3, 4]], [["-1/2", 0], [5, 1]], [[0, 1], [1, 0]]]))
+# invariant under the first two operators, not under the last
+@example((2, 1, [[1], [0]], [[[2, 0], [0, 3]], [[1, 5], [0, 7]], [[0, 1], [1, 0]]]))
+@SETTINGS
+def test_restrict_operators_matches(family):
+    n, k, incl_entries, op_entries = family
+    incl, ref_incl = both(incl_entries, k)
+    ops = [both(e, n) for e in op_entries]
+    expected = [ref.solve_matrix(ref_incl, op * ref_incl) for _, op in ops]
+    if any(x is None for x in expected):
+        with pytest.raises(ValueError, match="not invariant"):
+            la.restrict_operators([op for op, _ in ops], incl)
+        return
+    got = la.restrict_operators([op for op, _ in ops], incl)
+    assert type(got) is tuple and len(got) == len(expected)
+    for new, old in zip(got, expected):
+        assert_same(new, old)
+
+
 @given(pairs())
 @SETTINGS
 def test_kernel_and_column_space_match(pair):

@@ -189,6 +189,21 @@ def _count_annihilated_calls(monkeypatch):
     return calls
 
 
+def test_restrict_solves_once_for_all_operators(monkeypatch, p36):
+    # the d matrices t pi(e_i) on im t come from one solve against incl
+    p = pj.ProjectedModule(p36.module, p36.t)
+    calls = gen.count_solves(monkeypatch)
+    _, incl = pj.restrict(p)
+    assert calls == [incl]
+
+
+def test_minimalize_solves_once_for_its_restriction(monkeypatch, p36):
+    # the d action matrices and t on the action closure of im t
+    calls = gen.count_solves(monkeypatch)
+    pj.minimalize(pj.ProjectedModule(p36.module, p36.t))
+    assert len(calls) == 1
+
+
 def test_minimalize_checks_an_unquotiented_module_once(monkeypatch, p36):
     # minimalize records that its result is minimal, so neither is_minimal
     # nor Dilation.build looks for a t-killed submodule again
@@ -245,12 +260,18 @@ def test_restriction_functor_fully_faithful():
     for _ in range(8):
         p = gen.random_projected(r)
         q = gen.random_projected(r)
-        if p.module.hopf != q.module.hopf:
-            continue
-        direct = pj.projected_morphism_space(p, q)
-        rp, _ = pj.restrict(p)
-        rq, _ = pj.restrict(q)
-        assert len(direct) == len(pm.hom_space(rp, rq))
+        for src, dst in ((p, q), (p, p)):
+            if src.module.hopf != dst.module.hopf:
+                continue
+            direct = pj.projected_morphism_space(src, dst)
+            r_src, _ = pj.restrict(src)
+            r_dst, incl_dst = pj.restrict(dst)
+            assert len(direct) == len(pm.hom_space(r_src, r_dst))
+            # f(T(h.m)) = S(h.f(m)) on im T, in the ambient data of dst
+            for f in direct:
+                for i in range(src.module.hopf.dim):
+                    assert (incl_dst * f * r_src.pi[i]
+                            == dst.t * dst.module.pi[i] * incl_dst * f)
 
 
 def test_annihilated_submodule_rejects_a_partial_module():
