@@ -215,7 +215,7 @@ def demo_dual_c2_modules():
     ok &= img.dim == 3
     details["image algebra dim"] = img.dim
 
-    eps0 = pm.epsilon_op(m, 0)
+    eps0 = pm.epsilon_ops(m)[0]
     ok &= eps0 == la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
     base = pm.base_subalgebra(m)
     ok &= base.dim == 2 and pm.base_subalgebra_commutes(m)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
-                     rank, restrict_operators, solve, solve_matrix,
-                     span_closure, vstack)
+                     rank, solve, solve_blocks, solve_matrix, span_closure,
+                     vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, intertwiner_system, is_global, is_module_iso)
 from .projection import ProjectedModule, is_minimal, is_proper, restrict
@@ -90,12 +90,13 @@ def standard_dilation(m: PartialModule) -> Dilation:
     incl = closure.basis.transpose()
 
     t_full = phi * _unit_evaluation(h, n)
-    ops = restrict_operators(acts + [t_full], incl)
-    module = PartialModule(h, closure.dim, ops[:-1])
-    projected = ProjectedModule.build(module, ops[-1])
+    # the closure is invariant under acts and t_full (whose image is im phi)
+    # and contains the columns of phi, so every block is consistent
+    *ops, t, theta = solve_blocks(incl, [a * incl for a in acts]
+                                  + [t_full * incl, phi])
+    module = PartialModule(h, closure.dim, tuple(ops))
+    projected = ProjectedModule.build(module, t)
 
-    theta = solve_matrix(incl, phi)
-    require(theta is not None, "phi does not land in the dilation space")
     dil = Dilation(m, projected, theta, proper=True, minimal=True,
                    ambient_inclusion=incl)
     report = check_dilation(dil)

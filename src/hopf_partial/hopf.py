@@ -16,8 +16,9 @@ the inverse antipode; construction fails if S is singular.
 Products, Sweedler sums and the axiom witnesses read sparse tables, built
 once per object in ``__post_init__``: ``mult_terms[i][j]`` lists the (k, c)
 with c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c)
-of Delta(e_i).  The algebras of ``actions`` carry ``mult_terms`` too.  They
-are attributes, not fields, so equality and hashing see only the arrays.
+of Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).
+The algebras of ``actions`` carry ``mult_terms`` too.  They are
+attributes, not fields, so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field
@@ -114,6 +115,9 @@ class HopfAlgebraData:
         object.__setattr__(self, "comult_terms", tuple(
             tuple((j, k, c) for j, row in enumerate(plane)
                   for k, c in enumerate(row) if c) for plane in self.comult))
+        object.__setattr__(self, "antipode_terms", tuple(
+            tuple((j, c) for j, c in enumerate(col) if c)
+            for col in self.antipode.col_list()))
 
     @staticmethod
     def build(dim, mult, unit, comult, counit, antipode, antipode_inv=None,

@@ -13,7 +13,9 @@ Products, sums and elimination run on Python integers.  Elimination is
 fraction-free: rows are kept primitive (integer rows with content 1),
 cross-multiplied to clear a column, and divided by their pivots only when
 the reduced echelon form is read off.  Every linear system a X = B, the
-inverse (B = I) included, is one elimination of the block [a | B], and a
+inverse (B = I) included, is one elimination of the block [a | B]; the
+systems a X_j = B_j of a family share one elimination of
+[a | B_1 | ... | B_k], cut back into blocks by `split_blocks`, so a
 family of operators gets its matrices on an invariant subspace from one
 elimination of [incl | op_1 incl | ... | op_k incl].  The entry views
 (``m[i, j]``, ``row``, ``col``, ``entries``) are `fractions.Fraction`s
@@ -618,22 +620,55 @@ def inverse(a: Mat) -> Mat:
     return x
 
 
+def split_blocks(m: Mat, heights, widths):
+    """m cut into a grid: block rows of the given heights, columns of the widths.
+
+    Returns a tuple of block rows, top to bottom, each a tuple of canonical
+    Mats, left to right.
+    """
+    if sum(heights) != m.rows or sum(widths) != m.cols:
+        raise ShapeError("block sizes do not add up to the matrix shape")
+    grid = []
+    r0 = 0
+    for h in heights:
+        rows = m.num[r0:r0 + h]
+        line = []
+        c0 = 0
+        for w in widths:
+            line.append(_reduced([row[c0:c0 + w] for row in rows], m.den, w))
+            c0 += w
+        grid.append(tuple(line))
+        r0 += h
+    return tuple(grid)
+
+
+def solve_blocks(a: Mat, blocks):
+    """One solution X_j of a X_j = B_j per block B_j, or None if one is inconsistent.
+
+    One elimination of [a | B_1 | ... | B_k]; the solution is cut back into
+    one canonical block per B_j.
+    """
+    blocks = list(blocks)
+    x = solve_matrix(a, hstack(blocks))
+    if x is None:
+        return None
+    return split_blocks(x, [a.cols], [b.cols for b in blocks])[0]
+
+
 def restrict_operators(ops, incl: Mat):
     """Matrices of each op on the invariant subspace spanned by the columns of incl.
 
     One elimination of [incl | op_1 incl | ... | op_k incl]; block j of the
-    solution, brought to canonical form, is the matrix of op_j.  Raises if
-    the subspace is not invariant under some op.
+    solution is the matrix of op_j.  Raises if the subspace is not
+    invariant under some op.
     """
     ops = list(ops)
     if not ops:
         return ()
-    x = solve_matrix(incl, hstack([op * incl for op in ops]))
-    if x is None:
+    blocks = solve_blocks(incl, [op * incl for op in ops])
+    if blocks is None:
         raise ValueError("subspace is not invariant under the operator")
-    k = incl.cols
-    return tuple(_reduced([row[j * k:(j + 1) * k] for row in x.num], x.den, k)
-                 for j in range(len(ops)))
+    return blocks
 
 
 def mat_to_vec(m: Mat):

@@ -7,6 +7,15 @@ Sweedler indices are expanded through the comultiplication structure
 constants, so every axiom is a finite exact matrix identity over basis
 pairs.
 
+The identities are measured by the deviation D(x, y) = pi(x) pi(y) - pi(xy).
+For any family of matrices D is bilinear in (x, y), so the deviations at
+antipode images are combinations of the deviations at basis elements:
+D(S e_i, y) = sum_a S_ai D(e_a, y) and D(x, S e_j) = sum_b S_bj D(x, e_b).
+The checker therefore works on stacked blocks: block column j stacks
+D(e_i, e_j) over i, block row i lays D(e_i, e_j) side by side over j, and
+each identity is one d n x d n table of n x n blocks assembled from d
+Sweedler sums of stacked products, not d^2 sums of small ones.
+
 Alongside the axiom checker this module computes the lattice of global
 behaviour inside a partial module: the global core (largest global
 submodule), the global shadow (largest global quotient), purity, morphism
@@ -18,10 +27,11 @@ from dataclasses import dataclass
 
 from .hopf import HopfAlgebraData, builtin
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     first_unstable, frac, inverse, kernel_basis, kron,
+                     first_unstable, frac, hstack, inverse, kernel_basis, kron,
                      left_mult_operator, mat_to_vec, quotient_map,
                      quotient_section, rank, restrict_operators,
-                     right_mult_operator, span_closure, vec_to_mat, vstack)
+                     right_mult_operator, span_closure, split_blocks,
+                     vec_to_mat, vstack)
 from .reports import Check, ValidationError, ValidationReport, require
 
 
@@ -48,11 +58,7 @@ class PartialModule:
     def pi_vec(self, coeffs):
         """pi of a general Hopf element given by its coefficient vector."""
         return _mat_sum(((self.pi[i], c) for i, c in enumerate(coeffs) if c),
-                        self.dim)
-
-    def pi_antipode(self, i):
-        """pi(S(e_i))."""
-        return self.pi_vec(self.hopf.antipode.col(i))
+                        self.dim, self.dim)
 
 
 def _memo(obj, name, compute):
@@ -73,22 +79,31 @@ def _memo(obj, name, compute):
 
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
     """The n x n matrix sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
-    return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), n)
+    return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), n, n)
 
 
-def _mat_sum(terms, n):
-    """sum c m over (m, c) pairs; unscaled when c == 1, Mat.zeros(n, n) if none."""
+def _mat_sum(terms, rows, cols):
+    """sum c m over (m, c) pairs; unscaled when c == 1, zeros(rows, cols) if none."""
     mats = [m if c == 1 else m.scale(c) for m, c in terms]
-    return sum(mats[1:], mats[0]) if mats else Mat.zeros(n, n)
+    return sum(mats[1:], mats[0]) if mats else Mat.zeros(rows, cols)
 
 
-def twisted_conjugate(m: PartialModule, t: Mat, i, tilde) -> Mat:
-    """pi(e_i (1)) t pi(S(e_i (2))), or pi(S(e_i (1))) t pi(e_i (2)) with tilde."""
-    if tilde:
-        return comult_sum(m.hopf, i, m.dim,
-                          lambda a, b: m.pi_antipode(a) * t * m.pi[b])
-    return comult_sum(m.hopf, i, m.dim,
-                      lambda a, b: m.pi[a] * t * m.pi_antipode(b))
+def antipode_images(m: PartialModule):
+    """(pi(S e_0), ..., pi(S e_{d-1})), summed over the sparse antipode columns."""
+    return tuple(_mat_sum(((m.pi[j], c) for j, c in terms), m.dim, m.dim)
+                 for terms in m.hopf.antipode_terms)
+
+
+def twisted_conjugate(m: PartialModule, t, i, tilde, pi_s) -> Mat:
+    """pi(e_i (1)) t pi(S(e_i (2))), or pi(S(e_i (1))) t pi(e_i (2)) with tilde.
+
+    pi_s is antipode_images(m), built once by the caller for a whole family
+    of conjugates; t None stands for the identity.
+    """
+    left, right = (pi_s, m.pi) if tilde else (m.pi, pi_s)
+    if t is None:
+        return comult_sum(m.hopf, i, m.dim, lambda a, b: left[a] * right[b])
+    return comult_sum(m.hopf, i, m.dim, lambda a, b: left[a] * t * right[b])
 
 
 def diagonal_action(h: HopfAlgebraData, left, right):
@@ -118,28 +133,46 @@ def intertwiner_system(src, dst) -> Mat:
                    for a, b in zip(src, dst)])
 
 
-def epsilon_op(m: PartialModule, i) -> Mat:
-    """The operator of eps_{e_i} = pi(e_i (1)) pi(S(e_i (2)))."""
-    return twisted_conjugate(m, Mat.identity(m.dim), i, tilde=False)
+def epsilon_ops(m: PartialModule, tilde=False):
+    """The operators eps_{e_i} = pi(e_i (1)) pi(S(e_i (2))) for i = 0..d-1.
+
+    With tilde, their twins pi(S(e_i (1))) pi(e_i (2)).
+    """
+    pi_s = antipode_images(m)
+    return tuple(twisted_conjugate(m, None, i, tilde, pi_s)
+                 for i in range(m.hopf.dim))
 
 
-def epsilon_tilde_op(m: PartialModule, i) -> Mat:
-    """The twin operator pi(S(e_i (1))) pi(e_i (2))."""
-    return twisted_conjugate(m, Mat.identity(m.dim), i, tilde=True)
+def _deviation_columns(m: PartialModule):
+    """The block columns of the deviation table, one at a time, j = 0..d-1.
 
-
-def _deviation_table(m: PartialModule, xs, ys):
-    """D[x][y] = pi(x) pi(y) - pi(xy) for Hopf coefficient vectors x in xs, y in ys."""
-    pi_xs = [m.pi_vec(x) for x in xs]
-    pi_ys = [m.pi_vec(y) for y in ys]
-    return [[px * py - m.pi_vec(m.hopf.el_mult(x, y)) for y, py in zip(ys, pi_ys)]
-            for x, px in zip(xs, pi_xs)]
+    Block column j is the d n x n matrix stacking D(e_i, e_j) over i:
+    vstack(pi) pi(e_j) minus the stacked pi(e_i e_j), which are read from
+    the sparse multiplication table.  A caller that stops early skips the
+    remaining products.
+    """
+    h, n = m.hopf, m.dim
+    stacked = vstack(m.pi)
+    for j, p in enumerate(m.pi):
+        yield stacked * p - vstack(
+            [_mat_sum(((m.pi[k], c) for k, c in h.mult_terms[i][j]), n, n)
+             for i in range(h.dim)])
 
 
 def _basis_deviations(m: PartialModule):
     """pi(e_i) pi(e_j) - pi(e_i e_j) for all basis pairs, row-major."""
-    basis = Mat.identity(m.hopf.dim).col_list()
-    return [dev for row in _deviation_table(m, basis, basis) for dev in row]
+    n, d = m.dim, m.hopf.dim
+    table = hstack(list(_deviation_columns(m)))
+    return [dev for row in split_blocks(table, [n] * d, [n] * d) for dev in row]
+
+
+def _first_nonzero_block(table: Mat, d, n):
+    """First (i, j) in row-major order whose n x n block of table is nonzero."""
+    if table.is_zero():
+        return None
+    grid = split_blocks(table, [n] * d, [n] * d)
+    return next((i, j) for i, row in enumerate(grid)
+                for j, block in enumerate(row) if not block.is_zero())
 
 
 def check_partial_rep(m: PartialModule) -> ValidationReport:
@@ -155,37 +188,62 @@ def check_partial_rep(m: PartialModule) -> ValidationReport:
 
 
 def _evaluate_partial_rep(m: PartialModule):
-    """The PR1-PR5 Checks of m, in order."""
+    """The PR1-PR5 Checks of m, in order.
+
+    Block (i, j) of each identity's table is, with Delta(e) = sum c e_a (x) e_b,
+      PR2: sum over Delta(e_j) of c D(e_i, e_a) pi(S e_b),
+      PR3: sum over Delta(e_i) of c pi(e_a) D(S e_b, e_j),
+      PR4: sum over Delta(e_j) of c D(e_i, S e_a) pi(e_b),
+      PR5: sum over Delta(e_i) of c pi(S e_a) D(e_b, e_j).
+    PR2 and PR4 are built a block column j at a time from the stacked
+    columns D(., e_a) and D(., S e_a), PR3 and PR5 a block row i at a time
+    from the rows D(e_b, .) and D(S e_b, .).  The twisted columns and rows
+    come from the untwisted ones by bilinearity, as sums over the sparse
+    antipode columns, so the products are the d deviation columns and one
+    stacked product per Sweedler term and identity.  The witness is the
+    first (i, j) in row-major order whose block is nonzero.
+    """
     h = m.hopf
     d = h.dim
     n = m.dim
     checks = [Check("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))]
 
-    basis = Mat.identity(d).col_list()
-    s_cols = h.antipode.col_list()
-    piS = [m.pi_vec(s) for s in s_cols]
-    dev = _deviation_table(m, basis, basis)
-    dev_sb = _deviation_table(m, s_cols, basis)
-    dev_bs = _deviation_table(m, basis, s_cols)
+    pi_s = antipode_images(m)
+    cols = list(_deviation_columns(m))
+    rows = [row for (row,) in split_blocks(hstack(cols), [n] * d, [d * n])]
+    cols_s = [_mat_sum(((cols[b], c) for b, c in terms), d * n, n)
+              for terms in h.antipode_terms]
+    rows_s = [_mat_sum(((rows[a], c) for a, c in terms), n, d * n)
+              for terms in h.antipode_terms]
 
-    identities = (
-        ("PR2", lambda i, j: comult_sum(h, j, n, lambda a, b: dev[i][a] * piS[b])),
-        ("PR3", lambda i, j: comult_sum(h, i, n, lambda a, b: m.pi[a] * dev_sb[b][j])),
-        ("PR4", lambda i, j: comult_sum(h, j, n, lambda a, b: dev_bs[i][a] * m.pi[b])),
-        ("PR5", lambda i, j: comult_sum(h, i, n, lambda a, b: piS[a] * dev[b][j])),
-    )
-    for name, deviation in identities:
-        w = next(((i, j) for i in range(d) for j in range(d)
-                  if not deviation(i, j).is_zero()), None)
+    def by_columns(dev, right):
+        return hstack([_mat_sum(((dev[a] * right[b], c)
+                                 for a, b, c in h.comult_terms[j]), d * n, n)
+                       for j in range(d)])
+
+    def by_rows(left, dev):
+        return vstack([_mat_sum(((left[a] * dev[b], c)
+                                 for a, b, c in h.comult_terms[i]), n, d * n)
+                       for i in range(d)])
+
+    tables = (("PR2", by_columns(cols, pi_s)),
+              ("PR3", by_rows(m.pi, rows_s)),
+              ("PR4", by_columns(cols_s, m.pi)),
+              ("PR5", by_rows(pi_s, rows)))
+    for name, table in tables:
+        w = _first_nonzero_block(table, d, n)
         checks.append(Check(name, w is None, w))
     return tuple(checks)
 
 
 def is_algebra_map(m: PartialModule) -> bool:
-    """Direct globality test: pi respects unit and products of basis elements."""
+    """Direct globality test: pi respects unit and products of basis elements.
+
+    The deviation columns are read one at a time, up to the first nonzero.
+    """
     if m.pi_vec(m.hopf.unit) != Mat.identity(m.dim):
         return False
-    return all(dev.is_zero() for dev in _basis_deviations(m))
+    return all(col.is_zero() for col in _deviation_columns(m))
 
 
 def is_global(m: PartialModule) -> bool:
@@ -194,12 +252,10 @@ def is_global(m: PartialModule) -> bool:
     When that holds, pi is an algebra map; this consequence is re-checked
     rather than trusted.
     """
-    n = m.dim
-    ident = Mat.identity(n)
-    for i in range(m.hopf.dim):
-        if epsilon_op(m, i) != ident.scale(m.hopf.counit[i]):
-            return False
-    require(all(dev.is_zero() for dev in _basis_deviations(m)),
+    ident = Mat.identity(m.dim)
+    if any(eps != ident.scale(c) for eps, c in zip(epsilon_ops(m), m.hopf.counit)):
+        return False
+    require(all(col.is_zero() for col in _deviation_columns(m)),
             "epsilon condition holds but pi is not multiplicative; "
             "input is not a valid partial module")
     return True
@@ -207,10 +263,10 @@ def is_global(m: PartialModule) -> bool:
 
 def global_core(m: PartialModule) -> Subspace:
     """Largest global submodule: {v : pi(e_i) pi(e_j) v = pi(e_i e_j) v}."""
-    devs = [mat for mat in _basis_deviations(m) if not mat.is_zero()]
-    if not devs:
+    devs = vstack(list(_deviation_columns(m)))
+    if devs.is_zero():
         return Subspace.full(m.dim)
-    core = kernel_basis(vstack(devs))
+    core = kernel_basis(devs)
     sub, _ = restrict_to_invariant(m, core)
     require(is_global(sub), "core restriction is not global; invalid input")
     return core
@@ -219,10 +275,7 @@ def global_core(m: PartialModule) -> Subspace:
 def global_shadow(m: PartialModule):
     """Largest global quotient with the induced action and its projection."""
     n = m.dim
-    rel = Subspace.zero(n)
-    for mat in _basis_deviations(m):
-        rel = rel.add(column_space(mat))
-    rel = span_closure(rel, m.pi)
+    rel = span_closure(column_space(hstack(_basis_deviations(m))), m.pi)
     q, qdim, pis = quotient_action(n, rel, m.pi)
     shadow = PartialModule(m.hopf, qdim, tuple(pis))
     require(check_partial_rep(shadow).ok, "shadow fails the partial axioms")
@@ -309,11 +362,11 @@ def image_algebra(m: PartialModule) -> Subspace:
 
 def base_subalgebra(m: PartialModule) -> Subspace:
     """Multiplicative span of the epsilon operators together with the identity."""
-    return _generated_algebra(m.dim, [epsilon_op(m, i) for i in range(m.hopf.dim)])
+    return _generated_algebra(m.dim, epsilon_ops(m))
 
 
 def base_subalgebra_commutes(m: PartialModule) -> bool:
-    eps = [epsilon_op(m, i) for i in range(m.hopf.dim)]
+    eps = epsilon_ops(m)
     return all(a * b == b * a for a in eps for b in eps)
 
 
@@ -337,8 +390,8 @@ def _balanced_word_pairs(m: PartialModule, n: PartialModule):
     """
     dm, dn = m.dim, n.dim
     amb = dm * dm + dn * dn
-    tm = [epsilon_tilde_op(m, i) for i in range(m.hopf.dim)]
-    en = [epsilon_op(n, i) for i in range(n.hopf.dim)]
+    tm = epsilon_ops(m, tilde=True)
+    en = epsilon_ops(n)
     seed_vecs = [mat_to_vec(Mat.identity(dm)) + mat_to_vec(Mat.identity(dn))]
     for a, b in zip(tm, en):
         seed_vecs.append(mat_to_vec(a) + mat_to_vec(b))

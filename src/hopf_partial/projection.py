@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .linalg import (Mat, Subspace, column_space, first_unstable, kernel_basis,
                      pivot_columns, restrict_operators, span_closure, vstack)
-from .partial import (PartialModule, _memo, check_partial_rep, hom_space,
-                      is_algebra_map, quotient_action, twisted_conjugate)
+from .partial import (PartialModule, _memo, antipode_images, check_partial_rep,
+                      hom_space, is_algebra_map, quotient_action,
+                      twisted_conjugate)
 from .reports import ValidationError, ValidationReport
 
 
@@ -47,12 +48,14 @@ class ProjectedModule:
 
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
     """T_{e_i} = pi(e_i (1)) t pi(S(e_i (2)))."""
-    return twisted_conjugate(p.module, p.t, i, tilde=False)
+    return twisted_conjugate(p.module, p.t, i, tilde=False,
+                             pi_s=antipode_images(p.module))
 
 
 def tilde_op(p: ProjectedModule, i: int) -> Mat:
     """The S-twisted twin pi(S(e_i (1))) t pi(e_i (2))."""
-    return twisted_conjugate(p.module, p.t, i, tilde=True)
+    return twisted_conjugate(p.module, p.t, i, tilde=True,
+                             pi_s=antipode_images(p.module))
 
 
 def check_c_condition(module: PartialModule, t: Mat):
@@ -62,8 +65,9 @@ def check_c_condition(module: PartialModule, t: Mat):
     """
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
+    pi_s = antipode_images(module)
     for i in range(module.hopf.dim):
-        ti = twisted_conjugate(module, t, i, tilde=False)
+        ti = twisted_conjugate(module, t, i, tilde=False, pi_s=pi_s)
         if ti * t != t * ti:
             return False, i
     return True, None
@@ -86,8 +90,9 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     d = module.hopf.dim
-    adj = [twisted_conjugate(module, t, i, tilde=False) for i in range(d)]
-    tld = [twisted_conjugate(module, t, i, tilde=True) for i in range(d)]
+    pi_s = antipode_images(module)
+    adj = [twisted_conjugate(module, t, i, tilde=False, pi_s=pi_s) for i in range(d)]
+    tld = [twisted_conjugate(module, t, i, tilde=True, pi_s=pi_s) for i in range(d)]
     report = ValidationReport("equivalence lemma")
     w1 = next((i for i in range(d) if adj[i] * t != t * adj[i]), None)
     report.record("(i) c-condition", w1 is None, w1)

@@ -92,7 +92,10 @@ def _sweedler_pure_pair(r, w):
 
 
 def random_sweedler_partial(r, max_dim) -> pm.PartialModule:
-    dim = r.randint(1, max_dim)
+    return _sweedler_partial_of_dim(r, r.randint(1, max_dim))
+
+
+def _sweedler_partial_of_dim(r, dim) -> pm.PartialModule:
     up, um, w = split_dims(r, dim, 3)
     a = la.Mat([[rand_frac(r, 1) for _ in range(um)] for _ in range(up)], cols=um)
     b = la.Mat.zeros(um, up)
@@ -225,6 +228,48 @@ def random_partial(r, hopf_name, max_dim) -> pm.PartialModule:
     return GENERATORS[hopf_name](r, max_dim)
 
 
+GROUP_TABLES = {"kC2": hp.cyclic_table(2), "kC3": hp.cyclic_table(3),
+                "kS3": hp.s3_table(), "kC2-dual": hp.cyclic_table(2),
+                "kC2xC2-dual": hp.klein_table()}
+
+
+def random_builtin_partial(r, hopf_name, dim) -> pm.PartialModule:
+    """A partial module of exactly the given dimension over any builtin.
+
+    A group algebra kG acts by the partial action on a random set of dim
+    points of two copies of the regular G-set; a dual group algebra by a
+    direct sum of the characters p_h -> [h in gK] / |K| of random cosets
+    gK; the Sweedler algebra as in random_sweedler_partial.  The module is
+    carried to a random basis.
+    """
+    h = hp.builtin(hopf_name)
+    if dim == 0:
+        return pm.PartialModule(h, 0, (la.Mat.zeros(0, 0),) * h.dim)
+    if hopf_name == "sweedler":
+        return _sweedler_partial_of_dim(r, dim)
+    table = GROUP_TABLES[hopf_name]
+    d = len(table)
+    if hopf_name.endswith("-dual"):
+        subgroups = [set(s) for size in range(1, d + 1)
+                     for s in itertools.combinations(range(d), size)
+                     if 0 in s and all(table[a][b] in s for a in s for b in s)]
+        chars = []
+        for _ in range(dim):
+            k, g = r.choice(subgroups), r.randrange(d)
+            coset = {table[g][x] for x in k}
+            chars.append([F(1, len(k)) if x in coset else 0 for x in range(d)])
+        pis = tuple(la.Mat([[chars[p][x] if p == q else 0 for q in range(dim)]
+                            for p in range(dim)]) for x in range(d))
+    else:
+        points = r.sample([(c, p) for c in range(2) for p in range(d)], dim)
+        pis = tuple(la.Mat([[1 if (c, table[g][p]) == points[i] else 0
+                             for c, p in points] for i in range(dim)])
+                    for g in range(d))
+    base = pm.PartialModule(h, dim, pis)
+    assert pm.check_partial_rep(base).ok
+    return conjugate_module(base, rand_invertible(r, dim))
+
+
 def random_global(r, hopf_name, max_dim) -> pm.PartialModule:
     return GLOBAL_GENERATORS[hopf_name](r, max_dim)
 
@@ -319,6 +364,19 @@ def count_partial_rep_checks(monkeypatch):
 
     monkeypatch.setattr(pm, "_evaluate_partial_rep", counted)
     standard_dilation.cache_clear()
+    return calls
+
+
+def count_products(monkeypatch):
+    """Record the operand shapes of every Mat product from now on."""
+    calls = []
+    original = la.Mat.__mul__
+
+    def counted(a, b):
+        calls.append(((a.rows, a.cols), (b.rows, b.cols)))
+        return original(a, b)
+
+    monkeypatch.setattr(la.Mat, "__mul__", counted)
     return calls
 
 

@@ -118,12 +118,12 @@ def test_round_trip_checks_each_module_once(monkeypatch, hopf_name):
     assert len(calls) == 3
 
 
-def test_standard_dilation_solves_twice_against_its_inclusion(monkeypatch):
+def test_standard_dilation_solves_once_against_its_inclusion(monkeypatch):
     m = gen.random_ks3_partial(gen.rng("count"), 3)
     calls = gen.count_solves(monkeypatch)
     dil = dl.standard_dilation(m)
-    # the d translation operators and t in one solve, theta in the other
-    assert sum(a == dil.ambient_inclusion for a in calls) == 2
+    # the d translation operators, t and theta in one solve
+    assert sum(a == dil.ambient_inclusion for a in calls) == 1
 
 
 def test_failed_restriction_is_not_memoized(monkeypatch):

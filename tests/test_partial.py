@@ -126,7 +126,7 @@ def test_base_subalgebra_examples(graded):
     base = pm.base_subalgebra(reg)
     assert base.dim == 1  # global: eps operators are scalars
 
-    eps0 = pm.epsilon_op(graded, 0)
+    eps0 = pm.epsilon_ops(graded)[0]
     assert eps0 == la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
     base = pm.base_subalgebra(graded)
     assert base.dim == 2
@@ -134,12 +134,12 @@ def test_base_subalgebra_examples(graded):
 
     w1 = pm.w_n_module(1)
     # eps_g = pi(g) pi(S(g)) = 0; eps_x = pi(g)pi(-y) + pi(x)pi(1) = 0 on W1
-    assert pm.epsilon_op(w1, 1).is_zero()
-    assert pm.epsilon_op(w1, 2).is_zero()
+    assert pm.epsilon_ops(w1)[1].is_zero()
+    assert pm.epsilon_ops(w1)[2].is_zero()
     w2 = pm.w_n_module(2)
     shift = w2.pi[2]
-    assert pm.epsilon_op(w2, 1).is_zero()
-    assert pm.epsilon_op(w2, 2) == shift  # g-part dies, x-part survives
+    assert pm.epsilon_ops(w2)[1].is_zero()
+    assert pm.epsilon_ops(w2)[2] == shift  # g-part dies, x-part survives
 
 
 def test_tensor_with_global(graded):
@@ -332,6 +332,19 @@ def test_check_partial_rep_passes_on_generator_output():
     for name in ("kC2-dual", "sweedler", "kS3"):
         for _ in range(4):
             assert pm.check_partial_rep(gen.random_partial(r, name, 4)).ok
+
+
+@pytest.mark.parametrize("name, products", [("kS3", 30), ("sweedler", 28)])
+def test_check_partial_rep_makes_one_product_per_column_and_sweedler_term(
+        name, products, monkeypatch):
+    # d deviation columns, then one stacked product per Sweedler term in
+    # each of PR2-PR5
+    m = gen.random_partial(gen.rng(f"products-{name}"), name, 3)
+    h = m.hopf
+    assert products == h.dim + 4 * sum(len(t) for t in h.comult_terms)
+    calls = gen.count_products(monkeypatch)
+    assert pm.check_partial_rep(m).ok
+    assert len(calls) == products
 
 
 def test_check_partial_rep_evaluates_once_and_hands_out_new_reports(monkeypatch):

@@ -93,8 +93,8 @@ def test_adjoint_linearity(p37):
     direct = la.Mat.zeros(4, 4)
     for i, c in enumerate(coeffs):
         for a, b, cf in H4.comult_pairs(i):
-            direct = direct + (p37.module.pi[a] * p37.t
-                               * p37.module.pi_antipode(b)).scale(c * cf)
+            pi_sb = p37.module.pi_vec(H4.antipode.col(b))
+            direct = direct + (p37.module.pi[a] * p37.t * pi_sb).scale(c * cf)
     assert combo == direct
 
 
