@@ -7,6 +7,16 @@ convolution product; the comparison maps between the partial smash
 product and the smash product of the globalization are then plain
 matrices whose claimed properties (mutually inverse, multiplicative,
 bimodule stability, surjective Morita maps) are all checked exactly.
+
+Every product and every Sweedler sum over a tensor product is a matrix
+built from two constructions: the regular representation of an algebra
+given by structure constants (the left and right multiplications L_s and
+R_s of `hopf.left_mults` and `hopf.right_mults`), and the diagonal action
+`partial.diagonal_action`.  So A # H acts on A (x) H by (L_a (x) 1)
+composed with the diagonal action of h, and B is a module algebra exactly
+when its product mu: B (x) B -> B is H-linear.  Each axiom is a matrix
+identity whose witness is read off the first nonzero column of the
+difference.
 """
 
 from dataclasses import dataclass
@@ -14,13 +24,15 @@ from dataclasses import dataclass
 from .dilation import (_factor_through, _translates, dilate_morphism,
                        standard_dilation)
 from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
-                   _mult_terms, _unit_witness, alg_prod, comult_vec_sum)
-from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     frac, kron, rank, restrict_operators, solve, solve_matrix,
-                     unit_vec, vec_scale)
-from .partial import (ModuleMorphism, PartialModule, _memo, check_partial_rep,
-                      diagonal_action, is_global, regular_module,
-                      tensor_with_global)
+                   _mult_terms, _unit_witness, alg_prod, left_mults, mult_by,
+                   right_mults)
+from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
+                     column_space, first_nonzero_col, first_unstable, frac,
+                     hstack, kron, mat_to_vec, rank, restrict_operators, solve,
+                     solve_matrix, vec_scale, vstack)
+from .partial import (ModuleMorphism, PartialModule, _memo, antipode_images,
+                      check_partial_rep, diagonal_action, is_global,
+                      regular_module, tensor_with_global)
 from .reports import ValidationError, ValidationReport
 
 
@@ -43,7 +55,9 @@ class PartialModuleAlgebra:
         alg_unit = tuple(frac(x) for x in alg_unit)
         action = tuple(a if isinstance(a, Mat) else Mat(a) for a in action)
         dim = len(alg_unit)
-        if len(alg_mult) != dim or len(action) != hopf.dim:
+        if (len(alg_mult) != dim or len(action) != hopf.dim
+                or any(len(plane) != dim or any(len(row) != dim for row in plane)
+                       for plane in alg_mult)):
             raise ShapeError("inconsistent algebra data")
         if any(a.rows != dim or a.cols != dim for a in action):
             raise ShapeError("action matrix size mismatch")
@@ -60,9 +74,6 @@ class PartialModuleAlgebra:
         """
         return _memo(self, "_module",
                      lambda: PartialModule(self.hopf, self.dim, self.action))
-
-    def act(self, i, u):
-        return self.action[i].apply(u)
 
 
 @dataclass(frozen=True)
@@ -115,21 +126,15 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     PA1: the unit of H acts as the identity; PA2: multiplicativity through
     the coproduct; PA3 and PA3' are the two symmetric composition rules.
     """
-    h = b.hopf
-    d = h.dim
     mod = b.as_module()
     report = ValidationReport("partial module algebra")
     report.record("algebra associativity", *_flag(_associativity_witness(b.mult_terms)))
     report.record("algebra unit", _unit_witness(b.mult_terms, b.alg_unit) is None)
-    report.record("PA1", mod.pi_vec(h.unit) == Mat.identity(b.dim))
-    report.record("PA2", *_flag(_pa2_witness(b)))
-
-    table = _translate_table(b, mod)
-    for name, primed in (("PA3", False), ("PA3'", True)):
-        witness = next(((i, k, j) for i in range(d) for k in range(d)
-                        for j in range(b.dim)
-                        if not _pa3_holds(b, table, i, k, j, primed)), None)
-        report.record(name, *_flag(witness))
+    report.record("PA1", mod.pi_vec(b.hopf.unit) == Mat.identity(b.dim))
+    report.record("PA2", *_flag(_first_difference(_pa2_sides(b), b.dim)))
+    pa3, pa3_primed = _pa3_sides(b)
+    report.record("PA3", *_flag(_first_difference(pa3, b.dim)))
+    report.record("PA3'", *_flag(_first_difference(pa3_primed, b.dim)))
 
     mod_report = check_partial_rep(mod)
     report.record("underlying partial module", mod_report.ok,
@@ -141,31 +146,47 @@ def _flag(witness):
     return witness is None, witness
 
 
-def _pa2_witness(b):
-    """First (i, a, c) where e_i . (e_a e_c) != (e_i(1) . e_a)(e_i(2) . e_c)."""
-    cols = [m.col_list() for m in b.action]
-    return next(((i, a, c) for i in range(b.hopf.dim)
-                 for a in range(b.dim) for c in range(b.dim)
-                 if b.action[i].apply(b.alg_mult[a][c]) != comult_vec_sum(
-                     b.hopf, i, b.dim, lambda p, q: b.prod(cols[p][a], cols[q][c]))),
-                None)
+def _first_difference(sides, width):
+    """(i, *divmod(j, width)) for the first pair (lhs_i, rhs_i) of sides that
+    differs, j the first nonzero column of lhs_i - rhs_i; None if none does."""
+    return next(((i, *divmod(first_nonzero_col(lhs - rhs), width))
+                 for i, (lhs, rhs) in enumerate(sides) if lhs != rhs), None)
 
 
-def _translate_table(b, mod):
-    """table[p][k] = pi(e_p e_k) on the algebra, for every basis pair."""
-    d = b.hopf.dim
-    return [[mod.pi_vec(b.hopf.mult_vec(p, k)) for k in range(d)]
-            for p in range(d)]
+def _pa2_sides(b):
+    """Per e_i, pi(e_i) mu and mu D_i, with mu: B (x) B -> B the product and
+    D the diagonal action on B (x) B: column (a, c) of the two sides is
+    e_i . (e_a e_c) and (e_i(1) . e_a)(e_i(2) . e_c), the PA2 witness."""
+    mu = Mat.from_cols([v for plane in b.alg_mult for v in plane], b.dim)
+    diag = diagonal_action(b.hopf, b.action, b.action)
+    return [(a * mu, mu * di) for a, di in zip(b.action, diag)]
 
 
-def _pa3_holds(b, table, i, k, j, primed):
-    """PA3 (or PA3') at (e_i, e_k, b_j); table = _translate_table(b, mod)."""
-    def term(p, q):
-        if primed:
-            return b.prod(table[p][k].col(j), b.act(q, b.alg_unit))
-        return b.prod(b.act(p, b.alg_unit), table[q][k].col(j))
-    lhs = b.action[i].apply(b.action[k].col(j))
-    return lhs == comult_vec_sum(b.hopf, i, b.dim, term)
+def _pa3_sides(b):
+    """The sides of PA3 and of PA3' per e_i, as m x d m block rows over k.
+
+    Block k of the left side is pi(e_i) pi(e_k).  With Delta(e_i) =
+    sum c e_p (x) e_q, block k of the right side is sum c L(e_p . 1)
+    pi(e_q e_k) for PA3 and sum c R(e_q . 1) pi(e_p e_k) for PA3'.
+    """
+    h, m = b.hopf, b.dim
+    mod = b.as_module()
+    ones = [a.apply(b.alg_unit) for a in b.action]
+    left_b, right_b = left_mults(b.alg_mult, m), right_mults(b.alg_mult, m)
+    left = [mult_by(left_b, u) for u in ones]
+    right = [mult_by(right_b, u) for u in ones]
+    translates = [hstack([mod.pi_vec(h.mult_vec(p, k)) for k in range(h.dim)])
+                  for p in range(h.dim)]
+    stacked = hstack(b.action)
+    lhs = [a * stacked for a in b.action]
+
+    def sides(term):
+        return [(lhs[i], _mat_sum(((term(p, q), c) for p, q, c in h.comult_terms[i]),
+                                  m, h.dim * m))
+                for i in range(h.dim)]
+
+    return (sides(lambda p, q: left[p] * translates[q]),
+            sides(lambda p, q: right[q] * translates[p]))
 
 
 def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
@@ -174,10 +195,11 @@ def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
     mod = b.as_module()
     report.record("action multiplicative",
                   check_partial_rep(mod).ok and is_global(mod))
-    report.record("action through the coproduct", *_flag(_pa2_witness(b)))
+    report.record("action through the coproduct",
+                  *_flag(_first_difference(_pa2_sides(b), b.dim)))
     report.record("unit scaled by counit",
-                  all(b.act(i, b.alg_unit) == vec_scale(b.alg_unit, b.hopf.counit[i])
-                      for i in range(b.hopf.dim)))
+                  all(a.apply(b.alg_unit) == vec_scale(b.alg_unit, c)
+                      for a, c in zip(b.action, b.hopf.counit)))
     return report
 
 
@@ -192,25 +214,19 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
     if not glob.ok:
         raise ValidationError(glob)
     e = tuple(frac(x) for x in e)
-    if b_global.prod(e, e) != e:
+    left = left_mults(b_global.alg_mult, b_global.dim)
+    left_e = mult_by(left, e)
+    if left_e.apply(e) != e:
         raise ValidationError("e is not idempotent")
-    if any(b_global.prod(e, unit_vec(b_global.dim, j))
-           != b_global.prod(unit_vec(b_global.dim, j), e)
-           for j in range(b_global.dim)):
+    if left_e != mult_by(right_mults(b_global.alg_mult, b_global.dim), e):
         raise ValidationError("e is not central")
 
-    left_e = Mat.from_cols([b_global.prod(e, unit_vec(b_global.dim, j))
-                            for j in range(b_global.dim)], b_global.dim)
     space = column_space(left_e)
     incl = space.basis.transpose()
     sub_dim = space.dim
-    if sub_dim == 0:
-        return PartialModuleAlgebra.build(
-            b_global.hopf, [], [], [Mat.zeros(0, 0)] * b_global.hopf.dim)
-
-    basis = incl.col_list()
-    prods = [b_global.prod(u, v) for u in basis for v in basis]
-    *coords, unit = _coords(incl, prods + [e], "eB is not closed as expected")
+    prods = [mult_by(left, u) * incl for u in incl.col_list()]
+    *coords, unit = _coords(incl, hstack(prods + [_col(e)]),
+                            "eB is not closed as expected")
     mult = [coords[i * sub_dim:(i + 1) * sub_dim] for i in range(sub_dim)]
     action = restrict_operators([left_e * a for a in b_global.action], incl)
     out = PartialModuleAlgebra.build(b_global.hopf, mult, unit, action)
@@ -226,71 +242,64 @@ def direct_product(algebras) -> PartialModuleAlgebra:
     h = algebras[0].hopf
     if any(a.hopf != h for a in algebras):
         raise ValueError("different Hopf algebras")
-    dim = sum(a.dim for a in algebras)
-    mult = [[[frac(0)] * dim for _ in range(dim)] for _ in range(dim)]
-    unit = []
-    offset = 0
-    for a in algebras:
-        for i in range(a.dim):
-            for j in range(a.dim):
-                for k in range(a.dim):
-                    mult[offset + i][offset + j][offset + k] = a.alg_mult[i][j][k]
-        unit.extend(a.alg_unit)
-        offset += a.dim
+    # e_s of a factor multiplies by L_s on its block and by 0 elsewhere
+    zeros = [Mat.zeros(a.dim, a.dim) for a in algebras]
+    mult = [block_diag(zeros[:n] + [left] + zeros[n + 1:]).col_list()
+            for n, a in enumerate(algebras) for left in left_mults(a.alg_mult, a.dim)]
+    unit = [x for a in algebras for x in a.alg_unit]
     action = [block_diag([a.action[i] for a in algebras]) for i in range(h.dim)]
     return PartialModuleAlgebra.build(h, mult, unit, action)
 
 
-# -- the partial smash product ------------------------------------------------
-
-def _smash_projector(b: PartialModuleAlgebra) -> Mat:
-    """The idempotent b (x) h -> b (h_(1) . 1) (x) h_(2) on B (x) H."""
-    h = b.hopf
-    m, d = b.dim, h.dim
-    cols = [comult_vec_sum(h, hi, m * d, lambda p, q: _tensor_vec(
-                b.prod(unit_vec(m, bi), b.act(p, b.alg_unit)), unit_vec(d, q)))
-            for bi in range(m) for hi in range(d)]
-    return Mat.from_cols(cols, m * d)
+def _col(v):
+    """The vector v as a one-column matrix."""
+    return Mat.from_cols([v], len(v))
 
 
-def _action_cols(alg):
-    """cols[p][c]: the nonzero (s, x) of column c of the action of e_p."""
-    return [[tuple((s, x) for s, x in enumerate(col) if x) for col in m.col_list()]
-            for m in alg.action]
+def _columns(rows, mats):
+    """hstack(mats), or the rows x 0 matrix when there are none."""
+    return hstack([Mat.zeros(rows, 0), *mats])
 
 
-def _smash_product(alg, cols, u, v):
-    """(a (x) h)(c (x) k) = a (h_(1) . c) (x) h_(2) k on A (x) H, bilinearly,
-    summed over the sparse tables into one buffer; cols = _action_cols(alg)."""
-    h, d = alg.hopf, alg.hopf.dim
-    out = [frac(0)] * (alg.dim * d)
-    v = [(divmod(iv, d), cv) for iv, cv in enumerate(v) if cv]
-    for (bi, hi), cu in [(divmod(iu, d), cu) for iu, cu in enumerate(u) if cu]:
-        for (ci, ki), cv in v:
-            for p, q, c in h.comult_terms[hi]:
-                right, c = h.mult_terms[q][ki], c * cu * cv
-                for s, x in cols[p][ci] if right else ():
-                    for a, y in alg.mult_terms[bi][s]:
-                        w = c * x * y
-                        for t, z in right:
-                            out[a * d + t] += w * z
-    return tuple(out)
+def _coords(incl, targets, msg):
+    """Coordinates c_k with incl c_k = column k of targets, by one solve_matrix.
 
-
-def _coords(incl, vecs, msg):
-    """Coordinates c_k with incl c_k = vecs[k], by one solve_matrix.
-
-    Raises ValidationError(msg) when any vector is outside the span.
+    Raises ValidationError(msg) when any column is outside the span.
     """
-    c = solve_matrix(incl, Mat.from_cols(vecs, incl.rows))
+    c = solve_matrix(incl, targets)
     if c is None:
         raise ValidationError(msg)
     return c.col_list()
 
 
-def _tensor_vec(u, v):
-    """Coordinates of u (x) v, first factor major."""
-    return tuple(a * c for a in u for c in v)
+# -- the smash products --------------------------------------------------------
+
+def _smash_operators(alg):
+    """Left multiplication by e_a # e_h on A (x) H, for index a d + h.
+
+    (e_a # h)(c # k) = e_a (h_(1) . c) # h_(2) k, so e_a # e_h acts as
+    (L_a (x) 1) D_h, with D the diagonal action of H on A (x) H.
+    """
+    h = alg.hopf
+    diag = diagonal_action(h, alg.action, regular_module(h).pi)
+    ident = Mat.identity(h.dim)
+    return [kron(la, ident) * dh for la in left_mults(alg.alg_mult, alg.dim)
+            for dh in diag]
+
+
+def _unit_tensors(u, h):
+    """The columns u # 1, u # e_0, ..., u # e_{d-1}."""
+    return kron(_col(u), hstack([_col(h.unit), Mat.identity(h.dim)]))
+
+
+def _smash_projector(b: PartialModuleAlgebra) -> Mat:
+    """The idempotent b (x) h -> b (h_(1) . 1) (x) h_(2) on B (x) H.
+
+    It is right multiplication by 1 # 1: column i is the smash operator i
+    applied to 1 (x) 1.
+    """
+    one = kron(_col(b.alg_unit), _col(b.hopf.unit))
+    return _columns(b.dim * b.hopf.dim, [op * one for op in _smash_operators(b)])
 
 
 def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
@@ -305,20 +314,18 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
 
 def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     """partial_smash(b), given the smash projector pr = _smash_projector(b)."""
-    h, d = b.hopf, b.hopf.dim
+    h = b.hopf
     if pr * pr != pr:
         raise ValidationError("smash projector is not idempotent; "
                               "input is not a valid partial action")
     sub = column_space(pr)
     r = sub.dim
-    basis = sub.vectors()
     incl = sub.basis.transpose()
 
-    cols = _action_cols(b)
-    prods = [_smash_product(b, cols, u, v) for u in basis for v in basis]
-    units = [pr.apply(_tensor_vec(b.alg_unit, k))
-             for k in [h.unit] + [unit_vec(d, i) for i in range(d)]]
-    coords = _coords(incl, prods + units, "smash product left its defining subspace")
+    ops = _smash_operators(b)
+    prods = [mult_by(ops, u) * incl for u in incl.col_list()]
+    coords = _coords(incl, hstack(prods + [pr * _unit_tensors(b.alg_unit, h)]),
+                     "smash product left its defining subspace")
     mult = [coords[i * r:(i + 1) * r] for i in range(r)]
     unit, *ones = coords[r * r:]
     terms = _mult_terms(mult)
@@ -328,9 +335,8 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
 
-    module = PartialModule(h, r, tuple(
-        Mat.from_cols([alg_prod(terms, ci, unit_vec(r, j)) for j in range(r)], r)
-        for ci in ones))
+    left = left_mults(mult, r)
+    module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
     rep = check_partial_rep(module)
     if not rep.ok:
         raise ValidationError(rep)
@@ -338,32 +344,73 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
                         tuple(ones), module)
 
 
+def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
+    """Smash product Bbar # H on the full tensor space Bbar (x) H.
+
+    The product is (f # h)(g # k) = f * (h_(1) . g) # h_(2) k; the module
+    field carries the diagonal H-action under which Bbar # H is just
+    Bbar (x) H.
+    """
+    h = gb.hopf
+    dim = gb.dim * h.dim
+    mult = [op.col_list() for op in _smash_operators(gb)]
+    unit, ones = None, ()
+    if gb.unital:
+        unit, *ones = _unit_tensors(gb.alg_unit, h).col_list()
+        ones = tuple(ones)
+    module = PartialModule(h, dim, diagonal_action(h, gb.action,
+                                                   regular_module(h).pi))
+    out = SmashAlgebra(h, gb.dim, Subspace.full(dim), dim, _freeze3(mult),
+                       unit, ones, module)
+    witness = _associativity_witness(out.mult_terms)
+    if witness is not None:
+        raise ValidationError(f"global smash product not associative at {witness}")
+    if unit is not None and _unit_witness(out.mult_terms, unit) is not None:
+        raise ValidationError("1 # 1 is not a unit although Bbar is unital")
+    return out
+
+
 # -- globalization ------------------------------------------------------------
 
-def _convolution(b: PartialModuleAlgebra, u, v):
-    """(f * g)(e_k) = sum f(e_k(1)) g(e_k(2)) on B^d coordinates."""
-    h = b.hopf
-    m, d = b.dim, h.dim
-    return tuple(x for k in range(d)
-                 for x in comult_vec_sum(h, k, m, lambda p, q: b.prod(
-                     u[p * m:(p + 1) * m], v[q * m:(q + 1) * m])))
+def _convolution_ops(b: PartialModuleAlgebra, fs: Mat):
+    """The operators g -> f * g on B^d, one per column f of fs.
+
+    (f * g)(e_k) = sum c f(e_p) g(e_q) over Delta(e_k) = sum c e_p (x) e_q,
+    so block (k, q) of the operator is sum c L(f(e_p)): the operator is
+    sum_p C_p (x) L(f(e_p)), where C_p[k][q] is the c of e_p (x) e_q.
+    """
+    h, m, d = b.hopf, b.dim, b.hopf.dim
+    left = left_mults(b.alg_mult, m)
+    legs = [Mat([[h.comult[k][p][q] for q in range(d)] for k in range(d)])
+            for p in range(d)]
+    return [_mat_sum(((kron(c, mult_by(left, f[p * m:(p + 1) * m])), 1)
+                      for p, c in enumerate(legs)), m * d, m * d)
+            for f in fs.col_list()]
 
 
-def _find_unit(mult):
-    """Solve for a two-sided unit of an algebra given by constants, if any."""
-    dim = len(mult)
-    if dim == 0:
-        return None
-    rows = []
-    rhs = []
-    for i in range(dim):
-        for k in range(dim):
-            rows.append([mult[s][i][k] for s in range(dim)])
-            rhs.append(1 if k == i else 0)
-        for k in range(dim):
-            rows.append([mult[i][s][k] for s in range(dim)])
-            rhs.append(1 if k == i else 0)
-    return solve(Mat(rows), rhs)
+def _find_unit(left, right):
+    """The two-sided unit u, sum u_s L_s = I = sum u_s R_s, of a nonzero
+    algebra with left_mults left and right_mults right, or None."""
+    n = len(left)
+    system = Mat.from_cols([mat_to_vec(a) + mat_to_vec(c) for a, c in zip(left, right)],
+                           2 * n * n)
+    ident = mat_to_vec(Mat.identity(n))
+    return solve(system, ident + ident) if n else None
+
+
+def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
+    """Per e_i, sum c R(e_q . phi(1)) (e_p . phi) over Delta(e_i) and e_i . phi.
+
+    Column j of the two sides is sum c (e_p . phi(e_j))(e_q . phi(1)) and
+    e_i . phi(e_j), with the action and right multiplications of Bbar.
+    """
+    right = right_mults(gb.alg_mult, gb.dim)
+    phi_unit = phi.apply(b.alg_unit)
+    by_unit = [mult_by(right, a.apply(phi_unit)) for a in gb.action]
+    return [(_mat_sum(((by_unit[q] * gb.action[p] * phi, c)
+                       for p, q, c in b.hopf.comult_terms[i]), gb.dim, b.dim),
+             a * phi)
+            for i, a in enumerate(gb.action)]
 
 
 def globalize(b: PartialModuleAlgebra):
@@ -386,77 +433,37 @@ def globalize(b: PartialModuleAlgebra):
 
     report = ValidationReport("globalization")
 
-    basis = incl.col_list()
-    prods = _coords(incl, [_convolution(b, u, v) for u in basis for v in basis],
+    prods = _coords(incl, _columns(m * d, [op * incl for op in _convolution_ops(b, incl)]),
                     "convolution leaves the dilation subspace")
     mult = [prods[i * mb:(i + 1) * mb] for i in range(mb)]
-
-    unit_coords = _find_unit(mult)
+    left, right = left_mults(mult, mb), right_mults(mult, mb)
+    unit_coords = _find_unit(left, right)
     gb = GlobalModuleAlgebra(h, mb, _freeze3(mult), mod.pi,
                              unital=unit_coords is not None,
                              alg_unit=unit_coords)
 
     phi = std.theta
     report.record("phi multiplicative",
-                  all(phi.apply(b.alg_mult[i][j]) == gb.prod(phi.col(i), phi.col(j))
-                      for i in range(m) for j in range(m)))
-
-    phi_image = column_space(phi)
+                  all(phi * a == mult_by(left, phi.col(i)) * phi
+                      for i, a in enumerate(left_mults(b.alg_mult, m))))
     report.record("phi(B) is a two-sided ideal",
-                  all(phi_image.contains(gb.prod(unit_vec(mb, k), phi.col(j)))
-                      and phi_image.contains(gb.prod(phi.col(j), unit_vec(mb, k)))
-                      for k in range(mb) for j in range(m)))
+                  first_unstable(column_space(phi), left + right) is None)
 
-    products = Subspace.from_vectors(
-        mb, [mult[i][j] for i in range(mb) for j in range(mb)])
-    report.record("Bbar is idempotent", products.dim == mb)
+    report.record("Bbar is idempotent", column_space(_columns(mb, left)).dim == mb)
 
-    report.record("action by algebra maps", _pa2_witness(gb) is None)
+    report.record("action by algebra maps",
+                  _first_difference(_pa2_sides(gb), mb) is None)
 
     t = std.projected.t
     report.record("restricted action equals the partial action",
                   all(phi * b.action[i] == t * mod.pi[i] * phi for i in range(d)))
 
-    phi_unit = phi.apply(b.alg_unit)
     report.record("idempotency witness identity",
-                  all(comult_vec_sum(h, i, mb, lambda p, q: gb.prod(
-                          mod.pi[p].apply(phi.col(j)),
-                          mod.pi[q].apply(phi_unit)))
-                      == mod.pi[i].apply(phi.col(j))
-                      for i in range(d) for j in range(m)))
+                  all(lhs == rhs for lhs, rhs in _idempotency_sides(b, gb, phi)))
 
     if not report.ok:
         raise ValidationError(report)
     return gb, phi, report
-
-
-def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
-    """Smash product Bbar # H on the full tensor space Bbar (x) H.
-
-    The product is (f # h)(g # k) = f * (h_(1) . g) # h_(2) k; the module
-    field carries the diagonal H-action under which Bbar # H is just
-    Bbar (x) H.
-    """
-    h = gb.hopf
-    mb, d = gb.dim, h.dim
-    dim = mb * d
-    cols = _action_cols(gb)
-    mult = [[_smash_product(gb, cols, unit_vec(dim, i), unit_vec(dim, j))
-             for j in range(dim)] for i in range(dim)]
-    unit, ones = None, ()
-    if gb.unital:
-        ones = tuple(_tensor_vec(gb.alg_unit, unit_vec(d, i)) for i in range(d))
-        unit = _tensor_vec(gb.alg_unit, h.unit)
-    module = PartialModule(h, dim, diagonal_action(h, gb.action,
-                                                   regular_module(h).pi))
-    out = SmashAlgebra(h, mb, Subspace.full(dim), dim, _freeze3(mult),
-                       unit, ones, module)
-    witness = _associativity_witness(out.mult_terms)
-    if witness is not None:
-        raise ValidationError(f"global smash product not associative at {witness}")
-    if unit is not None and _unit_witness(out.mult_terms, unit) is not None:
-        raise ValidationError("1 # 1 is not a unit although Bbar is unital")
-    return out
 
 
 # -- the comparison of the two smash products ----------------------------------
@@ -476,45 +483,32 @@ def zeta_xi(b: PartialModuleAlgebra):
     mod_b = b.as_module()
     std_b = standard_dilation(mod_b)
     mbar = std_b.projected.module
-    mb = mbar.dim
     reg = regular_module(h)
     bh = tensor_with_global(mod_b, reg)
     std_bh = standard_dilation(bh)
     over = std_bh.projected.module
-    dim_bt = mb * d
+    dim_bt = mbar.dim * d
+    ident_d = Mat.identity(d)
 
     report = ValidationReport("smash dilation comparison")
 
-    phi_b_cols = [std_b.theta.col(v) for v in range(m)]
-
-    zeta_cols = [comult_vec_sum(h, i, dim_bt, lambda p, q: _tensor_vec(
-                     mbar.pi[p].apply(phi_b_cols[v]), h.mult_vec(q, j)))
-                 for i in range(d) for v in range(m) for j in range(d)]
+    # Bbar (x) H with the diagonal action; zeta must intertwine
+    diag = diagonal_action(h, mbar.pi, reg.pi)
+    theta_bh = kron(std_b.theta, ident_d)
     zeta = _factor_through(_translates(over, std_bh.theta),
-                           Mat.from_cols(zeta_cols, dim_bt))
+                           hstack([di * theta_bh for di in diag]))
 
-    dec_bt_cols = []
-    xi_target_cols = []
-    for i in range(d):
-        for v in range(m):
-            for j in range(d):
-                dec_bt_cols.append(_tensor_vec(mbar.pi[i].apply(phi_b_cols[v]),
-                                               unit_vec(d, j)))
-                xi_target_cols.append(comult_vec_sum(
-                    h, i, over.dim, lambda p, q: over.pi[p].apply(
-                        std_bh.theta.apply(_tensor_vec(
-                            unit_vec(m, v),
-                            h.el_mult(h.antipode.col(q), unit_vec(d, j)))))))
-    xi = _factor_through(Mat.from_cols(dec_bt_cols, dim_bt),
-                         Mat.from_cols(xi_target_cols, over.dim))
+    # block i: sum c over(e_p) theta (1 (x) L(S e_q)) over Delta(e_i)
+    twisted = [std_bh.theta * kron(Mat.identity(m), s) for s in antipode_images(reg)]
+    xi_target = hstack([_mat_sum(((over.pi[p] * twisted[q], c)
+                                  for p, q, c in h.comult_terms[i]), over.dim, m * d)
+                        for i in range(d)])
+    xi = _factor_through(kron(_translates(mbar, std_b.theta), ident_d), xi_target)
 
     inverse_ok = (zeta * xi == Mat.identity(dim_bt)
                   and xi * zeta == Mat.identity(over.dim))
     report.record("zeta and xi are mutually inverse", inverse_ok)
     report.record("dimensions agree", over.dim == dim_bt)
-
-    # Bbar (x) H with the diagonal action; zeta must intertwine
-    diag = diagonal_action(h, mbar.pi, reg.pi)
     report.record("zeta is H-linear",
                   all(zeta * over.pi[i] == diag[i] * zeta for i in range(d)))
 
@@ -540,6 +534,50 @@ def zeta_xi(b: PartialModuleAlgebra):
     return zeta, xi, report
 
 
+def _phi_expressions(b: PartialModuleAlgebra, phi, pr, right):
+    """The three expressions for Phi(e_a # e_h), as the columns a d + h:
+    (phi (x) id) pr, R(phi(1) # 1) (phi (x) id) and the two composed, where
+    pr is the smash projector and right the R_s of Bbar # H."""
+    h = b.hopf
+    phi_amb = kron(phi, Mat.identity(h.dim))
+    by_one = mult_by(right, kron(_col(phi.apply(b.alg_unit)), _col(h.unit)).col(0))
+    return phi_amb * pr, by_one * phi_amb, by_one * phi_amb * pr
+
+
+def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
+    """Per e_h, the two m d x m sides of the evaluated smash identity.
+
+    With Delta(e_h) = sum c e_p (x) e_q, column a of the first side is the
+    element sum c phi(e_a (e_p . 1)) (e_q . phi(1)) of Bbar, read in B^d
+    through the dilation's inclusion.  With Delta(e_k) = sum c e_r (x) e_s,
+    block k of the second is sum c R(pi(e_s e_h) 1) pi(e_r).
+    """
+    h, m = b.hopf, b.dim
+    mod = b.as_module()
+    incl = standard_dilation(mod).ambient_inclusion
+    right_b = right_mults(b.alg_mult, m)
+    right_g = right_mults(gb.alg_mult, gb.dim)
+    phi_unit = phi.apply(b.alg_unit)
+    twisted = [phi * mult_by(right_b, a.apply(b.alg_unit)) for a in b.action]
+    by_unit = [mult_by(right_g, a.apply(phi_unit)) for a in gb.action]
+    # at_one[s][i] = R(pi(e_s e_i) 1)
+    at_one = [[mult_by(right_b, mod.pi_vec(h.mult_vec(s, i)).apply(b.alg_unit))
+               for i in range(h.dim)] for s in range(h.dim)]
+    return [(incl * _mat_sum(((by_unit[q] * twisted[p], c)
+                              for p, q, c in h.comult_terms[i]), gb.dim, m),
+             vstack([_mat_sum(((at_one[s][i] * b.action[r], c)
+                               for r, s, c in h.comult_terms[k]), m, m)
+                     for k in range(h.dim)]))
+            for i in range(h.dim)]
+
+
+def _q_generators(bs: SmashAlgebra, phi):
+    """The columns D_i (phi(e_v) (x) 1), i major, that span Q; D is the
+    diagonal action of H on Bbar (x) H, the module of bs."""
+    base = kron(phi, _col(bs.hopf.unit))
+    return hstack([di * base for di in bs.module.pi])
+
+
 def morita_context(b: PartialModuleAlgebra):
     """The bimodules P, Q inside Bbar # H and the two Morita multiplications.
 
@@ -548,92 +586,46 @@ def morita_context(b: PartialModuleAlgebra):
     and surjectivity of both Morita maps are checked by exact rank
     computations on the shipped instance.
     """
-    h = b.hopf
-    m, d = b.dim, h.dim
     gb, phi, _ = globalize(b)
-    sm = partial_smash(b)
+    pr = _smash_projector(b)
+    sm = _partial_smash(b, pr)
     bs = global_smash(gb)
-    mb = gb.dim
     dim_bt = bs.dim
+    left, right = left_mults(bs.mult, dim_bt), right_mults(bs.mult, dim_bt)
 
     report = ValidationReport("morita context")
 
-    incl_sm = sm.ambient.basis.transpose()
-    phi_amb = kron(phi, Mat.identity(d))
-    phi_sm = phi_amb * incl_sm
+    phi_amb = kron(phi, Mat.identity(b.hopf.dim))
+    phi_sm = phi_amb * sm.ambient.basis.transpose()
+    phi_sm_left = [mult_by(left, v) for v in phi_sm.col_list()]
+    report.record("Phi multiplicative",
+                  all(phi_sm * a == c * phi_sm
+                      for a, c in zip(left_mults(sm.mult, sm.dim), phi_sm_left)))
 
-    report.record(
-        "Phi multiplicative",
-        all(phi_sm.apply(sm.mult[i][j])
-            == bs.prod(phi_sm.col(i), phi_sm.col(j))
-            for i in range(sm.dim) for j in range(sm.dim)))
-
-    phi_unit = phi.apply(b.alg_unit)
-
-    def phi_twisted(a, p):
-        """phi(e_a (e_p . 1)) in Bbar."""
-        return phi.apply(b.prod(unit_vec(m, a), b.act(p, b.alg_unit)))
-
-    def three_agree(a, hi):
-        e1 = comult_vec_sum(h, hi, dim_bt, lambda p, q: _tensor_vec(
-            phi_twisted(a, p), unit_vec(d, q)))
-        e2 = comult_vec_sum(h, hi, dim_bt, lambda p, q: _tensor_vec(
-            gb.prod(phi.col(a), gb.action[p].apply(phi_unit)), unit_vec(d, q)))
-        e3 = comult_vec_sum(h, hi, dim_bt, lambda p, q: comult_vec_sum(
-            h, q, dim_bt, lambda p2, q2: _tensor_vec(
-                gb.prod(phi_twisted(a, p), gb.action[p2].apply(phi_unit)),
-                unit_vec(d, q2))))
-        return e1 == e2 == e3
-
-    report.record("three expressions for Phi(b # h) agree",
-                  all(three_agree(a, hi) for a in range(m) for hi in range(d)))
-
-    # the evaluated form of the same identity, block by block in B^d
-    incl_bbar = standard_dilation(b.as_module()).ambient_inclusion
-    table = _translate_table(b, b.as_module())
-
-    def evaluated_holds(a, hi):
-        w = comult_vec_sum(h, hi, mb, lambda p, q: gb.prod(
-            phi_twisted(a, p), gb.action[q].apply(phi_unit)))
-        ambient = incl_bbar.apply(w)
-        return all(ambient[k * m:(k + 1) * m]
-                   == comult_vec_sum(h, k, m, lambda r, s: b.prod(
-                       b.action[r].col(a),
-                       table[s][hi].apply(b.alg_unit)))
-                   for k in range(d))
-
+    e1, e2, e3 = _phi_expressions(b, phi, pr, right)
+    report.record("three expressions for Phi(b # h) agree", e1 == e2 == e3)
     report.record("evaluated smash identity",
-                  all(evaluated_holds(a, hi) for a in range(m) for hi in range(d)))
+                  all(lhs == rhs for lhs, rhs in _evaluated_sides(b, gb, phi)))
 
     p_space = column_space(phi_amb)
-    q_vecs = [comult_vec_sum(h, i, dim_bt, lambda p, q: _tensor_vec(
-                  gb.action[p].apply(phi.col(v)), unit_vec(d, q)))
-              for i in range(d) for v in range(m)]
-    q_space = Subspace.from_vectors(dim_bt, q_vecs)
-
+    q_space = column_space(_q_generators(bs, phi))
     phi_sm_image = column_space(phi_sm)
     report.record(
         "P stable under Phi(B#H) on the left and Bbar#H on the right",
-        all(p_space.contains(bs.prod(phi_sm.col(u), pv))
-            for u in range(sm.dim) for pv in p_space.vectors())
-        and all(p_space.contains(bs.prod(pv, unit_vec(dim_bt, s)))
-                for pv in p_space.vectors() for s in range(dim_bt)))
+        first_unstable(p_space, phi_sm_left + right) is None)
     report.record(
         "Q stable under Bbar#H on the left and Phi(B#H) on the right",
-        all(q_space.contains(bs.prod(unit_vec(dim_bt, s), qv))
-            for qv in q_space.vectors() for s in range(dim_bt))
-        and all(q_space.contains(bs.prod(qv, phi_sm.col(u)))
-                for qv in q_space.vectors() for u in range(sm.dim)))
+        first_unstable(q_space, left + [mult_by(right, v) for v in phi_sm.col_list()])
+        is None)
 
-    tau_image = Subspace.from_vectors(
-        dim_bt, [bs.prod(pv, qv) for pv in p_space.vectors()
-                 for qv in q_space.vectors()])
+    p_mat, q_mat = p_space.basis.transpose(), q_space.basis.transpose()
+    tau_image = column_space(_columns(
+        dim_bt, [mult_by(left, v) * q_mat for v in p_space.vectors()]))
     report.record("tau lands in Phi(B#H)",
                   phi_sm_image.contains_subspace(tau_image))
     report.record("tau surjective onto Phi(B#H)", tau_image == phi_sm_image)
 
-    mu_image = Subspace.from_vectors(
-        dim_bt, [bs.prod(qv, pv) for qv in q_space.vectors()
-                 for pv in p_space.vectors()])
+    mu_image = column_space(_columns(
+        dim_bt, [mult_by(left, v) * p_mat for v in q_space.vectors()]))
     report.record("mu surjective onto Bbar#H", mu_image.dim == dim_bt)
     return p_space, q_space, report

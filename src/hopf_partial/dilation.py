@@ -17,6 +17,7 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .hopf import right_mults
 from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
                      rank, solve, solve_blocks, solve_matrix, span_closure,
                      vstack)
@@ -51,13 +52,11 @@ class Dilation:
 
 
 def _translation_action(h, n):
-    """Block matrices of ((e_i).f)(e_j) = f(e_j e_i) on M^d coordinates."""
-    acts = []
-    for i in range(h.dim):
-        # block (j, q) carries mult[j][i][q] times the identity of M
-        coeffs = Mat([h.mult_vec(j, i) for j in range(h.dim)])
-        acts.append(kron(coeffs, Mat.identity(n)))
-    return acts
+    """Block matrices of ((e_i).f)(e_j) = f(e_j e_i) on M^d coordinates.
+
+    Block (j, q) is the coefficient of e_q in e_j e_i: R_i^T (x) I_M.
+    """
+    return [kron(r.transpose(), Mat.identity(n)) for r in right_mults(h.mult, h.dim)]
 
 
 def _phi_matrix(m: PartialModule) -> Mat:

@@ -19,13 +19,16 @@ with c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c)
 of Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).
 The algebras of ``actions`` carry ``mult_terms`` too.  They are
 attributes, not fields, so equality and hashing see only the arrays.
+
+``left_mults`` and ``right_mults`` give the regular representation of any
+algebra given by constants, the matrices L_s of u -> e_s u and R_s of
+u -> u e_s; ``mult_by`` turns either into multiplication by an element.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .linalg import (Mat, ShapeError, frac, inverse, unit_vec, vec_add,
-                     vec_scale)
+from .linalg import Mat, ShapeError, _mat_sum, frac, inverse, unit_vec
 from .reports import ValidationError, ValidationReport
 
 
@@ -54,13 +57,20 @@ def alg_prod(terms, u, v):
     return tuple(out)
 
 
-def comult_vec_sum(h, i, dim, term):
-    """The dim-vector sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
-    out = (frac(0),) * dim
-    for a, b, c in h.comult_terms[i]:
-        v = term(a, b)
-        out = vec_add(out, v if c == 1 else vec_scale(v, c))
-    return out
+def left_mults(mult, dim):
+    """L_0, ..., L_{dim-1}: the matrices of u -> e_s u, column j = mult[s][j]."""
+    return [Mat.from_cols(mult[s], dim) for s in range(dim)]
+
+
+def right_mults(mult, dim):
+    """R_0, ..., R_{dim-1}: the matrices of u -> u e_s, column j = mult[j][s]."""
+    return [Mat.from_cols([mult[j][s] for j in range(dim)], dim)
+            for s in range(dim)]
+
+
+def mult_by(mats, u):
+    """sum u_s mats[s]: L(u) from left_mults, R(u) from right_mults."""
+    return _mat_sum(((m, c) for m, c in zip(mats, u) if c), len(u), len(u))
 
 
 def _collect(terms):
@@ -224,13 +234,15 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
                 break
     report.record("bialgebra", witness is None, witness)
 
+    # S(e_i(1)) e_i(2) and e_i(1) S(e_i(2)) against eps(e_i) 1
+    ones = [_collect((t, e * x) for t, x in enumerate(h.unit)) for e in h.counit]
     witness = next(((i,) for i in range(d)
-                    if comult_vec_sum(h, i, d, lambda j, k:
-                                      h.el_mult(h.antipode.col(j), unit_vec(d, k)))
-                    != vec_scale(h.unit, h.counit[i])
-                    or comult_vec_sum(h, i, d, lambda j, k:
-                                      h.el_mult(unit_vec(d, j), h.antipode.col(k)))
-                    != vec_scale(h.unit, h.counit[i])), None)
+                    if _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
+                                for a, s in h.antipode_terms[j]
+                                for t, x in h.mult_terms[a][k]) != ones[i]
+                    or _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
+                                for b, s in h.antipode_terms[k]
+                                for t, x in h.mult_terms[j][b]) != ones[i]), None)
     report.record("antipode", witness is None, witness)
 
     ident = Mat.identity(d)

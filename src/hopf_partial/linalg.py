@@ -54,17 +54,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_scale(u, c):
     c = frac(c)
     return tuple(c * a for a in u)
-
-
-def is_zero_vec(u):
-    return all(a == 0 for a in u)
 
 
 def unit_vec(n, i):
@@ -618,6 +610,17 @@ def inverse(a: Mat) -> Mat:
     if x is None:
         raise ValueError("matrix is singular")
     return x
+
+
+def _mat_sum(terms, rows, cols):
+    """sum c m over (m, c) pairs; unscaled when c == 1, zeros(rows, cols) if none."""
+    mats = [m if c == 1 else m.scale(c) for m, c in terms]
+    return sum(mats[1:], mats[0]) if mats else Mat.zeros(rows, cols)
+
+
+def first_nonzero_col(m: Mat):
+    """Index of the first column of m with a nonzero entry, or None."""
+    return next((j for j, col in enumerate(zip(*m.num)) if any(col)), None)
 
 
 def split_blocks(m: Mat, heights, widths):

@@ -25,11 +25,11 @@ classifications (dual C2 and the four-dimensional Sweedler algebra).
 
 from dataclasses import dataclass
 
-from .hopf import HopfAlgebraData, builtin
-from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     first_unstable, frac, hstack, inverse, kernel_basis, kron,
-                     left_mult_operator, mat_to_vec, quotient_map,
-                     quotient_section, rank, restrict_operators,
+from .hopf import HopfAlgebraData, builtin, left_mults
+from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
+                     column_space, first_unstable, frac, hstack, inverse,
+                     kernel_basis, kron, left_mult_operator, mat_to_vec,
+                     quotient_map, quotient_section, rank, restrict_operators,
                      right_mult_operator, span_closure, split_blocks,
                      vec_to_mat, vstack)
 from .reports import Check, ValidationError, ValidationReport, require
@@ -80,12 +80,6 @@ def _memo(obj, name, compute):
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
     """The n x n matrix sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
     return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), n, n)
-
-
-def _mat_sum(terms, rows, cols):
-    """sum c m over (m, c) pairs; unscaled when c == 1, zeros(rows, cols) if none."""
-    mats = [m if c == 1 else m.scale(c) for m, c in terms]
-    return sum(mats[1:], mats[0]) if mats else Mat.zeros(rows, cols)
 
 
 def antipode_images(m: PartialModule):
@@ -518,9 +512,7 @@ def w_n_module(n: int, hopf=None) -> PartialModule:
 
 def regular_module(h: HopfAlgebraData) -> PartialModule:
     """H acting on itself by left multiplication (a global module)."""
-    pis = tuple(Mat.from_cols([h.mult_vec(i, j) for j in range(h.dim)], h.dim)
-                for i in range(h.dim))
-    return PartialModule(h, h.dim, pis)
+    return PartialModule(h, h.dim, tuple(left_mults(h.mult, h.dim)))
 
 
 def trivial_module(h: HopfAlgebraData) -> PartialModule:

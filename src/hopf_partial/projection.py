@@ -15,8 +15,9 @@ built instance is verified from scratch.
 
 from dataclasses import dataclass
 
-from .linalg import (Mat, Subspace, column_space, first_unstable, kernel_basis,
-                     pivot_columns, restrict_operators, span_closure, vstack)
+from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
+                     kernel_basis, pivot_columns, restrict_operators,
+                     span_closure, vstack)
 from .partial import (PartialModule, _memo, antipode_images, check_partial_rep,
                       hom_space, is_algebra_map, quotient_action,
                       twisted_conjugate)
@@ -37,7 +38,7 @@ class ProjectedModule:
     @staticmethod
     def build(module: PartialModule, t: Mat):
         if t.rows != module.dim or t.cols != module.dim:
-            raise ValueError("projection size does not match the module")
+            raise ShapeError("projection size does not match the module")
         if not is_algebra_map(module):
             raise ValidationError("underlying module must be global")
         ok, witness = check_c_condition(module, t)

@@ -61,7 +61,9 @@ def _cube_to_json(cube):
 
 
 def _cube_from_json(data):
-    if not isinstance(data, list):
+    if not (isinstance(data, list)
+            and all(isinstance(plane, list) and all(isinstance(row, list) for row in plane)
+                    for plane in data)):
         raise FormatError("expected a rank-3 scalar array")
     return [[[scalar_from_json(x) for x in row] for row in plane] for plane in data]
 
@@ -91,6 +93,9 @@ def hopf_from_json(data, validate=True) -> HopfAlgebraData:
         return builtin(data)
     if not isinstance(data, dict):
         raise FormatError("hopf must be a builtin name or an object")
+    labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise FormatError("labels must be an array")
     try:
         dim = int(data["dim"])
         antipode_inv = None
@@ -104,7 +109,7 @@ def hopf_from_json(data, validate=True) -> HopfAlgebraData:
             vec_from_json(data["counit"]),
             mat_from_json(data["antipode"]),
             antipode_inv=antipode_inv,
-            labels=data.get("labels"),
+            labels=labels,
             validate=validate)
     except KeyError as exc:
         raise FormatError(f"hopf document is missing field {exc}")

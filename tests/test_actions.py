@@ -10,6 +10,7 @@ from hopf_partial.demos import (graded_group_algebra, scalar_algebra,
                                 shipped_partial_algebras)
 from hopf_partial.reports import ValidationError
 
+import actions_reference as ref
 import gen
 
 F = Fraction
@@ -90,45 +91,25 @@ def test_partial_smash_of_trivial_action_is_full_tensor():
     triv = scalar_algebra(H4, H4.counit)
     sm = ac.partial_smash(triv)
     assert sm.dim == 4
-    # with the trivial action the product is just the Hopf multiplication
+    # with the trivial action the product is just the Hopf multiplication;
+    # B is one-dimensional, so 1 (x) v has the coordinates of v
     got = sm.prod(sm.h_embedding[1], sm.h_embedding[2])
-    want_coords = sm.ambient.coords(
-        ac._tensor_vec((F(1),), H4.mult_vec(1, 2)))
+    want_coords = sm.ambient.coords(H4.mult_vec(1, 2))
     assert got == want_coords
 
 
 def test_coords_solves_a_whole_table_and_rejects_any_vector_outside():
     incl = la.Mat([[1, 0], [1, 0], [0, 2]])
-    assert ac._coords(incl, [(1, 1, 0), (0, 0, 1)], "outside") == [
-        (F(1), F(0)), (F(0), F(1, 2))]
+    assert ac._coords(incl, la.Mat.from_cols([(1, 1, 0), (0, 0, 1)]),
+                      "outside") == [(F(1), F(0)), (F(0), F(1, 2))]
     with pytest.raises(ValidationError, match="^outside$"):
-        ac._coords(incl, [(1, 1, 0), (1, 0, 0)], "outside")
+        ac._coords(incl, la.Mat.from_cols([(1, 1, 0), (1, 0, 0)]), "outside")
 
 
 def test_partial_smash_module_satisfies_partial_axioms():
     for alg in shipped_partial_algebras().values():
         sm = ac.partial_smash(alg)
         assert pm.check_partial_rep(sm.module).ok
-
-
-def _pa3_witness_by_definition(b, primed):
-    """First (i, k, j) breaking PA3 (PA3'), with pi(e_p e_k) rebuilt per term."""
-    h, mod = b.hopf, b.as_module()
-    for i in range(h.dim):
-        for k in range(h.dim):
-            for j in range(b.dim):
-                rhs = (F(0),) * b.dim
-                for p, q, c in h.comult_pairs(i):
-                    if primed:
-                        term = b.prod(mod.pi_vec(h.mult_vec(p, k)).col(j),
-                                      b.act(q, b.alg_unit))
-                    else:
-                        term = b.prod(b.act(p, b.alg_unit),
-                                      mod.pi_vec(h.mult_vec(q, k)).col(j))
-                    rhs = la.vec_add(rhs, la.vec_scale(term, c))
-                if b.action[i].apply(b.action[k].col(j)) != rhs:
-                    return i, k, j
-    return None
 
 
 @pytest.mark.parametrize("index, col, pa3, pa3_primed", [
@@ -146,9 +127,9 @@ def test_pa3_witnesses_of_a_perturbed_action(index, col, pa3, pa3_primed):
     bad = ac.PartialModuleAlgebra.build(b.hopf, b.alg_mult, b.alg_unit, action)
     report = ac.check_partial_action(bad)
     assert report.check_named("PA3").witness == pa3 \
-        == _pa3_witness_by_definition(bad, primed=False)
+        == ref.pa3_witness(bad, primed=False)
     assert report.check_named("PA3'").witness == pa3_primed \
-        == _pa3_witness_by_definition(bad, primed=True)
+        == ref.pa3_witness(bad, primed=True)
 
 
 def test_globalize_reports_all_properties():
@@ -267,3 +248,18 @@ def test_non_associative_algebra_reports_witness():
     report = ac.check_partial_action(b)
     assert [c.name for c in report.failures()] == ["algebra associativity"]
     assert report.check_named("algebra associativity").witness == (1, 1, 1)
+
+
+def test_zero_dimensional_algebra_passes_through_every_construction():
+    b = ac.PartialModuleAlgebra.build(DUAL, [], [], [la.Mat.zeros(0, 0)] * 2)
+    assert ac.check_partial_action(b).ok
+    sm = ac.partial_smash(b)
+    assert (sm.dim, sm.mult, sm.unit, sm.h_embedding) == (0, (), (), ((), ()))
+    gb, phi, report = ac.globalize(b)
+    assert report.ok and gb.dim == 0 and not gb.unital
+    bs = ac.global_smash(gb)
+    assert (bs.dim, bs.unit, bs.h_embedding) == (0, None, ())
+    zeta, xi, report = ac.zeta_xi(b)
+    assert report.ok and zeta == xi == la.Mat.zeros(0, 0)
+    p_space, q_space, report = ac.morita_context(b)
+    assert report.ok and p_space.dim == q_space.dim == 0

@@ -187,13 +187,15 @@ def test_broken_counit_witnesses():
     assert _failures(hp.validate_hopf(bad)) == [("counit", (1,)), ("antipode", (1,))]
 
 
-def test_comult_vec_sum():
+def test_regular_representation_multiplies():
     h = hp.sweedler_h4()
-    # Delta(x) = g (x) x + x (x) 1: the sum of the first legs is g + x
-    assert hp.comult_vec_sum(h, 2, 4, lambda a, b: la.unit_vec(4, a)) \
-        == (F(0), F(1), F(1), F(0))
-    # an empty Delta(e_i) sums to the zero vector of the requested length
-    zero = hp._freeze3([[[0] * 4 for _ in range(4)] for _ in range(4)])
-    empty = hp.HopfAlgebraData(4, h.mult, h.unit, zero, h.counit,
-                               h.antipode, h.antipode_inv)
-    assert hp.comult_vec_sum(empty, 2, 3, lambda a, b: (F(1),) * 3) == (F(0),) * 3
+    left, right = hp.left_mults(h.mult, 4), hp.right_mults(h.mult, 4)
+    # g x = y and x g = -y
+    assert left[1].col(2) == h.mult_vec(1, 2) == la.unit_vec(4, 3)
+    assert right[1].col(2) == h.mult_vec(2, 1)
+    u = (F(1), F(-2), F(1, 2), F(3))
+    v = (F(0), F(1), F(-1), F(1, 3))
+    assert hp.mult_by(left, u).apply(v) == h.el_mult(u, v)
+    assert hp.mult_by(right, u).apply(v) == h.el_mult(v, u)
+    assert hp.mult_by(left, (F(0),) * 4) == la.Mat.zeros(4, 4)
+    assert hp.left_mults((), 0) == [] and hp.mult_by([], ()) == la.Mat.zeros(0, 0)

@@ -45,7 +45,7 @@ def test_rank_nullity(a):
 def test_kernel_vectors_are_killed(a):
     ker = la.kernel_basis(a)
     for v in ker.vectors():
-        assert la.is_zero_vec(a.apply(v))
+        assert not any(a.apply(v))
 
 
 def test_span_closure_fixed_by_identity():
@@ -66,6 +66,16 @@ def test_first_unstable_names_the_first_operator_leaving_the_subspace():
     assert la.first_unstable(sub, [diag, la.Mat.identity(3)]) is None
     assert la.first_unstable(sub, [diag, shift, shift]) == 1
     assert la.first_unstable(la.Subspace.zero(3), [shift]) is None
+
+
+def test_first_nonzero_col():
+    assert la.first_nonzero_col(la.Mat([[0, 0, "1/2"], [0, 3, 0]])) == 1
+    assert la.first_nonzero_col(la.Mat([[0, 0], [0, 0]])) is None
+    assert la.first_nonzero_col(la.Mat([[0, 0, 0], [0, 0, -1]])) == 2
+    # a matrix with no rows has only zero columns, one with no columns none
+    assert la.first_nonzero_col(la.Mat.zeros(0, 3)) is None
+    assert la.first_nonzero_col(la.Mat.zeros(3, 0)) is None
+    assert la.first_nonzero_col(la.Mat.zeros(0, 0)) is None
 
 
 @given(small_square, small_square)

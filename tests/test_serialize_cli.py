@@ -167,6 +167,35 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not out["ok"]
 
 
+@pytest.mark.parametrize("verb, doc, message", [
+    ("restrict",
+     {"module": {"hopf": "kC2-dual", "dim": 2,
+                 "pi": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]]},
+      "t": [["1", "0"]]},
+     "projection size does not match the module"),
+    ("check-action",
+     {"hopf": "kC2-dual", "dim": 2,
+      "pi": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]],
+      "alg_mult": [1, 2], "alg_unit": ["1", "0"]},
+     "expected a rank-3 scalar array"),
+    ("check-action",
+     {"hopf": "kC2-dual", "dim": 2,
+      "pi": [[["1", "0"], ["0", "1"]], [["0", "0"], ["0", "0"]]],
+      "alg_mult": [[["1", "0"]], [["0", "1"]]], "alg_unit": ["1", "0"]},
+     "inconsistent algebra data"),
+    ("validate-hopf",
+     dict(io.hopf_to_json(hp.builtin("kC2")), labels=5),
+     "labels must be an array"),
+])
+def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, verb, doc,
+                                                   message):
+    path = _write(tmp_path, "malformed.json", doc)
+    assert main([verb, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_check_action_reports_failure(tmp_path, capsys):
     doc = {"hopf": "kC2-dual", "dim": 1,
            "pi": [[["1/3"]], [["1/2"]]],

@@ -132,10 +132,11 @@ def test_smash_product_formula(name, alg):
     gb = ac.globalize(alg)[0]
     for b in (alg, gb):
         dim = b.dim * b.hopf.dim
-        cols = ac._action_cols(b)
+        ops = ac._smash_operators(b)
         vecs = [ref.unit_vec(dim, i) for i in range(dim)]
         vecs.append(tuple(F((-1) ** x * (x + 1), x % 3 + 1) for x in range(dim)))
         for u in vecs:
+            left = hp.mult_by(ops, u)
             for v in vecs:
-                assert ac._smash_product(b, cols, u, v) \
+                assert left.apply(v) \
                     == ref.smash_product(b.hopf, b.alg_mult, b.action, u, v)
