@@ -16,7 +16,14 @@ R_s of `hopf.left_mults` and `hopf.right_mults`), and the diagonal action
 composed with the diagonal action of h, and B is a module algebra exactly
 when its product mu: B (x) B -> B is H-linear.  Each axiom is a matrix
 identity whose witness is read off the first nonzero column of the
-difference.
+difference; the unit witness reads the L_s as well.
+
+`partial_smash` and `global_smash` are the only builders of the two smash
+products.  Each builds its left multiplications once and records them as
+the attribute ``left`` (the partial one also records its smash idempotent
+as ``projector``), so that `zeta_xi` and `morita_context` reuse them
+instead of rebuilding them.  Like ``mult_terms`` these attributes are not
+fields, so equality, hashing and digests see only the fields.
 """
 
 from dataclasses import dataclass
@@ -24,8 +31,7 @@ from dataclasses import dataclass
 from .dilation import (_factor_through, _translates, dilate_morphism,
                        standard_dilation)
 from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
-                   _mult_terms, _unit_witness, alg_prod, left_mults, mult_by,
-                   right_mults)
+                   _mult_terms, _unit_witness, left_mults, mult_by, right_mults)
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_nonzero_col, first_unstable, frac,
                      hstack, kron, mat_to_vec, rank, restrict_operators, solve,
@@ -63,9 +69,6 @@ class PartialModuleAlgebra:
             raise ShapeError("action matrix size mismatch")
         return PartialModuleAlgebra(hopf, dim, alg_mult, alg_unit, action)
 
-    def prod(self, u, v):
-        return alg_prod(self.mult_terms, u, v)
-
     def as_module(self) -> PartialModule:
         """The underlying partial module, one instance per algebra.
 
@@ -86,12 +89,6 @@ class GlobalModuleAlgebra:
     action: tuple
     unital: bool
     alg_unit: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mult_terms", _mult_terms(self.alg_mult))
-
-    def prod(self, u, v):
-        return alg_prod(self.mult_terms, u, v)
 
 
 @dataclass(frozen=True)
@@ -116,9 +113,6 @@ class SmashAlgebra:
     def __post_init__(self):
         object.__setattr__(self, "mult_terms", _mult_terms(self.mult))
 
-    def prod(self, u, v):
-        return alg_prod(self.mult_terms, u, v)
-
 
 def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     """All four partial action axioms over basis triples, plus the module law.
@@ -127,12 +121,13 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     the coproduct; PA3 and PA3' are the two symmetric composition rules.
     """
     mod = b.as_module()
+    left, right = left_mults(b.alg_mult, b.dim), right_mults(b.alg_mult, b.dim)
     report = ValidationReport("partial module algebra")
     report.record("algebra associativity", *_flag(_associativity_witness(b.mult_terms)))
-    report.record("algebra unit", _unit_witness(b.mult_terms, b.alg_unit) is None)
+    report.record("algebra unit", _unit_witness(left, b.alg_unit) is None)
     report.record("PA1", mod.pi_vec(b.hopf.unit) == Mat.identity(b.dim))
     report.record("PA2", *_flag(_first_difference(_pa2_sides(b), b.dim)))
-    pa3, pa3_primed = _pa3_sides(b)
+    pa3, pa3_primed = _pa3_sides(b, left, right)
     report.record("PA3", *_flag(_first_difference(pa3, b.dim)))
     report.record("PA3'", *_flag(_first_difference(pa3_primed, b.dim)))
 
@@ -162,8 +157,9 @@ def _pa2_sides(b):
     return [(a * mu, mu * di) for a, di in zip(b.action, diag)]
 
 
-def _pa3_sides(b):
-    """The sides of PA3 and of PA3' per e_i, as m x d m block rows over k.
+def _pa3_sides(b, left_b, right_b):
+    """The sides of PA3 and of PA3' per e_i, as m x d m block rows over k,
+    given the left and right multiplications of B.
 
     Block k of the left side is pi(e_i) pi(e_k).  With Delta(e_i) =
     sum c e_p (x) e_q, block k of the right side is sum c L(e_p . 1)
@@ -172,10 +168,9 @@ def _pa3_sides(b):
     h, m = b.hopf, b.dim
     mod = b.as_module()
     ones = [a.apply(b.alg_unit) for a in b.action]
-    left_b, right_b = left_mults(b.alg_mult, m), right_mults(b.alg_mult, m)
     left = [mult_by(left_b, u) for u in ones]
     right = [mult_by(right_b, u) for u in ones]
-    translates = [hstack([mod.pi_vec(h.mult_vec(p, k)) for k in range(h.dim)])
+    translates = [hstack([mod.pi_vec(h.mult[p][k]) for k in range(h.dim)])
                   for p in range(h.dim)]
     stacked = hstack(b.action)
     lhs = [a * stacked for a in b.action]
@@ -239,6 +234,8 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
 def direct_product(algebras) -> PartialModuleAlgebra:
     """Componentwise product of partial module algebras over the same H."""
     algebras = list(algebras)
+    if not algebras:
+        raise ValueError("direct product needs at least one algebra")
     h = algebras[0].hopf
     if any(a.hopf != h for a in algebras):
         raise ValueError("different Hopf algebras")
@@ -274,15 +271,13 @@ def _coords(incl, targets, msg):
 
 # -- the smash products --------------------------------------------------------
 
-def _smash_operators(alg):
+def _smash_operators(alg, diag):
     """Left multiplication by e_a # e_h on A (x) H, for index a d + h.
 
     (e_a # h)(c # k) = e_a (h_(1) . c) # h_(2) k, so e_a # e_h acts as
-    (L_a (x) 1) D_h, with D the diagonal action of H on A (x) H.
+    (L_a (x) 1) D_h, with diag the diagonal action D of H on A (x) H.
     """
-    h = alg.hopf
-    diag = diagonal_action(h, alg.action, regular_module(h).pi)
-    ident = Mat.identity(h.dim)
+    ident = Mat.identity(alg.hopf.dim)
     return [kron(la, ident) * dh for la in left_mults(alg.alg_mult, alg.dim)
             for dh in diag]
 
@@ -292,14 +287,14 @@ def _unit_tensors(u, h):
     return kron(_col(u), hstack([_col(h.unit), Mat.identity(h.dim)]))
 
 
-def _smash_projector(b: PartialModuleAlgebra) -> Mat:
+def _smash_projector(b: PartialModuleAlgebra, ops) -> Mat:
     """The idempotent b (x) h -> b (h_(1) . 1) (x) h_(2) on B (x) H.
 
-    It is right multiplication by 1 # 1: column i is the smash operator i
-    applied to 1 (x) 1.
+    It is right multiplication by 1 # 1: given the smash operators ops of
+    b, column i is ops[i] applied to 1 (x) 1.
     """
     one = kron(_col(b.alg_unit), _col(b.hopf.unit))
-    return _columns(b.dim * b.hopf.dim, [op * one for op in _smash_operators(b)])
+    return _columns(b.dim * b.hopf.dim, [op * one for op in ops])
 
 
 def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
@@ -307,14 +302,14 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
 
     Also installs the canonical partial module structure given by left
     multiplication with the elements 1 # e_i and checks it satisfies the
-    five partial representation identities.
+    five partial representation identities.  The result records, as
+    attributes outside the fields, ``left``: the left multiplications L_s
+    of its structure constants, and ``projector``: the smash idempotent
+    on B (x) H whose image it lives on.
     """
-    return _partial_smash(b, _smash_projector(b))
-
-
-def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
-    """partial_smash(b), given the smash projector pr = _smash_projector(b)."""
     h = b.hopf
+    ops = _smash_operators(b, diagonal_action(h, b.action, regular_module(h).pi))
+    pr = _smash_projector(b, ops)
     if pr * pr != pr:
         raise ValidationError("smash projector is not idempotent; "
                               "input is not a valid partial action")
@@ -322,26 +317,26 @@ def _partial_smash(b: PartialModuleAlgebra, pr: Mat) -> SmashAlgebra:
     r = sub.dim
     incl = sub.basis.transpose()
 
-    ops = _smash_operators(b)
     prods = [mult_by(ops, u) * incl for u in incl.col_list()]
     coords = _coords(incl, hstack(prods + [pr * _unit_tensors(b.alg_unit, h)]),
                      "smash product left its defining subspace")
     mult = [coords[i * r:(i + 1) * r] for i in range(r)]
     unit, *ones = coords[r * r:]
-    terms = _mult_terms(mult)
-    if _unit_witness(terms, unit) is not None:
+    left = left_mults(mult, r)
+    if _unit_witness(left, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
-    witness = _associativity_witness(terms)
+    module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
+    out = SmashAlgebra(h, b.dim, sub, r, _freeze3(mult), unit, tuple(ones), module)
+    witness = _associativity_witness(out.mult_terms)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
 
-    left = left_mults(mult, r)
-    module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
     rep = check_partial_rep(module)
     if not rep.ok:
         raise ValidationError(rep)
-    return SmashAlgebra(h, b.dim, sub, r, _freeze3(mult), unit,
-                        tuple(ones), module)
+    object.__setattr__(out, "left", tuple(left))
+    object.__setattr__(out, "projector", pr)
+    return out
 
 
 def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
@@ -349,24 +344,26 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
 
     The product is (f # h)(g # k) = f * (h_(1) . g) # h_(2) k; the module
     field carries the diagonal H-action under which Bbar # H is just
-    Bbar (x) H.
+    Bbar (x) H.  The result records its left multiplications as the
+    attribute ``left``, outside the fields.
     """
     h = gb.hopf
     dim = gb.dim * h.dim
-    mult = [op.col_list() for op in _smash_operators(gb)]
+    diag = diagonal_action(h, gb.action, regular_module(h).pi)
+    ops = _smash_operators(gb, diag)
     unit, ones = None, ()
     if gb.unital:
         unit, *ones = _unit_tensors(gb.alg_unit, h).col_list()
         ones = tuple(ones)
-    module = PartialModule(h, dim, diagonal_action(h, gb.action,
-                                                   regular_module(h).pi))
-    out = SmashAlgebra(h, gb.dim, Subspace.full(dim), dim, _freeze3(mult),
-                       unit, ones, module)
+    out = SmashAlgebra(h, gb.dim, Subspace.full(dim), dim,
+                       _freeze3(op.col_list() for op in ops), unit, ones,
+                       PartialModule(h, dim, diag))
     witness = _associativity_witness(out.mult_terms)
     if witness is not None:
         raise ValidationError(f"global smash product not associative at {witness}")
-    if unit is not None and _unit_witness(out.mult_terms, unit) is not None:
+    if unit is not None and _unit_witness(ops, unit) is not None:
         raise ValidationError("1 # 1 is not a unit although Bbar is unital")
+    object.__setattr__(out, "left", tuple(ops))
     return out
 
 
@@ -513,8 +510,8 @@ def zeta_xi(b: PartialModuleAlgebra):
                   all(zeta * over.pi[i] == diag[i] * zeta for i in range(d)))
 
     # the partial smash product is a direct summand of B (x) H
-    pr = _smash_projector(b)
-    sm = _partial_smash(b, pr)
+    sm = partial_smash(b)
+    pr = sm.projector
     report.record("smash idempotent commutes with the action",
                   all(pr * bh.pi[i] == bh.pi[i] * pr for i in range(d)))
 
@@ -561,7 +558,7 @@ def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     twisted = [phi * mult_by(right_b, a.apply(b.alg_unit)) for a in b.action]
     by_unit = [mult_by(right_g, a.apply(phi_unit)) for a in gb.action]
     # at_one[s][i] = R(pi(e_s e_i) 1)
-    at_one = [[mult_by(right_b, mod.pi_vec(h.mult_vec(s, i)).apply(b.alg_unit))
+    at_one = [[mult_by(right_b, mod.pi_vec(h.mult[s][i]).apply(b.alg_unit))
                for i in range(h.dim)] for s in range(h.dim)]
     return [(incl * _mat_sum(((by_unit[q] * twisted[p], c)
                               for p, q, c in h.comult_terms[i]), gb.dim, m),
@@ -587,11 +584,10 @@ def morita_context(b: PartialModuleAlgebra):
     computations on the shipped instance.
     """
     gb, phi, _ = globalize(b)
-    pr = _smash_projector(b)
-    sm = _partial_smash(b, pr)
+    sm = partial_smash(b)
     bs = global_smash(gb)
     dim_bt = bs.dim
-    left, right = left_mults(bs.mult, dim_bt), right_mults(bs.mult, dim_bt)
+    left, right = list(bs.left), right_mults(bs.mult, dim_bt)
 
     report = ValidationReport("morita context")
 
@@ -600,9 +596,9 @@ def morita_context(b: PartialModuleAlgebra):
     phi_sm_left = [mult_by(left, v) for v in phi_sm.col_list()]
     report.record("Phi multiplicative",
                   all(phi_sm * a == c * phi_sm
-                      for a, c in zip(left_mults(sm.mult, sm.dim), phi_sm_left)))
+                      for a, c in zip(sm.left, phi_sm_left)))
 
-    e1, e2, e3 = _phi_expressions(b, phi, pr, right)
+    e1, e2, e3 = _phi_expressions(b, phi, sm.projector, right)
     report.record("three expressions for Phi(b # h) agree", e1 == e2 == e3)
     report.record("evaluated smash identity",
                   all(lhs == rhs for lhs, rhs in _evaluated_sides(b, gb, phi)))

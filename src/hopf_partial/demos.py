@@ -154,13 +154,13 @@ def demo_hopf_builtins():
     ok &= c3.antipode == la.Mat([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
     dual = dual_c2()
-    ok &= dual.mult_vec(0, 0) == (F(1), F(0))
-    ok &= dual.mult_vec(0, 1) == (F(0), F(0))
-    ok &= dual.comult_pairs(0) == [(0, 0, F(1)), (1, 1, F(1))]
+    ok &= dual.mult[0][0] == (F(1), F(0))
+    ok &= dual.mult[0][1] == (F(0), F(0))
+    ok &= dual.comult_terms[0] == ((0, 0, F(1)), (1, 1, F(1)))
 
     h4 = hp.sweedler_h4()
-    ok &= h4.mult_vec(1, 2) == (F(0), F(0), F(0), F(1))
-    ok &= h4.mult_vec(2, 1) == (F(0), F(0), F(0), F(-1))
+    ok &= h4.mult[1][2] == (F(0), F(0), F(0), F(1))
+    ok &= h4.mult[2][1] == (F(0), F(0), F(0), F(-1))
     s2 = h4.antipode * h4.antipode
     ok &= s2.col(2) == (F(0), F(0), F(-1), F(0))
     ok &= (s2 * s2) == la.Mat.identity(4)

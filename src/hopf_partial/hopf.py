@@ -13,22 +13,25 @@ Every axiom is a finite exact tensor-contraction identity, checked by
 ``validate_hopf``.  Constructors always validate their output and compute
 the inverse antipode; construction fails if S is singular.
 
-Products, Sweedler sums and the axiom witnesses read sparse tables, built
-once per object in ``__post_init__``: ``mult_terms[i][j]`` lists the (k, c)
-with c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c)
-of Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).
-The algebras of ``actions`` carry ``mult_terms`` too.  They are
-attributes, not fields, so equality and hashing see only the arrays.
+Products of elements are matrices: ``left_mults`` and ``right_mults`` give
+the regular representation of any algebra given by constants, the
+matrices L_s of u -> e_s u and R_s of u -> u e_s, and ``mult_by`` turns
+either into multiplication by an element.  The unit witness reads the L_s.
 
-``left_mults`` and ``right_mults`` give the regular representation of any
-algebra given by constants, the matrices L_s of u -> e_s u and R_s of
-u -> u e_s; ``mult_by`` turns either into multiplication by an element.
+The associativity witness and the coalgebra, bialgebra and antipode
+checks read sparse tables, built once per object in ``__post_init__``:
+``mult_terms[i][j]`` lists the (k, c) with c != 0 in e_i * e_j,
+``comult_terms[i]`` the Sweedler terms (j, k, c) of Delta(e_i) and
+``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).  The algebras of
+``actions`` carry ``mult_terms`` for their associativity witness.  They
+are attributes, not fields, so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .linalg import Mat, ShapeError, _mat_sum, frac, inverse, unit_vec
+from .linalg import (Mat, ShapeError, _mat_sum, first_nonzero_col, frac, inverse,
+                     unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
 
@@ -41,20 +44,6 @@ def _mult_terms(mult):
     """The sparse table of mult: terms[i][j] lists the (k, c) with c != 0."""
     return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
                        for row in plane) for plane in mult)
-
-
-def alg_prod(terms, u, v):
-    """Product of coefficient vectors, given the sparse table of the algebra."""
-    out = [frac(0)] * len(terms)
-    v = [(j, b) for j, b in enumerate(v) if b]
-    for i, a in enumerate(u):
-        if a:
-            row = terms[i]
-            for j, b in v:
-                c = a * b
-                for k, x in row[j]:
-                    out[k] += c * x
-    return tuple(out)
 
 
 def left_mults(mult, dim):
@@ -98,13 +87,14 @@ def _associativity_witness(terms):
     return None
 
 
-def _unit_witness(terms, unit):
-    """First basis index j where unit fails to be a two-sided unit."""
-    dim = len(terms)
-    return next((j for j in range(dim)
-                 if alg_prod(terms, unit, unit_vec(dim, j)) != unit_vec(dim, j)
-                 or alg_prod(terms, unit_vec(dim, j), unit) != unit_vec(dim, j)),
-                None)
+def _unit_witness(left, unit):
+    """First basis index j where unit fails to be a two-sided unit, given the
+    left multiplications of the algebra: the first nonzero column of L(u) - I
+    over [L_0 u | ... | L_{n-1} u] - I, whose columns j are u e_j and e_j u."""
+    n = len(unit)
+    ident = Mat.identity(n)
+    by_unit = Mat.from_cols([a.apply(unit) for a in left], n)
+    return first_nonzero_col(vstack([mult_by(left, unit) - ident, by_unit - ident]))
 
 
 @dataclass(frozen=True)
@@ -160,19 +150,7 @@ class HopfAlgebraData:
                 raise ValidationError(report)
         return h
 
-    # -- elementwise algebra/coalgebra helpers ------------------------------
-
-    def mult_vec(self, i, j):
-        """Coefficient vector of e_i * e_j."""
-        return self.mult[i][j]
-
-    def el_mult(self, u, v):
-        """Product of two coefficient vectors."""
-        return alg_prod(self.mult_terms, u, v)
-
-    def comult_pairs(self, i):
-        """Nonzero Sweedler terms of Delta(e_i) as (first, second, coeff)."""
-        return list(self.comult_terms[i])
+    # -- elementwise coalgebra helpers --------------------------------------
 
     def counit_el(self, u):
         return sum((a * e for a, e in zip(u, self.counit)), frac(0))
@@ -190,7 +168,7 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     witness = _associativity_witness(h.mult_terms)
     report.record("associativity", witness is None, witness)
 
-    witness = _unit_witness(h.mult_terms, h.unit)
+    witness = _unit_witness(left_mults(h.mult, d), h.unit)
     report.record("unit", witness is None, witness)
 
     witness = next(((i,) for i in range(d)
@@ -218,7 +196,7 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     if witness is None:
         for i in range(d):
             for j in range(d):
-                prod = h.mult_vec(i, j)
+                prod = h.mult[i][j]
                 if h.counit_el(prod) != h.counit[i] * h.counit[j]:
                     witness = (i, j, "counit multiplicative")
                     break
@@ -369,9 +347,10 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
     report = ValidationReport("hopf morphism")
     report.record("unit", f.apply(src.unit) == dst.unit)
 
+    left = left_mults(dst.mult, dst.dim)
+    images = [mult_by(left, x) for x in f.col_list()]
     witness = next(((i, j) for i in range(src.dim) for j in range(src.dim)
-                    if f.apply(src.mult_vec(i, j))
-                    != dst.el_mult(f.col(i), f.col(j))), None)
+                    if f.apply(src.mult[i][j]) != images[i].apply(f.col(j))), None)
     report.record("multiplicative", witness is None, witness)
 
     witness = next(((i,) for i in range(src.dim)

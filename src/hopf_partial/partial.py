@@ -497,13 +497,12 @@ def classify_sweedler(m: PartialModule):
     return u_space, w_space, c, d
 
 
-def w_n_module(n: int, hopf=None) -> PartialModule:
-    """The pure tower module: [g] = 0 and [x] = [y] = the lower shift."""
+def w_n_module(n: int) -> PartialModule:
+    """The pure tower module over the Sweedler Hopf algebra: [g] = 0 and
+    [x] = [y] = the lower shift."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    h = hopf if hopf is not None else builtin("sweedler")
-    if h != builtin("sweedler"):
-        raise ValueError("W_n lives over the Sweedler Hopf algebra")
+    h = builtin("sweedler")
     shift = Mat([[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)])
     mod = PartialModule(h, n, (Mat.identity(n), Mat.zeros(n, n), shift, shift))
     require(check_partial_rep(mod).ok, "W_n construction failed the axioms")

@@ -64,10 +64,10 @@ def _pa3_term(b, k, j, primed):
 
     def term(p, q):
         if primed:
-            return prod(b, mod.pi_vec(h.mult_vec(p, k)).col(j),
+            return prod(b, mod.pi_vec(h.mult[p][k]).col(j),
                         b.action[q].apply(b.alg_unit))
         return prod(b, b.action[p].apply(b.alg_unit),
-                    mod.pi_vec(h.mult_vec(q, k)).col(j))
+                    mod.pi_vec(h.mult[q][k]).col(j))
     return term
 
 
@@ -165,7 +165,7 @@ def evaluated_sides(b, gb, phi):
             rhs.append(tuple(x for k in range(h.dim)
                              for x in comult_vec_sum(h, k, m, lambda r, s: prod(
                                  b, b.action[r].col(a),
-                                 mod.pi_vec(h.mult_vec(s, hi)).apply(b.alg_unit)))))
+                                 mod.pi_vec(h.mult[s][hi]).apply(b.alg_unit)))))
         rows = m * h.dim
         sides.append((Mat.from_cols(lhs, rows), Mat.from_cols(rhs, rows)))
     return sides

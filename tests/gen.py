@@ -380,6 +380,24 @@ def count_products(monkeypatch):
     return calls
 
 
+def count_calls(monkeypatch, module, name):
+    """Record the arguments of every call of module.name from now on.
+
+    Only lookups of the name in that module see the wrapper; the
+    standard_dilation cache is cleared so that no earlier result is reused.
+    """
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    standard_dilation.cache_clear()
+    return calls
+
+
 def count_solves(monkeypatch):
     """Record the left-hand side of every linalg.solve_matrix call from now on.
 

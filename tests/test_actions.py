@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+import os
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,8 @@ import actions_reference as ref
 import gen
 
 F = Fraction
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "perfbench")
 
 DUAL = hp.builtin("kC2-dual")
 H4 = hp.sweedler_h4()
@@ -22,17 +27,16 @@ H4 = hp.sweedler_h4()
 def adjoint_action_algebra(h):
     """H acting on itself by h . a = h_(1) a S(h_(2)) (a module algebra)."""
     d = h.dim
+    right_h = hp.right_mults(h.mult, d)
     action = []
     for i in range(d):
         acc = la.Mat.zeros(d, d)
-        for p, q, cf in h.comult_pairs(i):
+        for p, q, cf in h.comult_terms[i]:
             left = pm.regular_module(h).pi[p]
-            right = la.Mat.from_cols(
-                [h.el_mult(la.unit_vec(d, j), h.antipode.col(q))
-                 for j in range(d)], d)
+            right = hp.mult_by(right_h, h.antipode.col(q))
             acc = acc + (left * right).scale(cf)
         action.append(acc)
-    mult = [[list(h.mult_vec(i, j)) for j in range(d)] for i in range(d)]
+    mult = [[list(h.mult[i][j]) for j in range(d)] for i in range(d)]
     return ac.PartialModuleAlgebra.build(h, mult, h.unit, action)
 
 
@@ -93,9 +97,26 @@ def test_partial_smash_of_trivial_action_is_full_tensor():
     assert sm.dim == 4
     # with the trivial action the product is just the Hopf multiplication;
     # B is one-dimensional, so 1 (x) v has the coordinates of v
-    got = sm.prod(sm.h_embedding[1], sm.h_embedding[2])
-    want_coords = sm.ambient.coords(H4.mult_vec(1, 2))
+    got = hp.mult_by(sm.left, sm.h_embedding[1]).apply(sm.h_embedding[2])
+    want_coords = sm.ambient.coords(H4.mult[1][2])
     assert got == want_coords
+
+
+def test_partial_smash_records_its_projector():
+    for name, alg in shipped_partial_algebras().items():
+        assert ac.partial_smash(alg).projector == ref.smash_projector(alg), name
+
+
+def test_recorded_attributes_are_not_part_of_the_value(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    canon = importlib.import_module("workloads").canon
+    alg = shipped_partial_algebras()["sweedler-mixed-2"]
+    for s in (ac.partial_smash(alg), ac.global_smash(ac.globalize(alg)[0])):
+        bare = dataclasses.replace(s)
+        assert not hasattr(bare, "left") and not hasattr(bare, "projector")
+        assert s == bare and hash(s) == hash(bare)
+        assert canon(s) == canon(bare)
+        assert not {"left", "projector", "mult_terms"} & set(canon(s))
 
 
 def test_coords_solves_a_whole_table_and_rejects_any_vector_outside():
@@ -178,8 +199,9 @@ def test_global_smash_unital_trivial_action_is_tensor_algebra():
     bs = ac.global_smash(gb)
     assert bs.dim == 2 and bs.unit is not None
     # product of 1#p_i with 1#p_j is delta_ij (the dual group algebra law)
-    assert bs.prod(bs.h_embedding[0], bs.h_embedding[0]) == bs.h_embedding[0]
-    assert bs.prod(bs.h_embedding[0], bs.h_embedding[1]) == (F(0), F(0))
+    by_first = hp.mult_by(bs.left, bs.h_embedding[0])
+    assert by_first.apply(bs.h_embedding[0]) == bs.h_embedding[0]
+    assert by_first.apply(bs.h_embedding[1]) == (F(0), F(0))
 
 
 def test_zeta_xi_on_shipped_examples():
@@ -191,18 +213,31 @@ def test_zeta_xi_on_shipped_examples():
         assert xi * zeta == la.Mat.identity(xi.rows)
 
 
-def test_zeta_xi_builds_the_smash_projector_once(monkeypatch):
+def test_zeta_xi_builds_the_smash_operators_once(monkeypatch):
     half = shipped_partial_algebras()["kC2-dual-half"]
-    builds = []
-    original = ac._smash_projector
-
-    def counted(b):
-        builds.append(b)
-        return original(b)
-
-    monkeypatch.setattr(ac, "_smash_projector", counted)
+    builds = gen.count_calls(monkeypatch, ac, "_smash_operators")
     ac.zeta_xi(half)
-    assert builds == [half]
+    assert [args[0] for args in builds] == [half]
+
+
+@pytest.mark.parametrize("construction, name, count", [
+    ("partial_smash", "_smash_operators", 1),
+    ("partial_smash", "_mult_terms", 1),
+    ("zeta_xi", "_smash_operators", 1),
+    ("morita_context", "_smash_operators", 2),
+    ("morita_context", "_mult_terms", 2),
+    ("morita_context", "left_mults", 7),
+    ("global_smash", "diagonal_action", 1),
+])
+def test_build_counts_per_construction(monkeypatch, construction, name, count):
+    # lookups in actions only: partial_smash and global_smash build the
+    # smash operators and the sparse table once each, and every later step
+    # reads the left multiplications and the projector they record
+    b = shipped_partial_algebras()["sweedler-mixed-2"]
+    arg = ac.globalize(b)[0] if construction == "global_smash" else b
+    calls = gen.count_calls(monkeypatch, ac, name)
+    getattr(ac, construction)(arg)
+    assert len(calls) == count
 
 
 def test_morita_context_on_shipped_examples():
@@ -220,6 +255,11 @@ def test_morita_global_case_p_equals_q():
     assert p_space.dim == 2
 
 
+def test_direct_product_of_nothing_is_rejected():
+    with pytest.raises(ValueError, match="^direct product needs at least one algebra$"):
+        ac.direct_product([])
+
+
 def test_direct_product_axioms():
     algebras = shipped_partial_algebras()
     prod = ac.direct_product([algebras["kC2-dual-half"],
@@ -230,7 +270,7 @@ def test_direct_product_axioms():
 
 def test_smash_projector_commutes_with_diagonal_action():
     for alg in shipped_partial_algebras().values():
-        pr = ac._smash_projector(alg)
+        pr = ac.partial_smash(alg).projector
         assert pr * pr == pr
         bh = pm.tensor_with_global(alg.as_module(),
                                    pm.regular_module(alg.hopf))

@@ -17,6 +17,7 @@ import pytest
 import actions_reference as ref
 from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
+from hopf_partial import partial as pm
 from hopf_partial.demos import shipped_partial_algebras
 from hopf_partial.linalg import Mat
 
@@ -81,7 +82,8 @@ def test_axiom_sides_and_witnesses(name):
     failed = set()
     for alg in [b] + perturbed_algebras(b):
         pa2 = ac._pa2_sides(alg)
-        pa3, pa3_primed = ac._pa3_sides(alg)
+        pa3, pa3_primed = ac._pa3_sides(alg, hp.left_mults(alg.alg_mult, alg.dim),
+                                        hp.right_mults(alg.alg_mult, alg.dim))
         assert pa2 == ref.pa2_sides(alg)
         assert pa3 == ref.pa3_sides(alg, primed=False)
         assert pa3_primed == ref.pa3_sides(alg, primed=True)
@@ -101,7 +103,9 @@ def test_smash_projector_and_convolution(name):
     b = SHIPPED[name]
     n = b.dim * b.hopf.dim
     for alg in [b] + perturbed_algebras(b):
-        assert ac._smash_projector(alg) == ref.smash_projector(alg)
+        diag = pm.diagonal_action(alg.hopf, alg.action, pm.regular_module(alg.hopf).pi)
+        assert ac._smash_projector(alg, ac._smash_operators(alg, diag)) \
+            == ref.smash_projector(alg)
         ops = ac._convolution_ops(alg, Mat.identity(n))
         assert ops == [ref.convolution_op(alg, f) for f in Mat.identity(n).col_list()]
 
@@ -116,7 +120,7 @@ def globalized(request):
 def test_phi_expressions_and_q_span(globalized):
     b, gb, phi = globalized
     bs = ac.global_smash(gb)
-    pr = ac._smash_projector(b)
+    pr = ac.partial_smash(b).projector
     right = hp.right_mults(bs.mult, bs.dim)
     fails = []
     for p in [phi] + perturbed_phis(phi):

@@ -1,9 +1,11 @@
 """Every function and method of the package is referenced somewhere.
 
 The scan parses ``src/hopf_partial/*.py`` and ``tests/*.py`` with `ast`.
-A top-level function or a non-dunder method of the package counts as used
-when its name is loaded anywhere in those files: as a plain name, as an
-attribute or as an imported name.  The `Mat` operators and `Subspace`
+A top-level function of the package counts as used when its name is loaded
+anywhere in those files: as a plain name, as an attribute or as an
+imported name.  A non-dunder method counts as used only when its name is
+loaded as an attribute, so a local variable of the same spelling does not
+mask an unused method.  The `Mat` operators and `Subspace`
 methods that ``perfbench/bench_trace.py`` wraps by name are exempt; the
 benchmark reaches them through that list (``Mat.power`` among them).
 """
@@ -40,14 +42,15 @@ def _traced_names():
 
 
 def defined_functions(filename, tree):
-    """(qualified name, bare name) of the top-level functions and methods."""
+    """(qualified name, bare name, is a method) of the top-level functions
+    and the non-dunder methods."""
     module = filename[:-3]
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.append((f"{module}.{node.name}", node.name))
+            out.append((f"{module}.{node.name}", node.name, False))
         elif isinstance(node, ast.ClassDef):
-            out.extend((f"{node.name}.{item.name}", item.name)
+            out.extend((f"{node.name}.{item.name}", item.name, True)
                        for item in node.body
                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                        and not (item.name.startswith("__")
@@ -56,24 +59,27 @@ def defined_functions(filename, tree):
 
 
 def loaded_names(trees):
-    names = set()
+    """(every loaded name, the names loaded as attributes)."""
+    names, attributes = set(), set()
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.split(".")[-1] for alias in node.names)
-    return names
+    return names | attributes, attributes
 
 
 def dead_functions(src_trees, other_trees, exempt=frozenset()):
-    """Qualified names of package functions whose name is never loaded, sorted."""
-    used = loaded_names(list(src_trees.values()) + list(other_trees))
+    """Qualified names of package functions whose name is never loaded, sorted;
+    a method needs an attribute load of its name."""
+    used, attributes = loaded_names(list(src_trees.values()) + list(other_trees))
     return sorted(qual for filename, tree in src_trees.items()
-                  for qual, name in defined_functions(filename, tree)
-                  if name not in used and name not in exempt)
+                  for qual, name, method in defined_functions(filename, tree)
+                  if name not in (attributes if method else used)
+                  and name not in exempt)
 
 
 def test_every_package_function_is_referenced():
@@ -89,8 +95,12 @@ def test_the_scan_sees_names_attributes_and_imports():
         "class K:\n    def __eq__(self, o):\n        return True\n\n"
         "    def method(self):\n        pass\n\n"
         "    def unused(self):\n        pass\n\n"
+        "    def masked(self):\n        pass\n\n"
         "    def power(self):\n        pass\n\n"
-        "called()\nK().method()\n")}
+        "def local():\n    masked = 1\n    return masked\n\n"
+        "called()\nK().method()\nlocal()\n")}
     other = [ast.parse("from mod import imported\n")]
-    assert dead_functions(src, other, {"power"}) == ["K.unused", "mod.dead"]
+    # a local variable named like a method does not count as using it
+    assert dead_functions(src, other, {"power"}) \
+        == ["K.masked", "K.unused", "mod.dead"]
     assert {"power", "__mul__", "from_vectors"} <= _traced_names()

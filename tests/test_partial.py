@@ -269,8 +269,9 @@ def test_classify_sweedler_mixed():
 def test_w_n_module_shapes():
     assert pm.w_n_module(1).pi[2].is_zero()
     assert pm.w_n_module(2).pi[2] == la.Mat([[0, 0], [1, 0]])
-    with pytest.raises(ValueError):
-        pm.w_n_module(0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            pm.w_n_module(n)
 
 
 def test_w3_submodule_tower():

@@ -50,7 +50,9 @@ def hopf_in_basis(h, p):
     d = h.dim
     f = p.col_list()
     coords = [q.col(k) for k in range(d)]
-    mult = [[q.apply(h.el_mult(f[i], f[j])) for j in range(d)] for i in range(d)]
+    left = hp.left_mults(h.mult, d)
+    mult = [[q.apply(hp.mult_by(left, f[i]).apply(f[j])) for j in range(d)]
+            for i in range(d)]
     comult = []
     for i in range(d):
         # Delta(f_i) = sum_k p[k, i] Delta(e_k), rewritten in f (x) f

@@ -72,7 +72,7 @@ def test_adjoint_ops_for_group_algebra():
     if t * t == t:
         p = pj.ProjectedModule.build(reg, t)
         for g in range(3):
-            ginv = next(j for j in range(3) if kc3.mult_vec(g, j)[0] == 1)
+            ginv = next(j for j in range(3) if kc3.mult[g][j][0] == 1)
             assert pj.adjoint_op(p, g) == reg.pi[g] * t * reg.pi[ginv]
             assert pj.tilde_op(p, g) == reg.pi[ginv] * t * reg.pi[g]
 
@@ -92,7 +92,7 @@ def test_adjoint_linearity(p37):
         combo = combo + pj.adjoint_op(p37, i).scale(c)
     direct = la.Mat.zeros(4, 4)
     for i, c in enumerate(coeffs):
-        for a, b, cf in H4.comult_pairs(i):
+        for a, b, cf in H4.comult_terms[i]:
             pi_sb = p37.module.pi_vec(H4.antipode.col(b))
             direct = direct + (p37.module.pi[a] * p37.t * pi_sb).scale(c * cf)
     assert combo == direct

@@ -1,10 +1,11 @@
-"""Differential tests: the sparse structure tables against the dense reference.
+"""Differential tests: the structure tables and matrices against the dense reference.
 
-Products, the associativity and unit witnesses, the Sweedler terms and the
-smash product must come out equal to `dense_structure`, the dense routines
-the tables replaced, on random structure constants, on single-entry
-perturbations of the builtins, and on the partial and global smash
-products of the shipped partial module algebras.
+The associativity witness and the Sweedler terms read the sparse tables;
+products and the unit witness read the left multiplications L_s of
+`hopf.left_mults`.  All must come out equal to `dense_structure`, the
+dense element-wise routines they replaced, on random structure constants,
+on single-entry perturbations of the builtins, and on the partial and
+global smash products of the shipped partial module algebras.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import dense_structure as ref
 from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
+from hopf_partial import partial as pm
 from hopf_partial.demos import shipped_partial_algebras
 from hopf_partial.linalg import Mat
 
@@ -37,12 +39,13 @@ def cubes(dim):
 
 def assert_same_algebra(mult, unit, us, vs):
     """Every sparse routine agrees with the dense one on these constants."""
-    terms = hp._mult_terms(mult)
-    assert hp._associativity_witness(terms) == ref.associativity_witness(mult)
+    left = hp.left_mults(mult, len(mult))
+    assert hp._associativity_witness(hp._mult_terms(mult)) \
+        == ref.associativity_witness(mult)
     if unit is not None:
-        assert hp._unit_witness(terms, unit) == ref.unit_witness(mult, unit)
+        assert hp._unit_witness(left, unit) == ref.unit_witness(mult, unit)
     for u, v in zip(us, vs):
-        assert hp.alg_prod(terms, u, v) == ref.alg_prod(mult, u, v)
+        assert hp.mult_by(left, u).apply(v) == ref.alg_prod(mult, u, v)
 
 
 @st.composite
@@ -70,7 +73,7 @@ def test_random_coalgebras(data):
     h = hp.HopfAlgebraData(dim, hp._freeze3([[zero] * dim] * dim), zero,
                            hp._freeze3(comult), zero, ident, ident)
     for i in range(dim):
-        assert h.comult_pairs(i) == ref.comult_pairs(comult, i)
+        assert list(h.comult_terms[i]) == ref.comult_pairs(comult, i)
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,7 +90,7 @@ def test_single_entry_perturbations_of_builtins(name, data):
     if plane == "comult":
         bad = hp.HopfAlgebraData(d, h.mult, h.unit, cube, h.counit,
                                  h.antipode, h.antipode_inv)
-        assert [bad.comult_pairs(p) for p in range(d)] \
+        assert [list(bad.comult_terms[p]) for p in range(d)] \
             == [ref.comult_pairs(cube, p) for p in range(d)]
     else:
         us = [data.draw(vectors(d)) for _ in range(3)]
@@ -110,7 +113,11 @@ def test_smash_products_of_shipped_algebras(smash_algebras):
             us += [tuple(F(x + 1, 2) for x in range(s.dim)),
                    tuple(F((-1) ** x, x % 3 + 1) for x in range(s.dim))]
             assert_same_algebra(s.mult, s.unit, us, list(reversed(us)))
-            assert s.prod(us[-1], us[-2]) == ref.alg_prod(s.mult, us[-1], us[-2])
+            assert s.left == tuple(hp.left_mults(s.mult, s.dim))
+            for u in us:
+                left = hp.mult_by(s.left, u)
+                assert [left.apply(v) for v in us] \
+                    == [ref.alg_prod(s.mult, u, v) for v in us]
 
 
 def test_perturbed_global_smash_witnesses(smash_algebras):
@@ -123,7 +130,7 @@ def test_perturbed_global_smash_witnesses(smash_algebras):
             assert witness is not None, name
             assert witness == ref.associativity_witness(cube), name
             if bs.unit is not None:
-                assert hp._unit_witness(hp._mult_terms(cube), bs.unit) \
+                assert hp._unit_witness(hp.left_mults(cube, bs.dim), bs.unit) \
                     == ref.unit_witness(cube, bs.unit), name
 
 
@@ -132,7 +139,8 @@ def test_smash_product_formula(name, alg):
     gb = ac.globalize(alg)[0]
     for b in (alg, gb):
         dim = b.dim * b.hopf.dim
-        ops = ac._smash_operators(b)
+        ops = ac._smash_operators(b, pm.diagonal_action(
+            b.hopf, b.action, pm.regular_module(b.hopf).pi))
         vecs = [ref.unit_vec(dim, i) for i in range(dim)]
         vecs.append(tuple(F((-1) ** x * (x + 1), x % 3 + 1) for x in range(dim)))
         for u in vecs:
