@@ -18,42 +18,42 @@ when its product mu: B (x) B -> B is H-linear.  Each axiom is a matrix
 identity whose witness is read off the first nonzero column of the
 difference; the unit witness reads the L_s as well.
 
-`partial_smash` and `global_smash` are the only builders of the two smash
-products.  Each builds its left multiplications once and records them as
-the attribute ``left`` (the partial one also records its smash idempotent
-as ``projector``), so that `zeta_xi` and `morita_context` reuse them
-instead of rebuilding them.  Like ``mult_terms`` these attributes are not
-fields, so equality, hashing and digests see only the fields.
+The three algebra classes derive from `hopf.ConstantsAlgebra`, so each
+object builds its ``left``, ``right`` and ``mult_terms`` at most once.  A
+subalgebra (eB, the partial smash product, the globalization) gets its L_s
+from the same elimination that finds its unit, and its builder stores
+them through `_memo`; `global_smash` stores its smash operators, which are
+its L_s, and `partial_smash` also records its smash idempotent as
+``projector``.  Memos are not fields, so equality, hashing and digests
+see only the fields.
 """
 
 from dataclasses import dataclass
 
 from .dilation import (_factor_through, _translates, dilate_morphism,
                        standard_dilation)
-from .hopf import (HopfAlgebraData, _associativity_witness, _freeze3,
-                   _mult_terms, _unit_witness, left_mults, mult_by, right_mults)
+from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness,
+                   _freeze3, _memo, _unit_witness, mult_by, right_mults)
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_nonzero_col, first_unstable, frac,
                      hstack, kron, mat_to_vec, rank, restrict_operators, solve,
-                     solve_matrix, vec_scale, vstack)
-from .partial import (ModuleMorphism, PartialModule, _memo, antipode_images,
+                     solve_blocks, solve_matrix, vec_scale, vstack)
+from .partial import (ModuleMorphism, PartialModule, antipode_images,
                       check_partial_rep, diagonal_action, is_global,
                       regular_module, tensor_with_global)
 from .reports import ValidationError, ValidationReport
 
 
 @dataclass(frozen=True)
-class PartialModuleAlgebra:
+class PartialModuleAlgebra(ConstantsAlgebra):
     """Unital algebra with structure constants plus a partial Hopf action."""
 
+    _table = "alg_mult"
     hopf: HopfAlgebraData
     dim: int
     alg_mult: tuple
     alg_unit: tuple
     action: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "mult_terms", _mult_terms(self.alg_mult))
 
     @staticmethod
     def build(hopf, alg_mult, alg_unit, action):
@@ -80,9 +80,10 @@ class PartialModuleAlgebra:
 
 
 @dataclass(frozen=True)
-class GlobalModuleAlgebra:
+class GlobalModuleAlgebra(ConstantsAlgebra):
     """A (possibly non-unital) algebra with a global action by algebra maps."""
 
+    _table = "alg_mult"
     hopf: HopfAlgebraData
     dim: int
     alg_mult: tuple
@@ -92,7 +93,7 @@ class GlobalModuleAlgebra:
 
 
 @dataclass(frozen=True)
-class SmashAlgebra:
+class SmashAlgebra(ConstantsAlgebra):
     """An algebra living on a subspace of B (x) H, by structure constants.
 
     ``ambient`` records the defining subspace of the tensor space,
@@ -110,9 +111,6 @@ class SmashAlgebra:
     h_embedding: tuple
     module: PartialModule
 
-    def __post_init__(self):
-        object.__setattr__(self, "mult_terms", _mult_terms(self.mult))
-
 
 def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     """All four partial action axioms over basis triples, plus the module law.
@@ -121,13 +119,12 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     the coproduct; PA3 and PA3' are the two symmetric composition rules.
     """
     mod = b.as_module()
-    left, right = left_mults(b.alg_mult, b.dim), right_mults(b.alg_mult, b.dim)
     report = ValidationReport("partial module algebra")
     report.record("algebra associativity", *_flag(_associativity_witness(b.mult_terms)))
-    report.record("algebra unit", _unit_witness(left, b.alg_unit) is None)
+    report.record("algebra unit", _unit_witness(b.left, b.alg_unit) is None)
     report.record("PA1", mod.pi_vec(b.hopf.unit) == Mat.identity(b.dim))
     report.record("PA2", *_flag(_first_difference(_pa2_sides(b), b.dim)))
-    pa3, pa3_primed = _pa3_sides(b, left, right)
+    pa3, pa3_primed = _pa3_sides(b)
     report.record("PA3", *_flag(_first_difference(pa3, b.dim)))
     report.record("PA3'", *_flag(_first_difference(pa3_primed, b.dim)))
 
@@ -157,9 +154,8 @@ def _pa2_sides(b):
     return [(a * mu, mu * di) for a, di in zip(b.action, diag)]
 
 
-def _pa3_sides(b, left_b, right_b):
-    """The sides of PA3 and of PA3' per e_i, as m x d m block rows over k,
-    given the left and right multiplications of B.
+def _pa3_sides(b):
+    """The sides of PA3 and of PA3' per e_i, as m x d m block rows over k.
 
     Block k of the left side is pi(e_i) pi(e_k).  With Delta(e_i) =
     sum c e_p (x) e_q, block k of the right side is sum c L(e_p . 1)
@@ -168,8 +164,8 @@ def _pa3_sides(b, left_b, right_b):
     h, m = b.hopf, b.dim
     mod = b.as_module()
     ones = [a.apply(b.alg_unit) for a in b.action]
-    left = [mult_by(left_b, u) for u in ones]
-    right = [mult_by(right_b, u) for u in ones]
+    left = [mult_by(b.left, u) for u in ones]
+    right = [mult_by(b.right, u) for u in ones]
     translates = [hstack([mod.pi_vec(h.mult[p][k]) for k in range(h.dim)])
                   for p in range(h.dim)]
     stacked = hstack(b.action)
@@ -209,22 +205,19 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
     if not glob.ok:
         raise ValidationError(glob)
     e = tuple(frac(x) for x in e)
-    left = left_mults(b_global.alg_mult, b_global.dim)
-    left_e = mult_by(left, e)
+    left_e = mult_by(b_global.left, e)
     if left_e.apply(e) != e:
         raise ValidationError("e is not idempotent")
-    if left_e != mult_by(right_mults(b_global.alg_mult, b_global.dim), e):
+    if left_e != mult_by(b_global.right, e):
         raise ValidationError("e is not central")
 
-    space = column_space(left_e)
-    incl = space.basis.transpose()
-    sub_dim = space.dim
-    prods = [mult_by(left, u) * incl for u in incl.col_list()]
-    *coords, unit = _coords(incl, hstack(prods + [_col(e)]),
-                            "eB is not closed as expected")
-    mult = [coords[i * sub_dim:(i + 1) * sub_dim] for i in range(sub_dim)]
+    incl = column_space(left_e).basis.transpose()
+    ops = [mult_by(b_global.left, u) for u in incl.col_list()]
+    left, unit = _subalgebra_left(incl, ops, _col(e), "eB is not closed as expected")
     action = restrict_operators([left_e * a for a in b_global.action], incl)
-    out = PartialModuleAlgebra.build(b_global.hopf, mult, unit, action)
+    out = PartialModuleAlgebra.build(b_global.hopf, [a.col_list() for a in left],
+                                     unit.col(0), action)
+    _memo(out, "_left", lambda: left)
     rep = check_partial_action(out)
     if not rep.ok:
         raise ValidationError(rep)
@@ -242,7 +235,7 @@ def direct_product(algebras) -> PartialModuleAlgebra:
     # e_s of a factor multiplies by L_s on its block and by 0 elsewhere
     zeros = [Mat.zeros(a.dim, a.dim) for a in algebras]
     mult = [block_diag(zeros[:n] + [left] + zeros[n + 1:]).col_list()
-            for n, a in enumerate(algebras) for left in left_mults(a.alg_mult, a.dim)]
+            for n, a in enumerate(algebras) for left in a.left]
     unit = [x for a in algebras for x in a.alg_unit]
     action = [block_diag([a.action[i] for a in algebras]) for i in range(h.dim)]
     return PartialModuleAlgebra.build(h, mult, unit, action)
@@ -258,15 +251,20 @@ def _columns(rows, mats):
     return hstack([Mat.zeros(rows, 0), *mats])
 
 
-def _coords(incl, targets, msg):
-    """Coordinates c_k with incl c_k = column k of targets, by one solve_matrix.
+def _subalgebra_left(incl, ops, extra, msg):
+    """The L_s of the algebra on the span of the columns u_s of incl, and
+    the coordinates of the columns of extra, given ops[s], the operator of
+    multiplication by u_s on the ambient space.
 
-    Raises ValidationError(msg) when any column is outside the span.
+    One solve_blocks of [incl | ops[0] incl | ... | ops[r-1] incl | extra]:
+    block s is L_s, its column j the coordinates of u_s u_j.  Raises
+    ValidationError(msg) when the span is not closed or extra leaves it.
     """
-    c = solve_matrix(incl, targets)
-    if c is None:
+    blocks = solve_blocks(incl, [op * incl for op in ops] + [extra])
+    if blocks is None:
         raise ValidationError(msg)
-    return c.col_list()
+    *left, coords = blocks
+    return tuple(left), coords
 
 
 # -- the smash products --------------------------------------------------------
@@ -278,8 +276,7 @@ def _smash_operators(alg, diag):
     (L_a (x) 1) D_h, with diag the diagonal action D of H on A (x) H.
     """
     ident = Mat.identity(alg.hopf.dim)
-    return [kron(la, ident) * dh for la in left_mults(alg.alg_mult, alg.dim)
-            for dh in diag]
+    return [kron(la, ident) * dh for la in alg.left for dh in diag]
 
 
 def _unit_tensors(u, h):
@@ -303,9 +300,8 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     Also installs the canonical partial module structure given by left
     multiplication with the elements 1 # e_i and checks it satisfies the
     five partial representation identities.  The result records, as
-    attributes outside the fields, ``left``: the left multiplications L_s
-    of its structure constants, and ``projector``: the smash idempotent
-    on B (x) H whose image it lives on.
+    attributes outside the fields, its L_s, read by ``left``, and
+    ``projector``: the smash idempotent on B (x) H whose image it lives on.
     """
     h = b.hopf
     ops = _smash_operators(b, diagonal_action(h, b.action, regular_module(h).pi))
@@ -317,16 +313,17 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     r = sub.dim
     incl = sub.basis.transpose()
 
-    prods = [mult_by(ops, u) * incl for u in incl.col_list()]
-    coords = _coords(incl, hstack(prods + [pr * _unit_tensors(b.alg_unit, h)]),
-                     "smash product left its defining subspace")
-    mult = [coords[i * r:(i + 1) * r] for i in range(r)]
-    unit, *ones = coords[r * r:]
-    left = left_mults(mult, r)
+    left, coords = _subalgebra_left(incl, [mult_by(ops, u) for u in incl.col_list()],
+                                    pr * _unit_tensors(b.alg_unit, h),
+                                    "smash product left its defining subspace")
+    unit, *ones = coords.col_list()
     if _unit_witness(left, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
     module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
-    out = SmashAlgebra(h, b.dim, sub, r, _freeze3(mult), unit, tuple(ones), module)
+    out = SmashAlgebra(h, b.dim, sub, r, _freeze3(a.col_list() for a in left),
+                       unit, tuple(ones), module)
+    _memo(out, "_left", lambda: left)
+    _memo(out, "projector", lambda: pr)
     witness = _associativity_witness(out.mult_terms)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
@@ -334,8 +331,6 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     rep = check_partial_rep(module)
     if not rep.ok:
         raise ValidationError(rep)
-    object.__setattr__(out, "left", tuple(left))
-    object.__setattr__(out, "projector", pr)
     return out
 
 
@@ -344,8 +339,7 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
 
     The product is (f # h)(g # k) = f * (h_(1) . g) # h_(2) k; the module
     field carries the diagonal H-action under which Bbar # H is just
-    Bbar (x) H.  The result records its left multiplications as the
-    attribute ``left``, outside the fields.
+    Bbar (x) H.  The result stores its smash operators as its L_s.
     """
     h = gb.hopf
     dim = gb.dim * h.dim
@@ -358,12 +352,12 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     out = SmashAlgebra(h, gb.dim, Subspace.full(dim), dim,
                        _freeze3(op.col_list() for op in ops), unit, ones,
                        PartialModule(h, dim, diag))
+    _memo(out, "_left", lambda: tuple(ops))
     witness = _associativity_witness(out.mult_terms)
     if witness is not None:
         raise ValidationError(f"global smash product not associative at {witness}")
     if unit is not None and _unit_witness(ops, unit) is not None:
         raise ValidationError("1 # 1 is not a unit although Bbar is unital")
-    object.__setattr__(out, "left", tuple(ops))
     return out
 
 
@@ -377,10 +371,9 @@ def _convolution_ops(b: PartialModuleAlgebra, fs: Mat):
     sum_p C_p (x) L(f(e_p)), where C_p[k][q] is the c of e_p (x) e_q.
     """
     h, m, d = b.hopf, b.dim, b.hopf.dim
-    left = left_mults(b.alg_mult, m)
     legs = [Mat([[h.comult[k][p][q] for q in range(d)] for k in range(d)])
             for p in range(d)]
-    return [_mat_sum(((kron(c, mult_by(left, f[p * m:(p + 1) * m])), 1)
+    return [_mat_sum(((kron(c, mult_by(b.left, f[p * m:(p + 1) * m])), 1)
                       for p, c in enumerate(legs)), m * d, m * d)
             for f in fs.col_list()]
 
@@ -401,9 +394,8 @@ def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     Column j of the two sides is sum c (e_p . phi(e_j))(e_q . phi(1)) and
     e_i . phi(e_j), with the action and right multiplications of Bbar.
     """
-    right = right_mults(gb.alg_mult, gb.dim)
     phi_unit = phi.apply(b.alg_unit)
-    by_unit = [mult_by(right, a.apply(phi_unit)) for a in gb.action]
+    by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
     return [(_mat_sum(((by_unit[q] * gb.action[p] * phi, c)
                        for p, q, c in b.hopf.comult_terms[i]), gb.dim, b.dim),
              a * phi)
@@ -430,19 +422,21 @@ def globalize(b: PartialModuleAlgebra):
 
     report = ValidationReport("globalization")
 
-    prods = _coords(incl, _columns(m * d, [op * incl for op in _convolution_ops(b, incl)]),
-                    "convolution leaves the dilation subspace")
-    mult = [prods[i * mb:(i + 1) * mb] for i in range(mb)]
-    left, right = left_mults(mult, mb), right_mults(mult, mb)
+    left, _ = _subalgebra_left(incl, _convolution_ops(b, incl), Mat.zeros(m * d, 0),
+                               "convolution leaves the dilation subspace")
+    mult = [a.col_list() for a in left]
+    right = tuple(right_mults(mult, mb))
     unit_coords = _find_unit(left, right)
     gb = GlobalModuleAlgebra(h, mb, _freeze3(mult), mod.pi,
                              unital=unit_coords is not None,
                              alg_unit=unit_coords)
+    _memo(gb, "_left", lambda: left)
+    _memo(gb, "_right", lambda: right)
 
     phi = std.theta
     report.record("phi multiplicative",
                   all(phi * a == mult_by(left, phi.col(i)) * phi
-                      for i, a in enumerate(left_mults(b.alg_mult, m))))
+                      for i, a in enumerate(b.left)))
     report.record("phi(B) is a two-sided ideal",
                   first_unstable(column_space(phi), left + right) is None)
 
@@ -552,13 +546,11 @@ def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     h, m = b.hopf, b.dim
     mod = b.as_module()
     incl = standard_dilation(mod).ambient_inclusion
-    right_b = right_mults(b.alg_mult, m)
-    right_g = right_mults(gb.alg_mult, gb.dim)
     phi_unit = phi.apply(b.alg_unit)
-    twisted = [phi * mult_by(right_b, a.apply(b.alg_unit)) for a in b.action]
-    by_unit = [mult_by(right_g, a.apply(phi_unit)) for a in gb.action]
+    twisted = [phi * mult_by(b.right, a.apply(b.alg_unit)) for a in b.action]
+    by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
     # at_one[s][i] = R(pi(e_s e_i) 1)
-    at_one = [[mult_by(right_b, mod.pi_vec(h.mult[s][i]).apply(b.alg_unit))
+    at_one = [[mult_by(b.right, mod.pi_vec(h.mult[s][i]).apply(b.alg_unit))
                for i in range(h.dim)] for s in range(h.dim)]
     return [(incl * _mat_sum(((by_unit[q] * twisted[p], c)
                               for p, q, c in h.comult_terms[i]), gb.dim, m),
@@ -587,7 +579,7 @@ def morita_context(b: PartialModuleAlgebra):
     sm = partial_smash(b)
     bs = global_smash(gb)
     dim_bt = bs.dim
-    left, right = list(bs.left), right_mults(bs.mult, dim_bt)
+    left, right = list(bs.left), list(bs.right)
 
     report = ValidationReport("morita context")
 

@@ -1,7 +1,8 @@
 """Command line driver: JSON in, JSON reports out.
 
 Exit codes: 0 success, 1 a validation or axiom check failed (the report
-carries witnesses), 2 malformed input.  Input "-" reads standard input.
+carries witnesses), 2 malformed input or a path that cannot be read or
+written.  Input "-" reads standard input.
 """
 
 import argparse
@@ -23,10 +24,13 @@ OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
 
 
 def _read(path):
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise io.FormatError(f"input is not UTF-8 text: {exc}")
 
 
 def _emit(payload, output):
@@ -229,7 +233,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (io.FormatError, FileNotFoundError, ShapeError, KeyError) as exc:
+    except (io.FormatError, OSError, ShapeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
     except ValidationError as exc:

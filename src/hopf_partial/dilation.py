@@ -17,7 +17,6 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hopf import right_mults
 from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
                      rank, solve, solve_blocks, solve_matrix, span_closure,
                      vstack)
@@ -56,7 +55,7 @@ def _translation_action(h, n):
 
     Block (j, q) is the coefficient of e_q in e_j e_i: R_i^T (x) I_M.
     """
-    return [kron(r.transpose(), Mat.identity(n)) for r in right_mults(h.mult, h.dim)]
+    return [kron(r.transpose(), Mat.identity(n)) for r in h.right]
 
 
 def _phi_matrix(m: PartialModule) -> Mat:

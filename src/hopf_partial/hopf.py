@@ -14,17 +14,21 @@ Every axiom is a finite exact tensor-contraction identity, checked by
 the inverse antipode; construction fails if S is singular.
 
 Products of elements are matrices: ``left_mults`` and ``right_mults`` give
-the regular representation of any algebra given by constants, the
+the regular representation of an algebra given by constants, the
 matrices L_s of u -> e_s u and R_s of u -> u e_s, and ``mult_by`` turns
 either into multiplication by an element.  The unit witness reads the L_s.
 
 The associativity witness and the coalgebra, bialgebra and antipode
-checks read sparse tables, built once per object in ``__post_init__``:
-``mult_terms[i][j]`` lists the (k, c) with c != 0 in e_i * e_j,
-``comult_terms[i]`` the Sweedler terms (j, k, c) of Delta(e_i) and
-``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).  The algebras of
-``actions`` carry ``mult_terms`` for their associativity witness.  They
-are attributes, not fields, so equality and hashing see only the arrays.
+checks read sparse tables: ``mult_terms[i][j]`` lists the (k, c) with
+c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c) of
+Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i);
+the last two are built with each `HopfAlgebraData`.
+
+`HopfAlgebraData` and the algebras of ``actions`` derive from
+`ConstantsAlgebra`, the one home of their derived structure: ``left``,
+``right`` and ``mult_terms`` are built from the constants on first use
+and kept on the object by `_memo`.  Memos are attributes, not fields, so
+equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field
@@ -55,6 +59,49 @@ def right_mults(mult, dim):
     """R_0, ..., R_{dim-1}: the matrices of u -> u e_s, column j = mult[j][s]."""
     return [Mat.from_cols([mult[j][s] for j in range(dim)], dim)
             for s in range(dim)]
+
+
+def _memo(obj, name, compute):
+    """compute() stored on the frozen obj as the non-field attribute name.
+
+    The first call that returns stores its value and later calls read it;
+    a compute() that raises stores nothing.  Non-field attributes stay out
+    of ==, hash and the dataclass fields, so an equal new object starts
+    with no memo and is verified from scratch.
+    """
+    try:
+        return obj.__dict__[name]
+    except KeyError:
+        value = compute()
+        object.__setattr__(obj, name, value)
+        return value
+
+
+class ConstantsAlgebra:
+    """An algebra given by structure constants, held in the field named _table.
+
+    ``left`` and ``right`` are its L_s and R_s, ``mult_terms`` its sparse
+    table; each is built from the constants on first use.  A builder that
+    already holds the L_s or R_s stores them as ``_left`` or ``_right``
+    through `_memo` instead.
+    """
+
+    _table = "mult"
+
+    @property
+    def left(self):
+        return _memo(self, "_left", lambda: tuple(
+            left_mults(getattr(self, self._table), self.dim)))
+
+    @property
+    def right(self):
+        return _memo(self, "_right", lambda: tuple(
+            right_mults(getattr(self, self._table), self.dim)))
+
+    @property
+    def mult_terms(self):
+        return _memo(self, "_mult_terms",
+                     lambda: _mult_terms(getattr(self, self._table)))
 
 
 def mult_by(mats, u):
@@ -98,7 +145,7 @@ def _unit_witness(left, unit):
 
 
 @dataclass(frozen=True)
-class HopfAlgebraData:
+class HopfAlgebraData(ConstantsAlgebra):
     dim: int
     mult: tuple
     unit: tuple
@@ -111,7 +158,6 @@ class HopfAlgebraData:
     labels: tuple = field(default=None, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mult_terms", _mult_terms(self.mult))
         object.__setattr__(self, "comult_terms", tuple(
             tuple((j, k, c) for j, row in enumerate(plane)
                   for k, c in enumerate(row) if c) for plane in self.comult))
@@ -165,10 +211,11 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     d = h.dim
     report = ValidationReport("hopf axioms")
 
-    witness = _associativity_witness(h.mult_terms)
+    terms = h.mult_terms
+    witness = _associativity_witness(terms)
     report.record("associativity", witness is None, witness)
 
-    witness = _unit_witness(left_mults(h.mult, d), h.unit)
+    witness = _unit_witness(h.left, h.unit)
     report.record("unit", witness is None, witness)
 
     witness = next(((i,) for i in range(d)
@@ -203,8 +250,8 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
                 right = _collect(((a, b), cpq * crs * x * y)
                                  for p, q, cpq in h.comult_terms[i]
                                  for r, s, crs in h.comult_terms[j]
-                                 for a, x in h.mult_terms[p][r]
-                                 for b, y in h.mult_terms[q][s])
+                                 for a, x in terms[p][r]
+                                 for b, y in terms[q][s])
                 if _comult_el(h, prod) != right:
                     witness = (i, j, "comult multiplicative")
                     break
@@ -217,10 +264,10 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     witness = next(((i,) for i in range(d)
                     if _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
                                 for a, s in h.antipode_terms[j]
-                                for t, x in h.mult_terms[a][k]) != ones[i]
+                                for t, x in terms[a][k]) != ones[i]
                     or _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
                                 for b, s in h.antipode_terms[k]
-                                for t, x in h.mult_terms[j][b]) != ones[i]), None)
+                                for t, x in terms[j][b]) != ones[i]), None)
     report.record("antipode", witness is None, witness)
 
     ident = Mat.identity(d)
@@ -347,8 +394,7 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
     report = ValidationReport("hopf morphism")
     report.record("unit", f.apply(src.unit) == dst.unit)
 
-    left = left_mults(dst.mult, dst.dim)
-    images = [mult_by(left, x) for x in f.col_list()]
+    images = [mult_by(dst.left, x) for x in f.col_list()]
     witness = next(((i, j) for i in range(src.dim) for j in range(src.dim)
                     if f.apply(src.mult[i][j]) != images[i].apply(f.col(j))), None)
     report.record("multiplicative", witness is None, witness)

@@ -25,7 +25,7 @@ classifications (dual C2 and the four-dimensional Sweedler algebra).
 
 from dataclasses import dataclass
 
-from .hopf import HopfAlgebraData, builtin, left_mults
+from .hopf import HopfAlgebraData, _memo, builtin
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_unstable, frac, hstack, inverse,
                      kernel_basis, kron, left_mult_operator, mat_to_vec,
@@ -59,22 +59,6 @@ class PartialModule:
         """pi of a general Hopf element given by its coefficient vector."""
         return _mat_sum(((self.pi[i], c) for i, c in enumerate(coeffs) if c),
                         self.dim, self.dim)
-
-
-def _memo(obj, name, compute):
-    """compute() stored on the frozen obj as the non-field attribute name.
-
-    The first call that returns stores its value and later calls read it;
-    a compute() that raises stores nothing.  Non-field attributes stay out
-    of ==, hash and the dataclass fields, so an equal new object starts
-    with no memo and is verified from scratch.
-    """
-    try:
-        return obj.__dict__[name]
-    except KeyError:
-        value = compute()
-        object.__setattr__(obj, name, value)
-        return value
 
 
 def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
@@ -325,12 +309,10 @@ def is_module_iso(f: Mat, m: PartialModule, n: PartialModule) -> bool:
             and rank(f) == m.dim)
 
 
-def direct_sum(ms, hopf=None) -> PartialModule:
+def direct_sum(ms) -> PartialModule:
     ms = list(ms)
     if not ms:
-        if hopf is None:
-            raise ValueError("empty sum needs an explicit Hopf algebra")
-        return PartialModule(hopf, 0, tuple(Mat.zeros(0, 0) for _ in range(hopf.dim)))
+        raise ValueError("direct sum needs at least one module")
     h = ms[0].hopf
     if any(m.hopf != h for m in ms):
         raise ValueError("summands live over different Hopf algebras")
@@ -511,7 +493,7 @@ def w_n_module(n: int) -> PartialModule:
 
 def regular_module(h: HopfAlgebraData) -> PartialModule:
     """H acting on itself by left multiplication (a global module)."""
-    return PartialModule(h, h.dim, tuple(left_mults(h.mult, h.dim)))
+    return PartialModule(h, h.dim, h.left)
 
 
 def trivial_module(h: HopfAlgebraData) -> PartialModule:

@@ -15,10 +15,11 @@ built instance is verified from scratch.
 
 from dataclasses import dataclass
 
+from .hopf import _memo
 from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
                      kernel_basis, pivot_columns, restrict_operators,
                      span_closure, vstack)
-from .partial import (PartialModule, _memo, antipode_images, check_partial_rep,
+from .partial import (PartialModule, antipode_images, check_partial_rep,
                       hom_space, is_algebra_map, quotient_action,
                       twisted_conjugate)
 from .reports import ValidationError, ValidationReport

@@ -1,10 +1,12 @@
 import dataclasses
 import importlib
 import os
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import hopf_partial
 from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
@@ -19,6 +21,8 @@ import gen
 F = Fraction
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                          os.pardir, "perfbench")
+PACKAGE = [importlib.import_module(f"hopf_partial.{m.name}")
+           for m in pkgutil.iter_modules(hopf_partial.__path__)]
 
 DUAL = hp.builtin("kC2-dual")
 H4 = hp.sweedler_h4()
@@ -113,18 +117,27 @@ def test_recorded_attributes_are_not_part_of_the_value(monkeypatch):
     alg = shipped_partial_algebras()["sweedler-mixed-2"]
     for s in (ac.partial_smash(alg), ac.global_smash(ac.globalize(alg)[0])):
         bare = dataclasses.replace(s)
-        assert not hasattr(bare, "left") and not hasattr(bare, "projector")
+        assert set(vars(bare)) == {f.name for f in dataclasses.fields(s)}
         assert s == bare and hash(s) == hash(bare)
         assert canon(s) == canon(bare)
         assert not {"left", "projector", "mult_terms"} & set(canon(s))
+        assert "_left" in vars(s) and bare.left == s.left
 
 
-def test_coords_solves_a_whole_table_and_rejects_any_vector_outside():
+def test_subalgebra_left_solves_a_whole_table_and_rejects_any_vector_outside():
+    # u_0 = (1, 1, 0) and u_1 = (0, 0, 2) in k^3 with the componentwise product
     incl = la.Mat([[1, 0], [1, 0], [0, 2]])
-    assert ac._coords(incl, la.Mat.from_cols([(1, 1, 0), (0, 0, 1)]),
-                      "outside") == [(F(1), F(0)), (F(0), F(1, 2))]
+    ops = [la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
+           la.Mat([[0, 0, 0], [0, 0, 0], [0, 0, 2]])]
+    left, coords = ac._subalgebra_left(
+        incl, ops, la.Mat.from_cols([(1, 1, 0), (0, 0, 1)]), "outside")
+    assert left == (la.Mat([[1, 0], [0, 0]]), la.Mat([[0, 0], [0, 2]]))
+    assert coords.col_list() == [(F(1), F(0)), (F(0), F(1, 2))]
     with pytest.raises(ValidationError, match="^outside$"):
-        ac._coords(incl, la.Mat.from_cols([(1, 1, 0), (1, 0, 0)]), "outside")
+        ac._subalgebra_left(incl, ops, la.Mat.from_cols([(1, 1, 0), (1, 0, 0)]), "outside")
+    not_closed = [la.Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ops[1]]
+    with pytest.raises(ValidationError, match="^not closed$"):
+        ac._subalgebra_left(incl, not_closed, la.Mat.zeros(3, 0), "not closed")
 
 
 def test_partial_smash_module_satisfies_partial_axioms():
@@ -220,24 +233,48 @@ def test_zeta_xi_builds_the_smash_operators_once(monkeypatch):
     assert [args[0] for args in builds] == [half]
 
 
+def _construction_input(construction):
+    """A fresh sweedler-mixed-2, over a fresh Sweedler algebra, or its
+    globalization for global_smash."""
+    b = shipped_partial_algebras()["sweedler-mixed-2"]
+    return ac.globalize(b)[0] if construction == "global_smash" else b
+
+
 @pytest.mark.parametrize("construction, name, count", [
     ("partial_smash", "_smash_operators", 1),
-    ("partial_smash", "_mult_terms", 1),
     ("zeta_xi", "_smash_operators", 1),
     ("morita_context", "_smash_operators", 2),
-    ("morita_context", "_mult_terms", 2),
-    ("morita_context", "left_mults", 7),
     ("global_smash", "diagonal_action", 1),
 ])
 def test_build_counts_per_construction(monkeypatch, construction, name, count):
     # lookups in actions only: partial_smash and global_smash build the
-    # smash operators and the sparse table once each, and every later step
-    # reads the left multiplications and the projector they record
-    b = shipped_partial_algebras()["sweedler-mixed-2"]
-    arg = ac.globalize(b)[0] if construction == "global_smash" else b
+    # smash operators once each, and every later step reads the left
+    # multiplications and the projector they store
+    arg = _construction_input(construction)
     calls = gen.count_calls(monkeypatch, ac, name)
     getattr(ac, construction)(arg)
     assert len(calls) == count
+
+
+@pytest.mark.parametrize("construction, regular, terms", [
+    ("partial_smash", 1, 1),
+    ("zeta_xi", 2, 1),
+    ("globalize", 4, 1),
+    ("morita_context", 5, 3),
+    ("global_smash", 0, 1),
+])
+def test_structure_builds_per_construction(monkeypatch, construction, regular, terms):
+    # builds of an L_s or R_s family and of a sparse table, counted in every
+    # module that looks the builders up; each algebra object builds each at
+    # most once, and the builders store the L_s they get from eliminations
+    arg = _construction_input(construction)
+    calls = {name: [gen.count_calls(monkeypatch, m, name) for m in PACKAGE
+                    if hasattr(m, name)]
+             for name in ("left_mults", "right_mults", "_mult_terms")}
+    getattr(ac, construction)(arg)
+    count = {name: sum(map(len, lists)) for name, lists in calls.items()}
+    assert count["left_mults"] + count["right_mults"] == regular
+    assert count["_mult_terms"] == terms
 
 
 def test_morita_context_on_shipped_examples():

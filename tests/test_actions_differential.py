@@ -82,8 +82,7 @@ def test_axiom_sides_and_witnesses(name):
     failed = set()
     for alg in [b] + perturbed_algebras(b):
         pa2 = ac._pa2_sides(alg)
-        pa3, pa3_primed = ac._pa3_sides(alg, hp.left_mults(alg.alg_mult, alg.dim),
-                                        hp.right_mults(alg.alg_mult, alg.dim))
+        pa3, pa3_primed = ac._pa3_sides(alg)
         assert pa2 == ref.pa2_sides(alg)
         assert pa3 == ref.pa3_sides(alg, primed=False)
         assert pa3_primed == ref.pa3_sides(alg, primed=True)

@@ -98,8 +98,8 @@ def test_direct_sum():
     s = pm.direct_sum([w1, w1])
     assert s.dim == 2 and pm.check_partial_rep(s).ok
     assert s.pi[2] == la.Mat.zeros(2, 2)  # 1x1 shifts are zero
-    empty = pm.direct_sum([], hopf=H4)
-    assert empty.dim == 0
+    with pytest.raises(ValueError, match="^direct sum needs at least one module$"):
+        pm.direct_sum([])
     w2 = pm.w_n_module(2)
     s2 = pm.direct_sum([w2, w2])
     assert s2.pi[2] == la.block_diag([w2.pi[2], w2.pi[2]])

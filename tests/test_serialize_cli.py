@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_partial import cli
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import serialize as io
@@ -194,6 +195,47 @@ def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, verb, doc,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _no_read_permission(monkeypatch, denied):
+    """Make the CLI's open fail on the path denied as a mode-000 file would;
+    the superuser reads such a file, so the refusal is simulated."""
+    real_open = open
+
+    def guarded(path, *args, **kwargs):
+        if str(path) == denied:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", guarded, raising=False)
+
+
+@pytest.mark.parametrize("case", ["input-is-a-directory", "hopf-is-a-directory",
+                                  "output-is-a-directory", "input-not-readable",
+                                  "input-not-utf-8"])
+def test_cli_unreadable_path_exits_2_with_one_line(tmp_path, capsys, monkeypatch, case):
+    doc = io.partial_module_to_json(partially_graded_module(1, 0, 1))
+    del doc["hopf"]
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    output = tmp_path / "out.json"
+    paths = {"--input": _write(tmp_path, "m.json", doc), "--hopf": "kC2-dual",
+             "--output": str(output)}
+    if case == "input-not-readable":
+        _no_read_permission(monkeypatch, paths["--input"])
+    elif case == "input-not-utf-8":
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(io.dumps(doc).encode("utf-8").replace(b'"pi"', b'"\xe9pi"'))
+        paths["--input"] = str(latin1)
+    else:
+        paths[{"input-is-a-directory": "--input", "hopf-is-a-directory": "--hopf",
+               "output-is-a-directory": "--output"}[case]] = str(folder)
+    assert main(["check-partial", *(x for kv in paths.items() for x in kv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith("\n")
+    assert not output.exists() and list(folder.iterdir()) == []
 
 
 def test_cli_check_action_reports_failure(tmp_path, capsys):

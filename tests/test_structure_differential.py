@@ -6,6 +6,11 @@ products and the unit witness read the left multiplications L_s of
 dense element-wise routines they replaced, on random structure constants,
 on single-entry perturbations of the builtins, and on the partial and
 global smash products of the shipped partial module algebras.
+
+The derived structure each algebra object keeps (``left``, ``right`` and
+``mult_terms``, some of them stored by the builder that found them) must
+equal `hopf.left_mults`, `hopf.right_mults` and `hopf._mult_terms` of the
+object's own constants.
 """
 
 from fractions import Fraction
@@ -17,8 +22,10 @@ import dense_structure as ref
 from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
 from hopf_partial import partial as pm
-from hopf_partial.demos import shipped_partial_algebras
+from hopf_partial.demos import graded_group_algebra, shipped_partial_algebras
 from hopf_partial.linalg import Mat
+from test_actions import adjoint_action_algebra
+from test_actions_differential import perturbed_globalizations
 
 F = Fraction
 
@@ -148,3 +155,26 @@ def test_smash_product_formula(name, alg):
             for v in vecs:
                 assert left.apply(v) \
                     == ref.smash_product(b.hopf, b.alg_mult, b.action, u, v)
+
+
+def test_derived_structure_of_every_algebra_object(smash_algebras):
+    # every shipped algebra is commutative; the adjoint action makes the
+    # Sweedler algebra a module algebra on which L_s and R_s differ
+    adjoint = adjoint_action_algebra(hp.sweedler_h4())
+    shipped = list(shipped_partial_algebras().values())
+    graded = graded_group_algebra()
+    algebras = [hp.builtin(name) for name in hp.BUILTIN_NAMES]
+    algebras += shipped + [adjoint] + [ac.direct_product([b, b]) for b in shipped]
+    algebras += [ac.induced_partial_algebra(graded, e)
+                 for e in ((F(1, 2), F(1, 2)), (F(1, 2), F(-1, 2)), (1, 0), (0, 0))]
+    algebras.append(ac.induced_partial_algebra(adjoint, adjoint.alg_unit))
+    for b in shipped + [adjoint]:
+        gb = ac.globalize(b)[0]
+        algebras += [gb, *perturbed_globalizations(gb)]
+    algebras += [s for _, sm, bs in smash_algebras for s in (sm, bs)]
+    algebras += [ac.partial_smash(adjoint), ac.global_smash(ac.globalize(adjoint)[0])]
+    for alg in algebras:
+        table = alg.alg_mult if hasattr(alg, "alg_mult") else alg.mult
+        assert alg.left == tuple(hp.left_mults(table, alg.dim))
+        assert alg.right == tuple(hp.right_mults(table, alg.dim))
+        assert alg.mult_terms == hp._mult_terms(table)
