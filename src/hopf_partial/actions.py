@@ -30,17 +30,18 @@ see only the fields.
 
 from dataclasses import dataclass
 
+from . import hopf as hp
 from .dilation import (_factor_through, _translates, dilate_morphism,
                        standard_dilation)
 from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness,
                    _freeze3, _memo, _unit_witness, mult_by, right_mults)
-from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
-                     column_space, first_nonzero_col, first_unstable, frac,
-                     hstack, kron, mat_to_vec, rank, restrict_operators, solve,
-                     solve_blocks, solve_matrix, vec_scale, vstack)
-from .partial import (ModuleMorphism, PartialModule, antipode_images,
-                      check_partial_rep, diagonal_action, is_global,
-                      regular_module, tensor_with_global)
+from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
+                     first_nonzero_col, first_unstable, frac, hstack, kron,
+                     mat_to_vec, rank, restrict_operators, solve, solve_blocks,
+                     solve_matrix, unit_vec, vec_scale, vstack)
+from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
+                      diagonal_action, is_global, regular_module,
+                      tensor_with_global)
 from .reports import ValidationError, ValidationReport
 
 
@@ -172,9 +173,7 @@ def _pa3_sides(b):
     lhs = [a * stacked for a in b.action]
 
     def sides(term):
-        return [(lhs[i], _mat_sum(((term(p, q), c) for p, q, c in h.comult_terms[i]),
-                                  m, h.dim * m))
-                for i in range(h.dim)]
+        return [(lhs[i], hp.comult_sum(h, i, term, m, h.dim * m)) for i in range(h.dim)]
 
     return (sides(lambda p, q: left[p] * translates[q]),
             sides(lambda p, q: right[q] * translates[p]))
@@ -367,15 +366,16 @@ def _convolution_ops(b: PartialModuleAlgebra, fs: Mat):
     """The operators g -> f * g on B^d, one per column f of fs.
 
     (f * g)(e_k) = sum c f(e_p) g(e_q) over Delta(e_k) = sum c e_p (x) e_q,
-    so block (k, q) of the operator is sum c L(f(e_p)): the operator is
-    sum_p C_p (x) L(f(e_p)), where C_p[k][q] is the c of e_p (x) e_q.
+    so block row k of the operator is that Sweedler sum of L(f(e_p)) put
+    in block column q.
     """
     h, m, d = b.hopf, b.dim, b.hopf.dim
-    legs = [Mat([[h.comult[k][p][q] for q in range(d)] for k in range(d)])
-            for p in range(d)]
-    return [_mat_sum(((kron(c, mult_by(b.left, f[p * m:(p + 1) * m])), 1)
-                      for p, c in enumerate(legs)), m * d, m * d)
-            for f in fs.col_list()]
+    slots = [Mat([unit_vec(d, q)]) for q in range(d)]
+    legs = ([mult_by(b.left, f[p * m:(p + 1) * m]) for p in range(d)]
+            for f in fs.col_list())
+    return [vstack([hp.comult_sum(h, k, lambda p, q: kron(slots[q], at[p]), m, m * d)
+                    for k in range(d)])
+            for at in legs]
 
 
 def _find_unit(left, right):
@@ -396,9 +396,8 @@ def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     """
     phi_unit = phi.apply(b.alg_unit)
     by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
-    return [(_mat_sum(((by_unit[q] * gb.action[p] * phi, c)
-                       for p, q, c in b.hopf.comult_terms[i]), gb.dim, b.dim),
-             a * phi)
+    return [(hp.comult_sum(b.hopf, i, lambda p, q: by_unit[q] * gb.action[p] * phi,
+                           gb.dim, b.dim), a * phi)
             for i, a in enumerate(gb.action)]
 
 
@@ -490,9 +489,10 @@ def zeta_xi(b: PartialModuleAlgebra):
                            hstack([di * theta_bh for di in diag]))
 
     # block i: sum c over(e_p) theta (1 (x) L(S e_q)) over Delta(e_i)
-    twisted = [std_bh.theta * kron(Mat.identity(m), s) for s in antipode_images(reg)]
-    xi_target = hstack([_mat_sum(((over.pi[p] * twisted[q], c)
-                                  for p, q, c in h.comult_terms[i]), over.dim, m * d)
+    twisted = [std_bh.theta * kron(Mat.identity(m), s)
+               for s in hp.antipode_images(h, reg.pi, d, d)]
+    xi_target = hstack([hp.comult_sum(h, i, lambda p, q: over.pi[p] * twisted[q],
+                                      over.dim, m * d)
                         for i in range(d)])
     xi = _factor_through(kron(_translates(mbar, std_b.theta), ident_d), xi_target)
 
@@ -552,10 +552,9 @@ def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     # at_one[s][i] = R(pi(e_s e_i) 1)
     at_one = [[mult_by(b.right, mod.pi_vec(h.mult[s][i]).apply(b.alg_unit))
                for i in range(h.dim)] for s in range(h.dim)]
-    return [(incl * _mat_sum(((by_unit[q] * twisted[p], c)
-                              for p, q, c in h.comult_terms[i]), gb.dim, m),
-             vstack([_mat_sum(((at_one[s][i] * b.action[r], c)
-                               for r, s, c in h.comult_terms[k]), m, m)
+    return [(incl * hp.comult_sum(h, i, lambda p, q: by_unit[q] * twisted[p],
+                                  gb.dim, m),
+             vstack([hp.comult_sum(h, k, lambda r, s: at_one[s][i] * b.action[r], m, m)
                      for k in range(h.dim)]))
             for i in range(h.dim)]
 

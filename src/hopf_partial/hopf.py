@@ -24,6 +24,9 @@ c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c) of
 Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i);
 the last two are built with each `HopfAlgebraData`.
 
+Only this module reads how Delta and S are stored: every Sweedler sum of
+matrices elsewhere goes through ``comult_sum`` and ``antipode_images``.
+
 `HopfAlgebraData` and the algebras of ``actions`` derive from
 `ConstantsAlgebra`, the one home of their derived structure: ``left``,
 ``right`` and ``mult_terms`` are built from the constants on first use
@@ -107,6 +110,19 @@ class ConstantsAlgebra:
 def mult_by(mats, u):
     """sum u_s mats[s]: L(u) from left_mults, R(u) from right_mults."""
     return _mat_sum(((m, c) for m, c in zip(mats, u) if c), len(u), len(u))
+
+
+def comult_sum(h, i, term, rows, cols):
+    """sum c term(a, b) over Delta(e_i) = sum c e_a (x) e_b, a rows x cols
+    matrix (the zero matrix when Delta(e_i) has no terms)."""
+    return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), rows, cols)
+
+
+def antipode_images(h, mats, rows, cols):
+    """(f(S e_0), ..., f(S e_{d-1})) for the linear f with f(e_j) = mats[j]:
+    entry i sums c mats[j] over S(e_i) = sum c e_j, a rows x cols matrix."""
+    return tuple(_mat_sum(((mats[j], c) for j, c in terms), rows, cols)
+                 for terms in h.antipode_terms)
 
 
 def _collect(terms):
@@ -302,7 +318,7 @@ def check_group_table(table):
     return inv
 
 
-def group_algebra(cayley_table, labels=None) -> HopfAlgebraData:
+def group_algebra(cayley_table) -> HopfAlgebraData:
     """Group algebra kG: grouplike basis u_g, S(u_g) = u_{g inverse}."""
     inv = check_group_table(cayley_table)
     d = len(cayley_table)
@@ -314,10 +330,10 @@ def group_algebra(cayley_table, labels=None) -> HopfAlgebraData:
     counit = [1] * d
     antipode = Mat([[1 if i == inv[j] else 0 for j in range(d)] for i in range(d)])
     return HopfAlgebraData.build(d, mult, unit, comult, counit, antipode,
-                                 labels=labels or [f"u{g}" for g in range(d)])
+                                 labels=[f"u{g}" for g in range(d)])
 
 
-def dual_group_algebra(cayley_table, labels=None) -> HopfAlgebraData:
+def dual_group_algebra(cayley_table) -> HopfAlgebraData:
     """Dual kG*: orthogonal idempotents p_g, Delta(p_g) = sum p_h (x) p_{h^-1 g}."""
     inv = check_group_table(cayley_table)
     d = len(cayley_table)
@@ -329,7 +345,7 @@ def dual_group_algebra(cayley_table, labels=None) -> HopfAlgebraData:
     counit = [1 if g == 0 else 0 for g in range(d)]
     antipode = Mat([[1 if i == inv[j] else 0 for j in range(d)] for i in range(d)])
     return HopfAlgebraData.build(d, mult, unit, comult, counit, antipode,
-                                 labels=labels or [f"p{g}" for g in range(d)])
+                                 labels=[f"p{g}" for g in range(d)])
 
 
 def sweedler_h4() -> HopfAlgebraData:

@@ -3,9 +3,14 @@
 A partial module is a space M together with one matrix per Hopf basis
 element; the matrix family must satisfy the five partial-representation
 identities, which weaken "pi is an algebra map" (the global case).  All
-Sweedler indices are expanded through the comultiplication structure
-constants, so every axiom is a finite exact matrix identity over basis
-pairs.
+Sweedler indices are expanded by `hopf.comult_sum` and
+`hopf.antipode_images`, so every axiom is a finite exact matrix identity
+over basis pairs.
+
+The twisted conjugates pi(h_(1)) T pi(S(h_(2))) and their twins are
+built as one family by `twisted_conjugates`; with T = 1 they are the
+operators eps_h spanning the base algebra, read by `is_global`, the base
+algebra and the balanced tensor product.
 
 The identities are measured by the deviation D(x, y) = pi(x) pi(y) - pi(xy).
 For any family of matrices D is bilinear in (x, y), so the deviations at
@@ -25,6 +30,7 @@ classifications (dual C2 and the four-dimensional Sweedler algebra).
 
 from dataclasses import dataclass
 
+from . import hopf as hp
 from .hopf import HopfAlgebraData, _memo, builtin
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_unstable, frac, hstack, inverse,
@@ -61,33 +67,26 @@ class PartialModule:
                         self.dim, self.dim)
 
 
-def comult_sum(h: HopfAlgebraData, i, n, term) -> Mat:
-    """The n x n matrix sum of c term(a, b) over Delta(e_i) = sum c e_a (x) e_b."""
-    return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), n, n)
+def twisted_conjugates(m: PartialModule, t=None, tilde=False):
+    """The family T_{e_i} = pi(e_i (1)) t pi(S(e_i (2))) for i = 0..d-1.
 
-
-def antipode_images(m: PartialModule):
-    """(pi(S e_0), ..., pi(S e_{d-1})), summed over the sparse antipode columns."""
-    return tuple(_mat_sum(((m.pi[j], c) for j, c in terms), m.dim, m.dim)
-                 for terms in m.hopf.antipode_terms)
-
-
-def twisted_conjugate(m: PartialModule, t, i, tilde, pi_s) -> Mat:
-    """pi(e_i (1)) t pi(S(e_i (2))), or pi(S(e_i (1))) t pi(e_i (2)) with tilde.
-
-    pi_s is antipode_images(m), built once by the caller for a whole family
-    of conjugates; t None stands for the identity.
+    With tilde, the twins pi(S(e_i (1))) t pi(e_i (2)).  t None stands for
+    the identity, giving the operators eps_{e_i} and their twins.  The
+    images pi(S e_j) are built once, and so is each left factor times t.
     """
+    h, n = m.hopf, m.dim
+    pi_s = hp.antipode_images(h, m.pi, n, n)
     left, right = (pi_s, m.pi) if tilde else (m.pi, pi_s)
-    if t is None:
-        return comult_sum(m.hopf, i, m.dim, lambda a, b: left[a] * right[b])
-    return comult_sum(m.hopf, i, m.dim, lambda a, b: left[a] * t * right[b])
+    if t is not None:
+        left = [a * t for a in left]
+    return tuple(hp.comult_sum(h, i, lambda a, b: left[a] * right[b], n, n)
+                 for i in range(h.dim))
 
 
 def diagonal_action(h: HopfAlgebraData, left, right):
     """Action of each e_i on a tensor product: sum c left[a] (x) right[b]."""
     n = left[0].rows * right[0].rows
-    return tuple(comult_sum(h, i, n, lambda a, b: kron(left[a], right[b]))
+    return tuple(hp.comult_sum(h, i, lambda a, b: kron(left[a], right[b]), n, n)
                  for i in range(h.dim))
 
 
@@ -109,16 +108,6 @@ def intertwiner_system(src, dst) -> Mat:
     s, t = src[0].rows, dst[0].rows
     return vstack([kron(Mat.identity(t), a.transpose()) - kron(b, Mat.identity(s))
                    for a, b in zip(src, dst)])
-
-
-def epsilon_ops(m: PartialModule, tilde=False):
-    """The operators eps_{e_i} = pi(e_i (1)) pi(S(e_i (2))) for i = 0..d-1.
-
-    With tilde, their twins pi(S(e_i (1))) pi(e_i (2)).
-    """
-    pi_s = antipode_images(m)
-    return tuple(twisted_conjugate(m, None, i, tilde, pi_s)
-                 for i in range(m.hopf.dim))
 
 
 def _deviation_columns(m: PartialModule):
@@ -186,22 +175,18 @@ def _evaluate_partial_rep(m: PartialModule):
     n = m.dim
     checks = [Check("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))]
 
-    pi_s = antipode_images(m)
+    pi_s = hp.antipode_images(h, m.pi, n, n)
     cols = list(_deviation_columns(m))
     rows = [row for (row,) in split_blocks(hstack(cols), [n] * d, [d * n])]
-    cols_s = [_mat_sum(((cols[b], c) for b, c in terms), d * n, n)
-              for terms in h.antipode_terms]
-    rows_s = [_mat_sum(((rows[a], c) for a, c in terms), n, d * n)
-              for terms in h.antipode_terms]
+    cols_s = hp.antipode_images(h, cols, d * n, n)
+    rows_s = hp.antipode_images(h, rows, n, d * n)
 
     def by_columns(dev, right):
-        return hstack([_mat_sum(((dev[a] * right[b], c)
-                                 for a, b, c in h.comult_terms[j]), d * n, n)
+        return hstack([hp.comult_sum(h, j, lambda a, b: dev[a] * right[b], d * n, n)
                        for j in range(d)])
 
     def by_rows(left, dev):
-        return vstack([_mat_sum(((left[a] * dev[b], c)
-                                 for a, b, c in h.comult_terms[i]), n, d * n)
+        return vstack([hp.comult_sum(h, i, lambda a, b: left[a] * dev[b], n, d * n)
                        for i in range(d)])
 
     tables = (("PR2", by_columns(cols, pi_s)),
@@ -231,7 +216,8 @@ def is_global(m: PartialModule) -> bool:
     rather than trusted.
     """
     ident = Mat.identity(m.dim)
-    if any(eps != ident.scale(c) for eps, c in zip(epsilon_ops(m), m.hopf.counit)):
+    if any(eps != ident.scale(c)
+           for eps, c in zip(twisted_conjugates(m), m.hopf.counit)):
         return False
     require(all(col.is_zero() for col in _deviation_columns(m)),
             "epsilon condition holds but pi is not multiplicative; "
@@ -338,11 +324,11 @@ def image_algebra(m: PartialModule) -> Subspace:
 
 def base_subalgebra(m: PartialModule) -> Subspace:
     """Multiplicative span of the epsilon operators together with the identity."""
-    return _generated_algebra(m.dim, epsilon_ops(m))
+    return _generated_algebra(m.dim, twisted_conjugates(m))
 
 
 def base_subalgebra_commutes(m: PartialModule) -> bool:
-    eps = epsilon_ops(m)
+    eps = twisted_conjugates(m)
     return all(a * b == b * a for a in eps for b in eps)
 
 
@@ -365,20 +351,14 @@ def _balanced_word_pairs(m: PartialModule, n: PartialModule):
     generator composes on the left there and on the right on N.
     """
     dm, dn = m.dim, n.dim
-    amb = dm * dm + dn * dn
-    tm = epsilon_ops(m, tilde=True)
-    en = epsilon_ops(n)
-    seed_vecs = [mat_to_vec(Mat.identity(dm)) + mat_to_vec(Mat.identity(dn))]
-    for a, b in zip(tm, en):
-        seed_vecs.append(mat_to_vec(a) + mat_to_vec(b))
+    gens = list(zip(twisted_conjugates(m, tilde=True), twisted_conjugates(n)))
+    seed = Subspace.from_vectors(dm * dm + dn * dn, [
+        mat_to_vec(a) + mat_to_vec(b)
+        for a, b in [(Mat.identity(dm), Mat.identity(dn)), *gens]])
     ops = [block_diag([left_mult_operator(a), right_mult_operator(b)])
-           for a, b in zip(tm, en)]
-    closed = span_closure(Subspace.from_vectors(amb, seed_vecs), ops)
-    pairs = []
-    for v in closed.vectors():
-        pairs.append((vec_to_mat(v[: dm * dm], dm, dm),
-                      vec_to_mat(v[dm * dm:], dn, dn)))
-    return pairs
+           for a, b in gens]
+    return [(vec_to_mat(v[: dm * dm], dm, dm), vec_to_mat(v[dm * dm:], dn, dn))
+            for v in span_closure(seed, ops).vectors()]
 
 
 def tensor_over_base(m: PartialModule, n: PartialModule) -> PartialModule:
@@ -394,10 +374,10 @@ def tensor_over_base(m: PartialModule, n: PartialModule) -> PartialModule:
     require(check_partial_rep(m).ok and check_partial_rep(n).ok,
             "tensor factors must be valid partial modules")
     nm = m.dim * n.dim
-    rel = Subspace.zero(nm)
-    for p, q in _balanced_word_pairs(m, n):
-        r = kron(p, Mat.identity(n.dim)) - kron(Mat.identity(m.dim), q)
-        rel = rel.add(column_space(r))
+    im, i_n = Mat.identity(m.dim), Mat.identity(n.dim)
+    rel = column_space(hstack([Mat.zeros(nm, 0)]
+                              + [kron(p, i_n) - kron(im, q)
+                                 for p, q in _balanced_word_pairs(m, n)]))
     diag = diagonal_action(h, m.pi, n.pi)
     i = first_unstable(rel, diag)
     require(i is None, f"relation span is not stable under the diagonal action "

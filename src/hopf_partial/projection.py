@@ -5,6 +5,8 @@ commutes with every twisted conjugate T_h = pi(h_(1)) T pi(S(h_(2))).
 Pairs (module, T) satisfying this commutation restrict to partial modules
 on the image of T; that restriction is the bridge between global and
 partial representation theory and is inverted by the dilation machinery.
+The checks, `adjoint_op` and `tilde_op` read the conjugates and their
+twins as one family from `partial.twisted_conjugates`.
 
 A ProjectedModule is immutable, so what is proved about it is proved once:
 restrict, is_proper and is_minimal store their result on the instance the
@@ -19,9 +21,8 @@ from .hopf import _memo
 from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
                      kernel_basis, pivot_columns, restrict_operators,
                      span_closure, vstack)
-from .partial import (PartialModule, antipode_images, check_partial_rep,
-                      hom_space, is_algebra_map, quotient_action,
-                      twisted_conjugate)
+from .partial import (PartialModule, check_partial_rep, hom_space,
+                      is_algebra_map, quotient_action, twisted_conjugates)
 from .reports import ValidationError, ValidationReport
 
 
@@ -50,14 +51,12 @@ class ProjectedModule:
 
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
     """T_{e_i} = pi(e_i (1)) t pi(S(e_i (2)))."""
-    return twisted_conjugate(p.module, p.t, i, tilde=False,
-                             pi_s=antipode_images(p.module))
+    return twisted_conjugates(p.module, p.t)[i]
 
 
 def tilde_op(p: ProjectedModule, i: int) -> Mat:
     """The S-twisted twin pi(S(e_i (1))) t pi(e_i (2))."""
-    return twisted_conjugate(p.module, p.t, i, tilde=True,
-                             pi_s=antipode_images(p.module))
+    return twisted_conjugates(p.module, p.t, tilde=True)[i]
 
 
 def check_c_condition(module: PartialModule, t: Mat):
@@ -67,12 +66,9 @@ def check_c_condition(module: PartialModule, t: Mat):
     """
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
-    pi_s = antipode_images(module)
-    for i in range(module.hopf.dim):
-        ti = twisted_conjugate(module, t, i, tilde=False, pi_s=pi_s)
-        if ti * t != t * ti:
-            return False, i
-    return True, None
+    witness = next((i for i, ti in enumerate(twisted_conjugates(module, t))
+                    if ti * t != t * ti), None)
+    return witness is None, witness
 
 
 def check_equivalence_lemma(p, t=None) -> ValidationReport:
@@ -92,9 +88,8 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     d = module.hopf.dim
-    pi_s = antipode_images(module)
-    adj = [twisted_conjugate(module, t, i, tilde=False, pi_s=pi_s) for i in range(d)]
-    tld = [twisted_conjugate(module, t, i, tilde=True, pi_s=pi_s) for i in range(d)]
+    adj = twisted_conjugates(module, t)
+    tld = twisted_conjugates(module, t, tilde=True)
     report = ValidationReport("equivalence lemma")
     w1 = next((i for i in range(d) if adj[i] * t != t * adj[i]), None)
     report.record("(i) c-condition", w1 is None, w1)

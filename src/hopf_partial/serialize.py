@@ -132,6 +132,8 @@ def partial_module_from_json(data, default_hopf=None) -> PartialModule:
         raise FormatError("no Hopf algebra given (field 'hopf' or --hopf)")
     try:
         dim = int(data["dim"])
+        if not isinstance(data["pi"], list):
+            raise FormatError("pi must be an array of matrices")
         pis = [mat_from_json(p, cols=dim) for p in data["pi"]]
     except KeyError as exc:
         raise FormatError(f"partial module is missing field {exc}")

@@ -126,7 +126,7 @@ def test_base_subalgebra_examples(graded):
     base = pm.base_subalgebra(reg)
     assert base.dim == 1  # global: eps operators are scalars
 
-    eps0 = pm.epsilon_ops(graded)[0]
+    eps0 = pm.twisted_conjugates(graded)[0]
     assert eps0 == la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, F(1, 2)]])
     base = pm.base_subalgebra(graded)
     assert base.dim == 2
@@ -134,12 +134,12 @@ def test_base_subalgebra_examples(graded):
 
     w1 = pm.w_n_module(1)
     # eps_g = pi(g) pi(S(g)) = 0; eps_x = pi(g)pi(-y) + pi(x)pi(1) = 0 on W1
-    assert pm.epsilon_ops(w1)[1].is_zero()
-    assert pm.epsilon_ops(w1)[2].is_zero()
+    assert pm.twisted_conjugates(w1)[1].is_zero()
+    assert pm.twisted_conjugates(w1)[2].is_zero()
     w2 = pm.w_n_module(2)
     shift = w2.pi[2]
-    assert pm.epsilon_ops(w2)[1].is_zero()
-    assert pm.epsilon_ops(w2)[2] == shift  # g-part dies, x-part survives
+    assert pm.twisted_conjugates(w2)[1].is_zero()
+    assert pm.twisted_conjugates(w2)[2] == shift  # g-part dies, x-part survives
 
 
 def test_tensor_with_global(graded):
@@ -213,10 +213,14 @@ def test_matrix_sweedler_sums_of_nothing_are_zero():
     zero = hp._freeze3([[[0] * 4] * 4] * 4)
     h = hp.HopfAlgebraData(4, H4.mult, H4.unit, zero, H4.counit,
                            H4.antipode, H4.antipode_inv)
-    assert pm.comult_sum(h, 2, 3, lambda a, b: la.Mat.identity(3)) == la.Mat.zeros(3, 3)
+    assert hp.comult_sum(h, 2, lambda a, b: la.Mat.identity(3), 3, 3) == la.Mat.zeros(3, 3)
+    assert hp.comult_sum(h, 2, lambda a, b: la.Mat.identity(3), 2, 5) == la.Mat.zeros(2, 5)
+    # S(x) = -y and S(y) = x, applied to rows given on the basis
+    rows = [la.Mat([[a, b, 0]]) for a, b in ((1, 0), (0, 1), (2, 0), (0, 3))]
+    assert hp.antipode_images(H4, rows, 1, 3)[2:] == (la.Mat([[0, -3, 0]]), rows[2])
     w2 = pm.w_n_module(2)
     assert w2.pi_vec((0, 0, 0, 0)) == la.Mat.zeros(2, 2)
-    assert pm.comult_sum(H4, 2, 2, lambda a, b: w2.pi[a] * w2.pi[b]) \
+    assert hp.comult_sum(H4, 2, lambda a, b: w2.pi[a] * w2.pi[b], 2, 2) \
         == w2.pi[1] * w2.pi[2] + w2.pi[2]
     assert w2.pi_vec((F(1, 2), 0, 1, -1)) \
         == w2.pi[0].scale(F(1, 2)) + w2.pi[2] - w2.pi[3]
