@@ -16,16 +16,17 @@ R_s of `hopf.left_mults` and `hopf.right_mults`), and the diagonal action
 composed with the diagonal action of h, and B is a module algebra exactly
 when its product mu: B (x) B -> B is H-linear.  Each axiom is a matrix
 identity whose witness is read off the first nonzero column of the
-difference; the unit witness reads the L_s as well.
+difference; the unit and associativity witnesses read the L_s as well.
 
 The three algebra classes derive from `hopf.ConstantsAlgebra`, so each
-object builds its ``left``, ``right`` and ``mult_terms`` at most once.  A
-subalgebra (eB, the partial smash product, the globalization) gets its L_s
-from the same elimination that finds its unit, and its builder stores
-them through `_memo`; `global_smash` stores its smash operators, which are
-its L_s, and `partial_smash` also records its smash idempotent as
-``projector``.  Memos are not fields, so equality, hashing and digests
-see only the fields.
+object builds its ``left`` and ``right`` at most once, and none of them
+builds a sparse table of its constants.  A subalgebra (eB, the partial
+smash product, the globalization) gets its L_s from the same elimination
+that finds its unit, and its builder stores them through `_memo`;
+`global_smash` stores its smash operators, which are its L_s, and
+`partial_smash` also records its smash idempotent as ``projector``.
+Memos are not fields, so equality, hashing and digests see only the
+fields.
 """
 
 from dataclasses import dataclass
@@ -121,7 +122,7 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     """
     mod = b.as_module()
     report = ValidationReport("partial module algebra")
-    report.record("algebra associativity", *_flag(_associativity_witness(b.mult_terms)))
+    report.record("algebra associativity", *_flag(_associativity_witness(b.left)))
     report.record("algebra unit", _unit_witness(b.left, b.alg_unit) is None)
     report.record("PA1", mod.pi_vec(b.hopf.unit) == Mat.identity(b.dim))
     report.record("PA2", *_flag(_first_difference(_pa2_sides(b), b.dim)))
@@ -323,7 +324,7 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
                        unit, tuple(ones), module)
     _memo(out, "_left", lambda: left)
     _memo(out, "projector", lambda: pr)
-    witness = _associativity_witness(out.mult_terms)
+    witness = _associativity_witness(out.left)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
 
@@ -352,7 +353,7 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
                        _freeze3(op.col_list() for op in ops), unit, ones,
                        PartialModule(h, dim, diag))
     _memo(out, "_left", lambda: tuple(ops))
-    witness = _associativity_witness(out.mult_terms)
+    witness = _associativity_witness(out.left)
     if witness is not None:
         raise ValidationError(f"global smash product not associative at {witness}")
     if unit is not None and _unit_witness(ops, unit) is not None:

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 a validation or axiom check failed (the report
 carries witnesses), 2 malformed input or a path that cannot be read or
 written.  Input "-" reads standard input.
+
+A call that starts with a known verb builds a parser holding only that
+verb's subparser; any other call (no verb, ``--help``, an unknown verb)
+builds the full tree.  Both print the same usage, help and error text.
 """
 
 import argparse
@@ -21,6 +25,9 @@ from .projection import restrict
 from .reports import ValidationError
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
+
+VERBS = ("validate-hopf", "check-partial", "check-action", "core", "shadow",
+         "classify", "restrict", "dilate", "globalize", "smash", "demo", "morita")
 
 
 def _read(path):
@@ -182,16 +189,26 @@ def cmd_demo(args):
     return OK if result["ok"] else CHECK_FAILED
 
 
-def build_parser():
+def build_parser(verbs=VERBS):
+    """The parser with a subparser for each of verbs, all of VERBS by default.
+
+    With fewer verbs the top-level usage line still lists every verb, so
+    an error reported at the top level (an unrecognized argument after a
+    verb's own) reads the same as from the full tree.
+    """
     parser = argparse.ArgumentParser(
         prog="hopf-partial",
         description="Exact computations with partial representations of "
                     "finite-dimensional Hopf algebras.",
         epilog="HOPF_PARTIAL_SEED reseeds the randomized property tests "
                "of the accompanying test suite.")
-    sub = parser.add_subparsers(dest="verb", required=True)
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verbs == VERBS else "{" + ",".join(VERBS) + "}")
 
     def add(name, fn, needs_input=True, **kwargs):
+        if name not in verbs:
+            return None
         p = sub.add_parser(name, **kwargs)
         if needs_input:
             p.add_argument("--input", required=True,
@@ -217,20 +234,23 @@ def build_parser():
         "module algebra")
     smash = add("smash", cmd_smash, help="partial smash product (or the "
                 "global one with --global)")
-    smash.add_argument("--global", dest="glob", action="store_true",
-                       help="smash product of the globalization")
+    if smash:
+        smash.add_argument("--global", dest="glob", action="store_true",
+                           help="smash product of the globalization")
     demo = add("demo", cmd_demo, needs_input=False,
                help="replay the worked examples against expected outputs")
-    demo.add_argument("--all", action="store_true", help="run every demo")
-    demo.add_argument("--name", action="append", metavar="ID",
-                      help=f"run one demo; known: {', '.join(DEMOS)}")
+    if demo:
+        demo.add_argument("--all", action="store_true", help="run every demo")
+        demo.add_argument("--name", action="append", metavar="ID",
+                          help=f"run one demo; known: {', '.join(DEMOS)}")
     add("morita", cmd_morita, help="Morita context between the smash products")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    verbs = (argv[0],) if argv and argv[0] in VERBS else VERBS
+    args = build_parser(verbs).parse_args(argv)
     try:
         return args.fn(args)
     except (io.FormatError, OSError, ShapeError, KeyError) as exc:

@@ -16,29 +16,33 @@ the inverse antipode; construction fails if S is singular.
 Products of elements are matrices: ``left_mults`` and ``right_mults`` give
 the regular representation of an algebra given by constants, the
 matrices L_s of u -> e_s u and R_s of u -> u e_s, and ``mult_by`` turns
-either into multiplication by an element.  The unit witness reads the L_s.
+either into multiplication by an element.  The unit witness and the
+associativity witness read the L_s; the associativity witness takes their
+columns as integer numerators over one common denominator, so both sides
+of each triple are compared as integer vectors.
 
-The associativity witness and the coalgebra, bialgebra and antipode
-checks read sparse tables: ``mult_terms[i][j]`` lists the (k, c) with
-c != 0 in e_i * e_j, ``comult_terms[i]`` the Sweedler terms (j, k, c) of
-Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i);
-the last two are built with each `HopfAlgebraData`.
+The coalgebra, bialgebra and antipode checks read sparse tables:
+``mult_terms[i][j]`` lists the (k, c) with c != 0 in e_i * e_j,
+``comult_terms[i]`` the Sweedler terms (j, k, c) of Delta(e_i) and
+``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).  All three belong
+to `HopfAlgebraData`: the last two are built with it, and ``mult_terms``
+on first use (it is also read by the PR1-PR5 deviation table).
 
 Only this module reads how Delta and S are stored: every Sweedler sum of
 matrices elsewhere goes through ``comult_sum`` and ``antipode_images``.
 
 `HopfAlgebraData` and the algebras of ``actions`` derive from
-`ConstantsAlgebra`, the one home of their derived structure: ``left``,
-``right`` and ``mult_terms`` are built from the constants on first use
-and kept on the object by `_memo`.  Memos are attributes, not fields, so
-equality and hashing see only the arrays.
+`ConstantsAlgebra`, the one home of their regular representation:
+``left`` and ``right`` are built from the constants on first use and kept
+on the object by `_memo`, as is a Hopf algebra's ``mult_terms``.  Memos
+are attributes, not fields, so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .linalg import (Mat, ShapeError, _mat_sum, first_nonzero_col, frac, inverse,
-                     unit_vec, vstack)
+from .linalg import (Mat, ShapeError, _common_den, _mat_sum, first_nonzero_col,
+                     frac, inverse, unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
 
@@ -83,10 +87,9 @@ def _memo(obj, name, compute):
 class ConstantsAlgebra:
     """An algebra given by structure constants, held in the field named _table.
 
-    ``left`` and ``right`` are its L_s and R_s, ``mult_terms`` its sparse
-    table; each is built from the constants on first use.  A builder that
-    already holds the L_s or R_s stores them as ``_left`` or ``_right``
-    through `_memo` instead.
+    ``left`` and ``right`` are its L_s and R_s, each built from the
+    constants on first use.  A builder that already holds the L_s or R_s
+    stores them as ``_left`` or ``_right`` through `_memo` instead.
     """
 
     _table = "mult"
@@ -100,11 +103,6 @@ class ConstantsAlgebra:
     def right(self):
         return _memo(self, "_right", lambda: tuple(
             right_mults(getattr(self, self._table), self.dim)))
-
-    @property
-    def mult_terms(self):
-        return _memo(self, "_mult_terms",
-                     lambda: _mult_terms(getattr(self, self._table)))
 
 
 def mult_by(mats, u):
@@ -139,13 +137,40 @@ def _comult_el(h, u):
                     for a, b, cc in h.comult_terms[k])
 
 
-def _associativity_witness(terms):
-    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k)."""
-    for i, row in enumerate(terms):
+def _combination(terms, vecs):
+    """sum c vecs[p] over the (p, c) of terms, vecs sparse integer vectors,
+    as the sorted tuple of its nonzero (s, x)."""
+    if len(terms) == 1:
+        (p, c), = terms
+        return tuple((s, c * x) for s, x in vecs[p])
+    if not terms:
+        return ()
+    out = {}
+    for p, c in terms:
+        for s, x in vecs[p]:
+            out[s] = out.get(s, 0) + c * x
+    return tuple(sorted((s, x) for s, x in out.items() if x))
+
+
+def _associativity_witness(left):
+    """First basis triple (i, j, k) with (e_i e_j) e_k != e_i (e_j e_k), given
+    the left multiplications L_s of the algebra (column j of L_i is e_i e_j).
+
+    Over the common denominator D of the L_s, column j of L_i is n_ij / D
+    with n_ij an integer vector, held as its nonzero (index, numerator)
+    pairs.  D^2 times the two sides of (i, j, k) are the integer vectors
+    sum_p n_ij[p] n_pk and sum_q n_jk[q] n_iq, compared exactly.
+    """
+    if not left:
+        return None
+    _, lifts = _common_den(left)
+    cols = [[tuple((s, f * x) for s, x in enumerate(col) if x) for col in zip(*a.num)]
+            for a, f in zip(left, lifts)]
+    at = list(zip(*cols))  # at[k][p] = n_pk
+    for i, row in enumerate(cols):
         for j, ij in enumerate(row):
-            for k, jk in enumerate(terms[j]):
-                if _collect((s, c * x) for p, c in ij for s, x in terms[p][k]) \
-                        != _collect((s, c * x) for q, c in jk for s, x in row[q]):
+            for k, jk in enumerate(cols[j]):
+                if (ij or jk) and _combination(ij, at[k]) != _combination(jk, row):
                     return (i, j, k)
     return None
 
@@ -172,6 +197,10 @@ class HopfAlgebraData(ConstantsAlgebra):
     # presentation only: two algebras are the same Hopf data irrespective
     # of how their basis elements are named
     labels: tuple = field(default=None, compare=False)
+
+    @property
+    def mult_terms(self):
+        return _memo(self, "_mult_terms", lambda: _mult_terms(self.mult))
 
     def __post_init__(self):
         object.__setattr__(self, "comult_terms", tuple(
@@ -227,8 +256,7 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     d = h.dim
     report = ValidationReport("hopf axioms")
 
-    terms = h.mult_terms
-    witness = _associativity_witness(terms)
+    witness = _associativity_witness(h.left)
     report.record("associativity", witness is None, witness)
 
     witness = _unit_witness(h.left, h.unit)
@@ -250,6 +278,7 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
                     != {i: 1}), None)
     report.record("counit", witness is None, witness)
 
+    terms = h.mult_terms
     witness = None
     if h.counit_el(h.unit) != 1:
         witness = ("counit of unit",)

@@ -9,7 +9,13 @@ A `Mat` stores integers: ``num`` is a tuple of integer rows and ``den`` one
 positive common denominator, and the matrix is num / den.  The pair is
 kept canonical: gcd(den, all numerators) == 1, so the zero matrix has
 den == 1, and two matrices are equal exactly when their pairs are.
-Products, sums and elimination run on Python integers.  Elimination is
+Products, sums and elimination run on Python integers.  A product builds
+row i of its numerator as the sum of a_ik times row k of the right
+factor over the nonzero a_ik of row i of the left one: a zero row stays
+zero, a row with one nonzero entry is a scaled row of the right factor
+(that row itself when the entry is 1), and a row with more than half of
+its entries nonzero takes dot products with the right factor's columns
+instead; the numerators are then reduced like any other.  Elimination is
 fraction-free: rows are kept primitive (integer rows with content 1),
 cross-multiplied to clear a column, and divided by their pivots only when
 the reduced echelon form is read off.  Every linear system a X = B, the
@@ -32,7 +38,7 @@ Conventions, fixed once for the whole package:
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
 from operator import mul
 
@@ -235,9 +241,31 @@ class Mat:
             raise ShapeError(f"product shape mismatch {self.cols} vs {other.rows}")
         if self.rows == 0 or other.cols == 0 or self.cols == 0:
             return Mat.zeros(self.rows, other.cols)
-        bt = list(zip(*other.num))
-        return _reduced([[sum(map(mul, row, col)) for col in bt] for row in self.num],
-                        self.den * other.den, other.cols)
+        b = other.num
+        zero = (0,) * other.cols
+        bt = None
+        out = []
+        for row in self.num:
+            ks = list(compress(range(self.cols), row))
+            if not ks:
+                out.append(zero)
+            elif len(ks) == 1:
+                k = ks[0]
+                a = row[k]
+                out.append(b[k] if a == 1 else [a * x for x in b[k]])
+            elif 2 * len(ks) > self.cols:
+                if bt is None:
+                    bt = list(zip(*b))
+                out.append([sum(map(mul, row, col)) for col in bt])
+            else:
+                k, *rest = ks
+                a = row[k]
+                acc = [a * x for x in b[k]]
+                for k in rest:
+                    a = row[k]
+                    acc = [y + a * x for y, x in zip(acc, b[k])]
+                out.append(acc)
+        return _reduced(out, self.den * other.den, other.cols)
 
     def apply(self, v):
         """Matrix times column vector."""

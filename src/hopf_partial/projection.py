@@ -10,7 +10,9 @@ twins as one family from `partial.twisted_conjugates`.
 
 A ProjectedModule is immutable, so what is proved about it is proved once:
 restrict, is_proper and is_minimal store their result on the instance the
-first time they return and hand it back on later calls.  The memos are
+first time they return and hand it back on later calls.  The conjugates
+and the twins are stored the same way the first time `adjoint_op`,
+`tilde_op` or `check_equivalence_lemma` asks for them.  The memos are
 not dataclass fields, so == and hash ignore them, and an equal but newly
 built instance is verified from scratch.
 """
@@ -49,14 +51,20 @@ class ProjectedModule:
         return ProjectedModule(module, t)
 
 
+def _conjugates(p: ProjectedModule, tilde=False):
+    """The family T_{e_i} of p, or with tilde its twins; memoized on p."""
+    return _memo(p, "_tilde" if tilde else "_adjoint",
+                 lambda: twisted_conjugates(p.module, p.t, tilde))
+
+
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
     """T_{e_i} = pi(e_i (1)) t pi(S(e_i (2)))."""
-    return twisted_conjugates(p.module, p.t)[i]
+    return _conjugates(p)[i]
 
 
 def tilde_op(p: ProjectedModule, i: int) -> Mat:
     """The S-twisted twin pi(S(e_i (1))) t pi(e_i (2))."""
-    return twisted_conjugates(p.module, p.t, tilde=True)[i]
+    return _conjugates(p, tilde=True)[i]
 
 
 def check_c_condition(module: PartialModule, t: Mat):
@@ -78,8 +86,9 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     (ii) T~_h T = T T~_h for all basis h;
     (iii) T_h T~_k = T~_k T_h for all basis pairs.
 
-    Accepts a ProjectedModule or a raw (module, idempotent) pair, so that
-    failing candidates can be examined too.
+    Accepts a ProjectedModule, whose memoized families it reads, or a raw
+    (module, idempotent) pair, so that failing candidates can be examined
+    too.
     """
     if isinstance(p, ProjectedModule):
         module, t = p.module, p.t
@@ -88,8 +97,10 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     d = module.hopf.dim
-    adj = twisted_conjugates(module, t)
-    tld = twisted_conjugates(module, t, tilde=True)
+    if isinstance(p, ProjectedModule):
+        adj, tld = _conjugates(p), _conjugates(p, tilde=True)
+    else:
+        adj, tld = (twisted_conjugates(module, t, tilde) for tilde in (False, True))
     report = ValidationReport("equivalence lemma")
     w1 = next((i for i in range(d) if adj[i] * t != t * adj[i]), None)
     report.record("(i) c-condition", w1 is None, w1)

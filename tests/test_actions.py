@@ -279,16 +279,13 @@ def test_regular_builds_per_construction(monkeypatch, construction, count):
     assert _builds(monkeypatch, construction, ("left_mults", "right_mults")) == count
 
 
-@pytest.mark.parametrize("construction, count", [
-    ("partial_smash", 1),
-    ("zeta_xi", 1),
-    ("globalize", 1),
-    ("morita_context", 3),
-    ("global_smash", 1),
-])
-def test_sparse_table_builds_per_construction(monkeypatch, construction, count):
-    # each algebra object builds its sparse table at most once
-    assert _builds(monkeypatch, construction, ("_mult_terms",)) == count
+def test_sparse_table_builds_per_construction(monkeypatch):
+    # the associativity witness reads the L_s, so no module or smash
+    # algebra builds a sparse table of its constants
+    constructions = ("partial_smash", "zeta_xi", "globalize", "morita_context",
+                     "global_smash")
+    assert {c: _builds(monkeypatch, c, ("_mult_terms",)) for c in constructions} \
+        == dict.fromkeys(constructions, 0)
 
 
 def test_morita_context_on_shipped_examples():

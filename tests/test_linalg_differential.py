@@ -29,12 +29,29 @@ def raw_matrix(rows, cols):
                     min_size=rows, max_size=rows)
 
 
+nonzeros = st.one_of(st.just(1), numbers.filter(bool), fractions.filter(bool).map(str))
+
+
+@st.composite
+def sparse_row(draw, cols):
+    """A row with 0, 1, 2 or all of its entries nonzero; a lone nonzero
+    entry is 1 or any other number."""
+    row = [0] * cols
+    support = draw(st.sampled_from([0, 1, 2, cols]))
+    for k in draw(st.permutations(range(cols)))[:support]:
+        row[k] = draw(nonzeros)
+    return row
+
+
 @st.composite
 def entries(draw, rows=None, cols=None):
-    """Raw entries of a rows x cols matrix: random, zero, or of rank <= 2."""
+    """Raw entries of a rows x cols matrix: random, zero, of rank <= 2, or
+    sparse (rows with 0, 1, 2 or all entries nonzero)."""
     rows = draw(dims) if rows is None else rows
     cols = draw(dims) if cols is None else cols
-    kind = draw(st.sampled_from(["random", "zero", "low rank"]))
+    kind = draw(st.sampled_from(["random", "zero", "low rank", "sparse"]))
+    if kind == "sparse":
+        return [draw(sparse_row(cols)) for _ in range(rows)]
     if kind == "zero":
         return [[draw(st.sampled_from([0, "0", F(0), "0/5"])) for _ in range(cols)]
                 for _ in range(rows)]
@@ -141,9 +158,27 @@ def test_zero_row_and_zero_column_shapes():
 @given(st.data())
 @SETTINGS
 def test_products_match(data):
-    r, k, c = data.draw(dims), data.draw(dims), data.draw(dims)
+    wide = st.integers(min_value=0, max_value=8)
+    r, k, c = data.draw(wide), data.draw(wide), data.draw(wide)
     (a, ra), (b, rb) = data.draw(pairs(r, k)), data.draw(pairs(k, c))
     assert_same(a * b, ra * rb)
+
+
+@pytest.mark.parametrize("scale", [1, "1/2", "-3/7"])
+def test_every_row_kind_of_the_product_matches(scale):
+    # rows of the left factor: zero, a lone 1, a lone entry other than 1,
+    # two nonzero entries (sparse) and all nonzero (dense)
+    left = [[0, 0, 0, 0], [0, 0, 1, 0], [0, "-3/2", 0, 0], [2, 0, 0, "1/3"],
+            [1, -1, 2, "5/6"], [0, 4, 0, 0]]
+    right = [[1, 2, "1/2"], [0, -1, 3], ["2/3", 0, 1], [4, 5, 0]]
+    (a, ra), (b, rb) = both(left, 4), both(right, 3)
+    a, ra = a.scale(scale), ra.scale(scale)
+    assert_same(a * b, ra * rb)
+    assert_same(b.transpose() * a.transpose(), rb.transpose() * ra.transpose())
+    for rows, inner, cols in ((0, 4, 3), (6, 0, 3), (6, 4, 0), (0, 0, 0)):
+        (x, rx) = both([row[:inner] for row in left[:rows]], inner)
+        (y, ry) = both([row[:cols] for row in right[:inner]], cols)
+        assert_same(x * y, rx * ry)
 
 
 @given(st.data())

@@ -1,8 +1,9 @@
 """The regular representation of an algebra object is built in one place.
 
-`hopf.ConstantsAlgebra` builds the L_s, the R_s and the sparse table of an
-algebra given by structure constants from its constants, once per object.
-Anywhere else in the package, a call of `left_mults`, `right_mults` or
+`hopf.ConstantsAlgebra` builds the L_s and the R_s of an algebra given by
+structure constants from its constants, once per object, and
+`hopf.HopfAlgebraData` builds a Hopf algebra's sparse table.  Anywhere
+else in the package, a call of `left_mults`, `right_mults` or
 `_mult_terms` on an object's ``.mult`` or ``.alg_mult`` rebuilds what the
 object already keeps; this scan parses every module with `ast` and fails
 on such a call.  Calls on constants that no object holds yet (a local
@@ -18,8 +19,8 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    os.pardir, "src", "hopf_partial")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
-HOME = "hopf.ConstantsAlgebra"
-BUILDERS = {"left_mults", "right_mults", "_mult_terms"}
+HOMES = {"left_mults": "hopf.ConstantsAlgebra", "right_mults": "hopf.ConstantsAlgebra",
+         "_mult_terms": "hopf.HopfAlgebraData"}
 TABLES = {"mult", "alg_mult"}
 
 
@@ -31,20 +32,20 @@ def _called(node):
 
 
 def _calls(body, prefix):
-    """Every call in body, outside the home class."""
+    """(enclosing class, call) of every call in body."""
     for node in body:
         if isinstance(node, ast.ClassDef):
-            if f"{prefix}.{node.name}" != HOME:
-                yield from _calls(node.body, f"{prefix}.{node.name}")
+            yield from _calls(node.body, f"{prefix}.{node.name}")
             continue
-        yield from (sub for sub in ast.walk(node) if isinstance(sub, ast.Call))
+        yield from ((prefix, sub) for sub in ast.walk(node) if isinstance(sub, ast.Call))
 
 
 def rebuilds(source, module):
-    """(module, line, builder) of each builder call on an object's table."""
+    """(module, line, builder) of each builder call on an object's table
+    outside that builder's home class."""
     return [(module, call.lineno, _called(call))
-            for call in _calls(ast.parse(source).body, module)
-            if _called(call) in BUILDERS
+            for owner, call in _calls(ast.parse(source).body, module)
+            if _called(call) in HOMES and owner != HOMES[_called(call)]
             and any(isinstance(arg, ast.Attribute) and arg.attr in TABLES
                     for arg in call.args)]
 
@@ -63,6 +64,12 @@ def test_only_the_home_class_may_read_an_objects_table():
     home = "class ConstantsAlgebra:\n    def f(self):\n        return left_mults(self.mult, 1)\n"
     assert rebuilds(home, "hopf") == []
     assert rebuilds(home, "actions") == [("actions", 3, "left_mults")]
+    table = "class HopfAlgebraData:\n    def f(self):\n        return _mult_terms(self.mult)\n"
+    assert rebuilds(table, "hopf") == []
+    assert rebuilds(table.replace("_mult_terms", "left_mults"), "hopf") \
+        == [("hopf", 3, "left_mults")]
+    assert rebuilds(home.replace("left_mults", "_mult_terms"), "hopf") \
+        == [("hopf", 3, "_mult_terms")]
 
 
 @pytest.mark.parametrize("added, builder", [

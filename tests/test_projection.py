@@ -7,7 +7,8 @@ from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
 from hopf_partial import projection as pj
-from hopf_partial.demos import antidiagonal_sweedler, graded_projection
+from hopf_partial.demos import (antidiagonal_sweedler, demo_restriction,
+                                graded_projection)
 from hopf_partial.reports import ValidationError
 
 import gen
@@ -107,6 +108,32 @@ def test_equivalence_lemma_identity_projection():
 def test_equivalence_lemma_paper_projections(p36, p37):
     assert pj.check_equivalence_lemma(p36).ok
     assert pj.check_equivalence_lemma(p37).ok
+
+
+def test_twisted_conjugate_builds_per_projected_module(monkeypatch):
+    # the conjugates and the twins are each built once per instance and
+    # shared by adjoint_op, tilde_op and the lemma; a raw pair builds both
+    p = graded_projection(1, 1, 1)
+    calls = gen.count_calls(monkeypatch, pj, "twisted_conjugates")
+    counts = []
+    for step in (lambda: [pj.adjoint_op(p, i) for i in range(2)],
+                 lambda: pj.check_equivalence_lemma(p),
+                 lambda: [pj.tilde_op(p, i) for i in range(2)],
+                 lambda: pj.check_equivalence_lemma(p),
+                 lambda: pj.check_equivalence_lemma(p.module, p.t),
+                 lambda: pj.check_equivalence_lemma(graded_projection(1, 1, 1))):
+        step()
+        counts.append(len(calls))
+    # the last lemma's ProjectedModule.build checks the c-condition once
+    assert counts == [1, 2, 2, 2, 4, 7]
+
+
+def test_twisted_conjugate_builds_in_the_restriction_demo(monkeypatch):
+    # one per c-condition check (two direct, six in ProjectedModule.build)
+    # and one per family read on p37, whose lemma reuses both
+    calls = gen.count_calls(monkeypatch, pj, "twisted_conjugates")
+    assert demo_restriction()[0]
+    assert len(calls) == 10
 
 
 def test_equivalence_lemma_fails_jointly():

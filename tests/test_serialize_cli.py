@@ -1,3 +1,4 @@
+import argparse
 import json
 from fractions import Fraction
 
@@ -292,3 +293,55 @@ def test_cli_demo_single(capsys):
 
 def test_cli_demo_unknown_name(capsys):
     assert main(["demo", "--name", "nonsense"]) == 2
+
+
+def _outcome(argv, capsys):
+    """(exit status, stdout, stderr) of one main call, argparse exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_verbs_name_every_subparser_in_order():
+    assert tuple(_subparsers(cli.build_parser()).choices) == cli.VERBS
+
+
+def test_a_verb_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def recording(verbs):
+        built.append(real(verbs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    _outcome(["core", "--help"], capsys)
+    _outcome(["--help"], capsys)
+    _outcome(["nonsense"], capsys)
+    assert [tuple(_subparsers(p).choices) for p in built] \
+        == [("core",), cli.VERBS, cli.VERBS]
+
+
+@pytest.mark.parametrize("verb", cli.VERBS)
+def test_one_verb_parser_reads_like_the_full_tree(tmp_path, capsys, monkeypatch, verb):
+    doc = io.partial_module_to_json(partially_graded_module(1, 0, 1))
+    path = _write(tmp_path, "m.json", doc)
+    # calls that do not start with a verb build the full tree either way
+    calls = [[verb, "--help"], [verb, "-h"],
+             [verb], [verb, "--input"], [verb, "--bogus"], [verb, "--all", "--name"],
+             [verb, "--input", path, "extra"], [verb, "--input", path, "--hopf"],
+             [verb, "--input", path], [verb, "--input", path, "--hopf", "kC2-dual"],
+             [verb, "--input", str(tmp_path / "missing.json")]]
+    if verb == "demo":
+        calls += [[verb, "--name", "linalg-kernels"], [verb, "--name", "nonsense", "x"]]
+    fast = [_outcome(argv, capsys) for argv in calls]
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda verbs: full)
+    assert fast == [_outcome(argv, capsys) for argv in calls]

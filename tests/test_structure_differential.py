@@ -1,18 +1,23 @@
 """Differential tests: the structure tables and matrices against the dense reference.
 
-The associativity witness and the Sweedler terms read the sparse tables;
-products and the unit witness read the left multiplications L_s of
-`hopf.left_mults`.  All must come out equal to `dense_structure`, the
-dense element-wise routines they replaced, on random structure constants,
-on single-entry perturbations of the builtins, and on the partial and
-global smash products of the shipped partial module algebras.
+The Sweedler terms read the sparse tables; products, the unit witness and
+the associativity witness read the left multiplications L_s of
+`hopf.left_mults`, the last one as integers over their common
+denominator.  All must come out equal to `dense_structure`, the dense
+element-wise routines they replaced, on random structure constants with
+denominators 1, 2, 3 and 6, on rescaled builtins (associative, with L_s
+of different denominators) and their single-entry perturbations, and on
+the partial and global smash products of the shipped partial module
+algebras, also perturbed by 1/2, 1/3 and 1/6.
 
-The derived structure each algebra object keeps (``left``, ``right`` and
-``mult_terms``, some of them stored by the builder that found them) must
-equal `hopf.left_mults`, `hopf.right_mults` and `hopf._mult_terms` of the
-object's own constants.
+The derived structure each algebra object keeps (``left`` and ``right``,
+some of them stored by the builder that found them, and a Hopf algebra's
+``mult_terms``) must equal `hopf.left_mults`, `hopf.right_mults` and
+`hopf._mult_terms` of the object's own constants; the module and smash
+algebras keep no sparse table.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,7 +35,11 @@ from test_actions_differential import perturbed_globalizations
 F = Fraction
 
 # zeros dominate, so that random constants are often associative somewhere
-entries = st.sampled_from([0, 0, 0, 0, 0, 1, -1, F(1, 2), F(-1, 2)])
+entries = st.sampled_from([0] * 9 + [1, -1, F(1, 2), F(-1, 2), F(1, 3), F(-2, 3),
+                                     F(1, 6), F(-5, 6)])
+# e_s -> c_s e_s keeps an algebra associative and gives its L_s different
+# denominators
+scales = st.sampled_from([1, -1, 2, F(1, 2), 3, F(-1, 3), F(2, 3), 6, F(1, 6), F(-3, 2)])
 dims = st.integers(min_value=0, max_value=5)
 
 
@@ -47,8 +56,7 @@ def cubes(dim):
 def assert_same_algebra(mult, unit, us, vs):
     """Every sparse routine agrees with the dense one on these constants."""
     left = hp.left_mults(mult, len(mult))
-    assert hp._associativity_witness(hp._mult_terms(mult)) \
-        == ref.associativity_witness(mult)
+    assert hp._associativity_witness(left) == ref.associativity_witness(mult)
     if unit is not None:
         assert hp._unit_witness(left, unit) == ref.unit_witness(mult, unit)
     for u, v in zip(us, vs):
@@ -83,6 +91,14 @@ def test_random_coalgebras(data):
         assert list(h.comult_terms[i]) == ref.comult_pairs(comult, i)
 
 
+def rescaled(mult, c):
+    """The constants of the same algebra in the basis c_s e_s:
+    (c_i e_i)(c_j e_j) = sum_k (c_i c_j mult[i][j][k] / c_k) c_k e_k."""
+    n = len(mult)
+    return [[[F(c[i] * c[j] * mult[i][j][k], c[k]) for k in range(n)]
+             for j in range(n)] for i in range(n)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(hp.BUILTIN_NAMES), st.data())
 def test_single_entry_perturbations_of_builtins(name, data):
@@ -92,6 +108,8 @@ def test_single_entry_perturbations_of_builtins(name, data):
     value = F(data.draw(entries))
     plane = "mult" if data.draw(st.booleans()) else "comult"
     cube = [[list(row) for row in p] for p in getattr(h, plane)]
+    if plane == "mult" and data.draw(st.booleans()):
+        cube = rescaled(cube, [data.draw(scales) for _ in range(d)])
     cube[i][j][k] = value
     cube = hp._freeze3(cube)
     if plane == "comult":
@@ -127,13 +145,27 @@ def test_smash_products_of_shipped_algebras(smash_algebras):
                     == [ref.alg_prod(s.mult, u, v) for v in us]
 
 
+@pytest.mark.parametrize("name", hp.BUILTIN_NAMES)
+def test_rescaled_builtins_are_associative(name):
+    h = hp.builtin(name)
+    for c in ([F(1, 2), F(1, 3), 6, F(1, 6), 2, F(2, 3)][:h.dim],
+              [2, F(-1, 3), F(2, 3), F(1, 2), 6, F(1, 6)][:h.dim]):
+        mult = rescaled(h.mult, c)
+        left = hp.left_mults(mult, h.dim)
+        assert len({a.den for a in left}) > 1
+        assert hp._associativity_witness(left) is None
+        assert ref.associativity_witness(mult) is None
+
+
 def test_perturbed_global_smash_witnesses(smash_algebras):
     for name, _, bs in smash_algebras:
-        for (i, j, k) in ((0, 0, 0), (bs.dim - 1, 0, bs.dim - 1), (1, 1, 0)):
+        for (i, j, k), delta in itertools.product(
+                ((0, 0, 0), (bs.dim - 1, 0, bs.dim - 1), (1, 1, 0)),
+                (F(1, 2), F(1, 3), F(1, 6))):
             cube = [[list(row) for row in p] for p in bs.mult]
-            cube[i][j][k] += F(1, 2)
+            cube[i][j][k] += delta
             cube = hp._freeze3(cube)
-            witness = hp._associativity_witness(hp._mult_terms(cube))
+            witness = hp._associativity_witness(hp.left_mults(cube, bs.dim))
             assert witness is not None, name
             assert witness == ref.associativity_witness(cube), name
             if bs.unit is not None:
@@ -177,4 +209,7 @@ def test_derived_structure_of_every_algebra_object(smash_algebras):
         table = alg.alg_mult if hasattr(alg, "alg_mult") else alg.mult
         assert alg.left == tuple(hp.left_mults(table, alg.dim))
         assert alg.right == tuple(hp.right_mults(table, alg.dim))
-        assert alg.mult_terms == hp._mult_terms(table)
+        if isinstance(alg, hp.HopfAlgebraData):
+            assert alg.mult_terms == hp._mult_terms(table)
+        else:
+            assert not hasattr(alg, "mult_terms")
