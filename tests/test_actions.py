@@ -279,13 +279,23 @@ def test_regular_builds_per_construction(monkeypatch, construction, count):
     assert _builds(monkeypatch, construction, ("left_mults", "right_mults")) == count
 
 
-def test_sparse_table_builds_per_construction(monkeypatch):
-    # the associativity witness reads the L_s, so no module or smash
-    # algebra builds a sparse table of its constants
-    constructions = ("partial_smash", "zeta_xi", "globalize", "morita_context",
-                     "global_smash")
-    assert {c: _builds(monkeypatch, c, ("_mult_terms",)) for c in constructions} \
-        == dict.fromkeys(constructions, 0)
+@pytest.mark.parametrize("construction, witnesses", [
+    ("partial_smash", 1),
+    ("zeta_xi", 1),
+    ("globalize", 1),
+    ("morita_context", 3),
+    ("global_smash", 1),
+])
+def test_sparse_table_builds_per_construction(monkeypatch, construction, witnesses):
+    # each algebra object has its associativity witnessed once, from its
+    # L_s, so no module or smash algebra builds a sparse table
+    arg = _construction_input(construction)
+    calls = {name: [gen.count_calls(monkeypatch, m, name)
+                    for m in PACKAGE if hasattr(m, name)]
+             for name in ("_associativity_witness", "_mult_terms")}
+    getattr(ac, construction)(arg)
+    assert {name: sum(map(len, c)) for name, c in calls.items()} \
+        == {"_associativity_witness": witnesses, "_mult_terms": 0}
 
 
 def test_morita_context_on_shipped_examples():
