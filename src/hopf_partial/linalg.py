@@ -11,16 +11,14 @@ kept canonical: gcd(den, all numerators) == 1, so the zero matrix has
 den == 1, and two matrices are equal exactly when their pairs are.
 Products, sums and elimination run on Python integers.  A product builds
 row i of its numerator as the sum of a_ik times row k of the right
-factor over the nonzero a_ik of row i of the left one: a zero row stays
-zero, a row with one nonzero entry is a scaled row of the right factor
-(that row itself when the entry is 1), and a row with more than half of
-its entries nonzero takes dot products with the right factor's columns
-instead; the numerators are then reduced like any other.  Elimination is
-fraction-free: rows are kept primitive (integer rows with content 1),
-cross-multiplied to clear a column, and divided by their pivots only when
-the reduced echelon form is read off.  Every linear system a X = B, the
-inverse (B = I) included, is one elimination of the block [a | B]; the
-systems a X_j = B_j of a family share one elimination of
+factor over the nonzero a_ik of row i of the left one, so a zero row
+stays zero and a row whose only nonzero entry is 1 is that row of the
+right factor; the numerators are then reduced like any other.
+Elimination is fraction-free: rows are kept primitive (integer rows with
+content 1), cross-multiplied to clear a column, and divided by their
+pivots only when the reduced echelon form is read off.  Every linear
+system a X = B, the inverse (B = I) included, is one elimination of the
+block [a | B]; the systems a X_j = B_j of a family share one elimination of
 [a | B_1 | ... | B_k], cut back into blocks by `split_blocks`, so a
 family of operators gets its matrices on an invariant subspace from one
 elimination of [incl | op_1 incl | ... | op_k incl].  The entry views
@@ -243,28 +241,19 @@ class Mat:
             return Mat.zeros(self.rows, other.cols)
         b = other.num
         zero = (0,) * other.cols
-        bt = None
         out = []
         for row in self.num:
             ks = list(compress(range(self.cols), row))
             if not ks:
                 out.append(zero)
-            elif len(ks) == 1:
-                k = ks[0]
+                continue
+            k, *rest = ks
+            a = row[k]
+            acc = b[k] if a == 1 else [a * x for x in b[k]]
+            for k in rest:
                 a = row[k]
-                out.append(b[k] if a == 1 else [a * x for x in b[k]])
-            elif 2 * len(ks) > self.cols:
-                if bt is None:
-                    bt = list(zip(*b))
-                out.append([sum(map(mul, row, col)) for col in bt])
-            else:
-                k, *rest = ks
-                a = row[k]
-                acc = [a * x for x in b[k]]
-                for k in rest:
-                    a = row[k]
-                    acc = [y + a * x for y, x in zip(acc, b[k])]
-                out.append(acc)
+                acc = [y + a * x for y, x in zip(acc, b[k])]
+            out.append(acc)
         return _reduced(out, self.den * other.den, other.cols)
 
     def apply(self, v):

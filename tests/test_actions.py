@@ -257,13 +257,14 @@ def test_build_counts_per_construction(monkeypatch, construction, name, count):
 
 
 def _builds(monkeypatch, construction, names):
-    """Builds of an L_s or R_s family or of a sparse table while one
-    construction runs, counted in every module that looks the builders up."""
+    """Calls of each of names while one construction runs, counted in every
+    module that looks the name up."""
     arg = _construction_input(construction)
-    calls = [gen.count_calls(monkeypatch, m, name)
-             for name in names for m in PACKAGE if hasattr(m, name)]
+    calls = {name: [gen.count_calls(monkeypatch, m, name)
+                    for m in PACKAGE if hasattr(m, name)]
+             for name in names}
     getattr(ac, construction)(arg)
-    return sum(map(len, calls))
+    return {name: sum(map(len, c)) for name, c in calls.items()}
 
 
 @pytest.mark.parametrize("construction, count", [
@@ -276,26 +277,23 @@ def _builds(monkeypatch, construction, names):
 def test_regular_builds_per_construction(monkeypatch, construction, count):
     # each algebra object builds its L_s and R_s at most once, and the
     # builders store the L_s they get from eliminations
-    assert _builds(monkeypatch, construction, ("left_mults", "right_mults")) == count
+    builds = _builds(monkeypatch, construction, ("left_mults", "right_mults"))
+    assert sum(builds.values()) == count
 
 
-@pytest.mark.parametrize("construction, witnesses", [
+@pytest.mark.parametrize("construction, checked", [
     ("partial_smash", 1),
     ("zeta_xi", 1),
     ("globalize", 1),
     ("morita_context", 3),
     ("global_smash", 1),
 ])
-def test_sparse_table_builds_per_construction(monkeypatch, construction, witnesses):
-    # each algebra object has its associativity witnessed once, from its
-    # L_s, so no module or smash algebra builds a sparse table
-    arg = _construction_input(construction)
-    calls = {name: [gen.count_calls(monkeypatch, m, name)
-                    for m in PACKAGE if hasattr(m, name)]
-             for name in ("_associativity_witness", "_mult_terms")}
-    getattr(ac, construction)(arg)
-    assert {name: sum(map(len, c)) for name, c in calls.items()} \
-        == {"_associativity_witness": witnesses, "_mult_terms": 0}
+def test_sparse_table_builds_per_construction(monkeypatch, construction, checked):
+    # no construction builds a sparse table of constants: each of the
+    # `checked` algebra objects whose associativity it checks (one table
+    # build each, before the witness read the L_s) is witnessed once
+    builds = _builds(monkeypatch, construction, ("_mult_terms", "_associativity_witness"))
+    assert builds == {"_mult_terms": 0, "_associativity_witness": checked}
 
 
 def test_morita_context_on_shipped_examples():
