@@ -17,6 +17,7 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .hopf import _memo
 from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
                      rank, solve, solve_blocks, solve_matrix, span_closure,
                      vstack)
@@ -106,13 +107,20 @@ def standard_dilation(m: PartialModule) -> Dilation:
 def check_dilation(d: Dilation) -> ValidationReport:
     """Verify the six dilation properties of d, one Check each.
 
-    theta's rank, the intertwining, the image of theta and the isomorphism
-    from the source to the restriction are recomputed on every call.  The
-    restriction of d.projected (with its PR1-PR5 check), is_proper and
-    is_minimal are memoized on that ProjectedModule: the first call on an
-    instance computes them, and later calls, such as a caller's check
-    after the one inside standard_dilation, read them from the memos.
+    The Checks are evaluated once per instance and kept on d as a frozen
+    tuple; every call returns a new report built from them, so a caller
+    may extend its report freely, and a caller's check after the one
+    inside standard_dilation reads the tuple.  An equal but newly built
+    Dilation is evaluated afresh.  The restriction of d.projected (with
+    its PR1-PR5 check), is_proper and is_minimal are memoized on that
+    ProjectedModule in turn.
     """
+    checks = _memo(d, "_dilation_checks", lambda: _evaluate_dilation(d))
+    return ValidationReport("dilation", list(checks))
+
+
+def _evaluate_dilation(d: Dilation):
+    """The six Checks of check_dilation, in order."""
     report = ValidationReport("dilation")
     mod = d.projected.module
     t = d.projected.t
@@ -134,7 +142,7 @@ def check_dilation(d: Dilation) -> ValidationReport:
     report.record("restriction isomorphic to source via theta", iso_ok)
     report.record("proper", is_proper(d.projected))
     report.record("minimal", is_minimal(d.projected))
-    return report
+    return tuple(report.checks)
 
 
 def _factor_through(dec: Mat, target: Mat) -> Mat:

@@ -26,23 +26,33 @@ The coalgebra, bialgebra and antipode checks read sparse tables:
 ``comult_terms[i]`` the Sweedler terms (j, k, c) of Delta(e_i) and
 ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).  All three belong
 to `HopfAlgebraData`: the last two are built with it, and ``mult_terms``
-on first use (it is also read by the PR1-PR5 deviation table).
+on first use.
 
 Only this module reads how Delta and S are stored: every Sweedler sum of
-matrices elsewhere goes through ``comult_sum`` and ``antipode_images``.
+matrices elsewhere goes through ``comult_sum``, ``antipode_images`` or
+``sweedler_grid``.  A Sweedler grid of a family X_0, ..., X_{d-1} of
+n x n matrices is the d n x d n block matrix whose block (a, j) is
+sum c X_b over the terms (a, b, c) of Delta(e_j); its variants put the
+first leg in the block column, fold the antipode into the block index,
+or place the X_k of e_r e_s (from ``mult_terms``).  Each variant's
+placement table is built once per Hopf algebra, and a grid is assembled
+straight from the integer numerator rows of the family.  The PR1-PR5
+checker of ``partial`` is three products with these grids.
 
 `HopfAlgebraData` and the algebras of ``actions`` derive from
 `ConstantsAlgebra`, the one home of their regular representation:
 ``left`` and ``right`` are built from the constants on first use and kept
-on the object by `_memo`, as is a Hopf algebra's ``mult_terms``.  Memos
-are attributes, not fields, so equality and hashing see only the arrays.
+on the object by `_memo`, as are a Hopf algebra's ``mult_terms``, its
+grid placement tables and its hash.  Memos are attributes, not fields,
+so equality and hashing see only the arrays.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from math import lcm
 
-from .linalg import (Mat, ShapeError, _common_den, _mat_sum, first_nonzero_col,
-                     frac, inverse, unit_vec, vstack)
+from .linalg import (Mat, ShapeError, _common_den, _mat_sum, _reduced,
+                     first_nonzero_col, frac, inverse, unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
 
@@ -123,6 +133,105 @@ def antipode_images(h, mats, rows, cols):
                  for terms in h.antipode_terms)
 
 
+def _grid_placements(h, kind):
+    """The (r, s, b, c) such that block (r, s) of the grid of kind gains c X_b.
+
+    With Delta(e_j) = sum c e_a (x) e_b and S(e_a) = sum S_ka e_k, block
+    (r, s) of each kind is
+      col:    sum over Delta(e_s) with a = r of c X_b,
+      col_s:  sum over Delta(e_s) of c S_ra X_b,
+      row:    sum over Delta(e_r) with b = s of c X_a,
+      row_s:  sum over Delta(e_r) of c S_sb X_a,
+      mult:   sum c X_k over e_r e_s = sum c e_k.
+    """
+    if kind == "mult":
+        for r, row in enumerate(h.mult_terms):
+            for s, terms in enumerate(row):
+                for k, c in terms:
+                    yield r, s, k, c
+        return
+    if kind not in ("col", "col_s", "row", "row_s"):
+        raise ValueError(f"unknown Sweedler grid kind {kind!r}")
+    for j, terms in enumerate(h.comult_terms):
+        for a, b, c in terms:
+            if kind == "col":
+                yield a, j, b, c
+            elif kind == "col_s":
+                yield from ((k, j, b, s * c) for k, s in h.antipode_terms[a])
+            elif kind == "row":
+                yield j, b, a, c
+            else:
+                yield from ((j, k, a, s * c) for k, s in h.antipode_terms[b])
+
+
+def _grid_terms(h, kind):
+    """(E, by_rows, by_cols) for the grid of kind, memoized on h.
+
+    by_rows[r] lists the (s, terms) of the nonzero blocks (r, s) and
+    by_cols[s] the (r, terms) of the nonzero blocks (r, s), where terms
+    lists the (b, E c), c != 0, with block (r, s) = sum c X_b; E is the
+    lcm of the denominators of the c, so every E c is an integer.
+    """
+    def build():
+        cells = {}
+        for r, s, b, c in _grid_placements(h, kind):
+            cell = cells.setdefault((r, s), {})
+            cell[b] = cell.get(b, 0) + c
+        den = lcm(*[c.denominator for cell in cells.values() for c in cell.values()])
+        blocks = {rs: tuple(sorted((b, int(c * den)) for b, c in cell.items() if c))
+                  for rs, cell in cells.items()}
+        blocks = sorted((rs, terms) for rs, terms in blocks.items() if terms)
+        by_rows = tuple(tuple((s, terms) for (r, s), terms in blocks if r == i)
+                        for i in range(h.dim))
+        by_cols = tuple(tuple((r, terms) for (r, s), terms in blocks if s == j)
+                        for j in range(h.dim))
+        return den, by_rows, by_cols
+
+    return _memo(h, f"_grid_{kind}", build)
+
+
+def _cell_row(terms, lines, p, f):
+    """Row p of sum (f c) lines[b] over the (b, c) of terms, a nonempty list."""
+    (b, c), *rest = terms
+    c *= f
+    acc = lines[b][p] if c == 1 else [c * x for x in lines[b][p]]
+    for b, c in rest:
+        c *= f
+        acc = [y + c * x for y, x in zip(acc, lines[b][p])]
+    return acc
+
+
+def sweedler_grid(h, n, parts, transpose=False):
+    """The Sweedler grids of parts = [(kind, mats), ...], stacked top to bottom.
+
+    Each grid is a d n x d n matrix of n x n blocks, built from the family
+    mats of d matrices of size n x n as `_grid_terms` places them; with
+    transpose, each grid is replaced by its transpose.  The numerator rows
+    are assembled directly from the family's rows (its columns, to
+    transpose) lifted to one common denominator; only the nonzero blocks
+    are written.
+    """
+    width = h.dim * n
+    tables = [_grid_terms(h, kind) for kind, _ in parts]
+    cden = lcm(*[e for e, _, _ in tables])
+    den, lifts = _common_den([m for _, mats in parts for m in mats])
+    lifts = iter(lifts)
+    out = []
+    for (_, mats), (e, by_rows, by_cols) in zip(parts, tables):
+        lines = []
+        for m, g in zip(mats, lifts):
+            rows = list(zip(*m.num)) if transpose else m.num
+            lines.append(rows if g == 1 else [[g * x for x in row] for row in rows])
+        f = cden // e
+        for blocks in (by_cols if transpose else by_rows):
+            for p in range(n):
+                row = [0] * width
+                for s, terms in blocks:
+                    row[s * n:s * n + n] = _cell_row(terms, lines, p, f)
+                out.append(row)
+    return _reduced(out, den * cden, width)
+
+
 def _collect(terms):
     """Sum (key, coeff) pairs into a dict of tensor coefficients, zeros dropped."""
     out = {}
@@ -199,6 +308,11 @@ class HopfAlgebraData(ConstantsAlgebra):
     # presentation only: two algebras are the same Hopf data irrespective
     # of how their basis elements are named
     labels: tuple = field(default=None, compare=False)
+
+    def __hash__(self):
+        """The dataclass hash of the compared fields, computed once."""
+        return _memo(self, "_hash", lambda: hash(tuple(
+            getattr(self, f.name) for f in fields(self) if f.compare)))
 
     @property
     def mult_terms(self):

@@ -396,18 +396,24 @@ def _pivots(echelon: Mat):
     return [next(j for j, x in enumerate(row) if x) for row in echelon.num]
 
 
-def _in_span(echelon: Mat, v):
-    """Is the integer vector v a combination of the rows of a reduced echelon Mat?
+def _span_test(echelon: Mat):
+    """Membership in the row span of a reduced echelon Mat, for integer vectors.
 
     In reduced echelon form the combination is forced: its coefficients are
-    the entries of v in the pivot columns.
+    the entries of v in the pivot columns.  The pivots and the columns are
+    read once, for every vector the returned test is given.
     """
     if not echelon.rows:
-        return not any(v)
-    coeffs = [v[p] for p in _pivots(echelon)]
+        return lambda v: not any(v)
+    pivots = _pivots(echelon)
+    cols = list(zip(*echelon.num))
     den = echelon.den
-    return all(den * x == sum(map(mul, coeffs, col))
-               for x, col in zip(v, zip(*echelon.num)))
+
+    def inside(v):
+        coeffs = [v[p] for p in pivots]
+        return all(den * x == sum(map(mul, coeffs, col))
+                   for x, col in zip(v, cols))
+    return inside
 
 
 def _image(op: Mat, v):
@@ -472,7 +478,7 @@ class Subspace:
         v = _int_row(v)[0]
         if len(v) != self.ambient_dim:
             raise ShapeError("vector length mismatch")
-        return _in_span(self.basis, v)
+        return _span_test(self.basis)(v)
 
     def contains_subspace(self, other):
         return all(self.contains(v) for v in other.vectors())
@@ -554,9 +560,9 @@ def span_closure(seed: Subspace, operators) -> Subspace:
 
 def first_unstable(sub: Subspace, operators):
     """Index of the first operator mapping some vector of sub outside it, or None."""
+    inside = _span_test(sub.basis)
     return next((k for k, op in enumerate(operators)
-                 if not all(_in_span(sub.basis, _image(op, v))
-                            for v in sub.basis.num)),
+                 if not all(inside(_image(op, v)) for v in sub.basis.num)),
                 None)
 
 
@@ -638,6 +644,13 @@ def _mat_sum(terms, rows, cols):
 def first_nonzero_col(m: Mat):
     """Index of the first column of m with a nonzero entry, or None."""
     return next((j for j, col in enumerate(zip(*m.num)) if any(col)), None)
+
+
+def nonzero_blocks(m: Mat, size):
+    """The (r, c) whose size x size block of m, at rows r size.. and columns
+    c size.., has a nonzero entry."""
+    return {(r // size, c // size) for r, row in enumerate(m.num)
+            for c in compress(range(m.cols), row)}
 
 
 def split_blocks(m: Mat, heights, widths):

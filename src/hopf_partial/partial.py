@@ -3,9 +3,9 @@
 A partial module is a space M together with one matrix per Hopf basis
 element; the matrix family must satisfy the five partial-representation
 identities, which weaken "pi is an algebra map" (the global case).  All
-Sweedler indices are expanded by `hopf.comult_sum` and
-`hopf.antipode_images`, so every axiom is a finite exact matrix identity
-over basis pairs.
+Sweedler indices are expanded by `hopf.comult_sum`,
+`hopf.antipode_images` and `hopf.sweedler_grid`, so every axiom is a
+finite exact matrix identity over basis pairs.
 
 The twisted conjugates pi(h_(1)) T pi(S(h_(2))) and their twins are
 built as one family by `twisted_conjugates`; with T = 1 they are the
@@ -16,10 +16,14 @@ The identities are measured by the deviation D(x, y) = pi(x) pi(y) - pi(xy).
 For any family of matrices D is bilinear in (x, y), so the deviations at
 antipode images are combinations of the deviations at basis elements:
 D(S e_i, y) = sum_a S_ai D(e_a, y) and D(x, S e_j) = sum_b S_bj D(x, e_b).
-The checker therefore works on stacked blocks: block column j stacks
-D(e_i, e_j) over i, block row i lays D(e_i, e_j) side by side over j, and
-each identity is one d n x d n table of n x n blocks assembled from d
-Sweedler sums of stacked products, not d^2 sums of small ones.
+The checker therefore works on stacked blocks: the deviation table, the
+d n x d n matrix of n x n blocks D(e_i, e_j), is one product
+vstack(pi) hstack(pi) minus the grid of the pi(e_i e_j), and each identity
+is that table multiplied on one side by a Sweedler grid of `hopf`, with
+the antipode folded into the grid.  PR2 and PR4 come from one product,
+PR3 and PR5 from another, so a check takes three products whatever d and
+Delta are.  The globality tests, the global core and the basis
+deviations read the same one-product table.
 
 Alongside the axiom checker this module computes the lattice of global
 behaviour inside a partial module: the global core (largest global
@@ -35,7 +39,7 @@ from .hopf import HopfAlgebraData, _memo, builtin
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_unstable, frac, hstack, inverse,
                      kernel_basis, kron, left_mult_operator, mat_to_vec,
-                     quotient_map, quotient_section, rank, restrict_operators,
+                     nonzero_blocks, quotient_map, quotient_section, rank, restrict_operators,
                      right_mult_operator, span_closure, split_blocks,
                      vec_to_mat, vstack)
 from .reports import Check, ValidationError, ValidationReport, require
@@ -110,36 +114,18 @@ def intertwiner_system(src, dst) -> Mat:
                    for a, b in zip(src, dst)])
 
 
-def _deviation_columns(m: PartialModule):
-    """The block columns of the deviation table, one at a time, j = 0..d-1.
-
-    Block column j is the d n x n matrix stacking D(e_i, e_j) over i:
-    vstack(pi) pi(e_j) minus the stacked pi(e_i e_j), which are read from
-    the sparse multiplication table.  A caller that stops early skips the
-    remaining products.
-    """
-    h, n = m.hopf, m.dim
-    stacked = vstack(m.pi)
-    for j, p in enumerate(m.pi):
-        yield stacked * p - vstack(
-            [_mat_sum(((m.pi[k], c) for k, c in h.mult_terms[i][j]), n, n)
-             for i in range(h.dim)])
+def _deviation_table(m: PartialModule) -> Mat:
+    """The d n x d n table whose block (i, j) is D(e_i, e_j), one product:
+    vstack(pi) hstack(pi) minus the grid of the pi(e_i e_j)."""
+    return (vstack(m.pi) * hstack(m.pi)
+            - hp.sweedler_grid(m.hopf, m.dim, [("mult", m.pi)]))
 
 
 def _basis_deviations(m: PartialModule):
     """pi(e_i) pi(e_j) - pi(e_i e_j) for all basis pairs, row-major."""
     n, d = m.dim, m.hopf.dim
-    table = hstack(list(_deviation_columns(m)))
-    return [dev for row in split_blocks(table, [n] * d, [n] * d) for dev in row]
-
-
-def _first_nonzero_block(table: Mat, d, n):
-    """First (i, j) in row-major order whose n x n block of table is nonzero."""
-    if table.is_zero():
-        return None
-    grid = split_blocks(table, [n] * d, [n] * d)
-    return next((i, j) for i, row in enumerate(grid)
-                for j, block in enumerate(row) if not block.is_zero())
+    grid = split_blocks(_deviation_table(m), [n] * d, [n] * d)
+    return [dev for row in grid for dev in row]
 
 
 def check_partial_rep(m: PartialModule) -> ValidationReport:
@@ -155,20 +141,20 @@ def check_partial_rep(m: PartialModule) -> ValidationReport:
 
 
 def _evaluate_partial_rep(m: PartialModule):
-    """The PR1-PR5 Checks of m, in order.
+    """The PR1-PR5 Checks of m, in order, from three products.
 
     Block (i, j) of each identity's table is, with Delta(e) = sum c e_a (x) e_b,
       PR2: sum over Delta(e_j) of c D(e_i, e_a) pi(S e_b),
       PR3: sum over Delta(e_i) of c pi(e_a) D(S e_b, e_j),
       PR4: sum over Delta(e_j) of c D(e_i, S e_a) pi(e_b),
       PR5: sum over Delta(e_i) of c pi(S e_a) D(e_b, e_j).
-    PR2 and PR4 are built a block column j at a time from the stacked
-    columns D(., e_a) and D(., S e_a), PR3 and PR5 a block row i at a time
-    from the rows D(e_b, .) and D(S e_b, .).  The twisted columns and rows
-    come from the untwisted ones by bilinearity, as sums over the sparse
-    antipode columns, so the products are the d deviation columns and one
-    stacked product per Sweedler term and identity.  The witness is the
-    first (i, j) in row-major order whose block is nonzero.
+    With the deviation table Dtab and the Sweedler grids of `hopf`, this is
+    PR2 = Dtab W2, PR4 = Dtab W4, PR3 = V3 Dtab and PR5 = V5 Dtab, where
+    the twisted deviations come from the untwisted ones by bilinearity,
+    as sums over the antipode columns built into W4 and V3.  The sparse
+    grids are the left factors: [PR2^T; PR4^T] = [W2 | W4]^T Dtab^T and
+    [PR3; PR5] = [V3; V5] Dtab.  The witness is the first (i, j) in
+    row-major order whose block of the identity's table is nonzero.
     """
     h = m.hopf
     d = h.dim
@@ -176,37 +162,26 @@ def _evaluate_partial_rep(m: PartialModule):
     checks = [Check("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))]
 
     pi_s = hp.antipode_images(h, m.pi, n, n)
-    cols = list(_deviation_columns(m))
-    rows = [row for (row,) in split_blocks(hstack(cols), [n] * d, [d * n])]
-    cols_s = hp.antipode_images(h, cols, d * n, n)
-    rows_s = hp.antipode_images(h, rows, n, d * n)
-
-    def by_columns(dev, right):
-        return hstack([hp.comult_sum(h, j, lambda a, b: dev[a] * right[b], d * n, n)
-                       for j in range(d)])
-
-    def by_rows(left, dev):
-        return vstack([hp.comult_sum(h, i, lambda a, b: left[a] * dev[b], n, d * n)
-                       for i in range(d)])
-
-    tables = (("PR2", by_columns(cols, pi_s)),
-              ("PR3", by_rows(m.pi, rows_s)),
-              ("PR4", by_columns(cols_s, m.pi)),
-              ("PR5", by_rows(pi_s, rows)))
-    for name, table in tables:
-        w = _first_nonzero_block(table, d, n)
+    dev = _deviation_table(m)
+    by_columns = hp.sweedler_grid(h, n, [("col", pi_s), ("col_s", m.pi)],
+                                  transpose=True) * dev.transpose()
+    by_rows = hp.sweedler_grid(h, n, [("row_s", m.pi), ("row", pi_s)]) * dev
+    col_hits = nonzero_blocks(by_columns, n)
+    row_hits = nonzero_blocks(by_rows, n)
+    for name, blocks in (("PR2", ((j, i) for i, j in col_hits if i < d)),
+                         ("PR3", ((i, j) for i, j in row_hits if i < d)),
+                         ("PR4", ((j, i - d) for i, j in col_hits if i >= d)),
+                         ("PR5", ((i - d, j) for i, j in row_hits if i >= d))):
+        w = min(blocks, default=None)
         checks.append(Check(name, w is None, w))
     return tuple(checks)
 
 
 def is_algebra_map(m: PartialModule) -> bool:
-    """Direct globality test: pi respects unit and products of basis elements.
-
-    The deviation columns are read one at a time, up to the first nonzero.
-    """
+    """Direct globality test: pi respects unit and products of basis elements."""
     if m.pi_vec(m.hopf.unit) != Mat.identity(m.dim):
         return False
-    return all(col.is_zero() for col in _deviation_columns(m))
+    return _deviation_table(m).is_zero()
 
 
 def is_global(m: PartialModule) -> bool:
@@ -219,7 +194,7 @@ def is_global(m: PartialModule) -> bool:
     if any(eps != ident.scale(c)
            for eps, c in zip(twisted_conjugates(m), m.hopf.counit)):
         return False
-    require(all(col.is_zero() for col in _deviation_columns(m)),
+    require(_deviation_table(m).is_zero(),
             "epsilon condition holds but pi is not multiplicative; "
             "input is not a valid partial module")
     return True
@@ -227,10 +202,11 @@ def is_global(m: PartialModule) -> bool:
 
 def global_core(m: PartialModule) -> Subspace:
     """Largest global submodule: {v : pi(e_i) pi(e_j) v = pi(e_i e_j) v}."""
-    devs = vstack(list(_deviation_columns(m)))
-    if devs.is_zero():
-        return Subspace.full(m.dim)
-    core = kernel_basis(devs)
+    n, d = m.dim, m.hopf.dim
+    table = _deviation_table(m)
+    if table.is_zero():
+        return Subspace.full(n)
+    core = kernel_basis(vstack(split_blocks(table, [d * n], [n] * d)[0]))
     sub, _ = restrict_to_invariant(m, core)
     require(is_global(sub), "core restriction is not global; invalid input")
     return core

@@ -11,7 +11,8 @@ twins as one family from `partial.twisted_conjugates`.
 A ProjectedModule is immutable, so what is proved about it is proved once:
 restrict, is_proper and is_minimal store their result on the instance the
 first time they return and hand it back on later calls.  The conjugates
-and the twins are stored the same way the first time `adjoint_op`,
+are stored the same way by `ProjectedModule.build`, which builds them to
+check the commutation condition, and the twins the first time
 `tilde_op` or `check_equivalence_lemma` asks for them.  The memos are
 not dataclass fields, so == and hash ignore them, and an equal but newly
 built instance is verified from scratch.
@@ -45,10 +46,12 @@ class ProjectedModule:
             raise ShapeError("projection size does not match the module")
         if not is_algebra_map(module):
             raise ValidationError("underlying module must be global")
-        ok, witness = check_c_condition(module, t)
-        if not ok:
+        family, witness = _c_condition(module, t)
+        if witness is not None:
             raise ValidationError(f"commutation condition fails at basis index {witness}")
-        return ProjectedModule(module, t)
+        out = ProjectedModule(module, t)
+        _memo(out, "_adjoint", lambda: family)
+        return out
 
 
 def _conjugates(p: ProjectedModule, tilde=False):
@@ -72,11 +75,18 @@ def check_c_condition(module: PartialModule, t: Mat):
 
     Returns (bool, witness basis index).  Raises if t is not idempotent.
     """
+    _, witness = _c_condition(module, t)
+    return witness is None, witness
+
+
+def _c_condition(module: PartialModule, t: Mat):
+    """The family T_{e_i} of t and the first i with T_{e_i} t != t T_{e_i},
+    or None.  Raises if t is not idempotent."""
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
-    witness = next((i for i, ti in enumerate(twisted_conjugates(module, t))
-                    if ti * t != t * ti), None)
-    return witness is None, witness
+    family = twisted_conjugates(module, t)
+    return family, next((i for i, ti in enumerate(family) if ti * t != t * ti),
+                        None)
 
 
 def check_equivalence_lemma(p, t=None) -> ValidationReport:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hopf_partial import linalg as la
 from hopf_partial.reports import ValidationError
 
 import dense_structure
+import gen
 
 F = Fraction
 
@@ -201,3 +203,88 @@ def test_regular_representation_multiplies():
     assert hp.mult_by(right, u).apply(v) == dense_structure.alg_prod(h.mult, v, u)
     assert hp.mult_by(left, (F(0),) * 4) == la.Mat.zeros(4, 4)
     assert hp.left_mults((), 0) == [] and hp.mult_by([], ()) == la.Mat.zeros(0, 0)
+
+
+def _rescaled(h, scales):
+    """h in the basis f_s = scales[s] e_s: rational constants, same algebra."""
+    c = [F(x) for x in scales]
+    d = h.dim
+    mult = [[[c[i] * c[j] / c[k] * h.mult[i][j][k] for k in range(d)]
+             for j in range(d)] for i in range(d)]
+    comult = [[[c[i] / (c[a] * c[b]) * h.comult[i][a][b] for b in range(d)]
+               for a in range(d)] for i in range(d)]
+    antipode = [[c[a] / c[k] * h.antipode[k, a] for a in range(d)]
+                for k in range(d)]
+    return hp.HopfAlgebraData.build(
+        d, mult, [u / ck for u, ck in zip(h.unit, c)], comult,
+        [ci * e for ci, e in zip(c, h.counit)], antipode)
+
+
+def _dense_grid(h, kind, mats):
+    """Block (r, s) of the Sweedler grid of kind, read off the dense arrays."""
+    d, n = h.dim, mats[0].rows
+    s_ = h.antipode
+
+    def coeff(r, s, b):
+        if kind == "col":
+            return h.comult[s][r][b]
+        if kind == "col_s":
+            return sum(h.comult[s][a][b] * s_[r, a] for a in range(d))
+        if kind == "row":
+            return h.comult[r][b][s]
+        if kind == "row_s":
+            return sum(h.comult[r][b][a] * s_[s, a] for a in range(d))
+        return h.mult[r][s][b]
+
+    def block(r, s):
+        out = la.Mat.zeros(n, n)
+        for b in range(d):
+            out = out + mats[b].scale(coeff(r, s, b))
+        return out
+
+    return la.vstack([la.hstack([block(r, s) for s in range(d)])
+                      for r in range(d)])
+
+
+GRID_ALGEBRAS = [hp.builtin(name) for name in hp.BUILTIN_NAMES] \
+    + [_rescaled(hp.builtin("sweedler"), (2, "1/3", -3, "5/2")),
+       _rescaled(hp.builtin("kC2-dual"), ("2/3", 3))]
+
+
+@pytest.mark.parametrize("index", range(len(GRID_ALGEBRAS)))
+def test_sweedler_grids_match_the_dense_arrays(index):
+    h = GRID_ALGEBRAS[index]
+    r = gen.rng(f"grids-{index}")
+    kinds = ("col", "col_s", "row", "row_s", "mult")
+    for n in (1, 2):
+        fams = [[la.Mat([[gen.rand_frac(r) for _ in range(n)] for _ in range(n)])
+                 for _ in range(h.dim)] for _ in kinds]
+        dense = [_dense_grid(h, kind, fam) for kind, fam in zip(kinds, fams)]
+        for kind, fam, grid in zip(kinds, fams, dense):
+            assert hp.sweedler_grid(h, n, [(kind, fam)]) == grid
+            assert hp.sweedler_grid(h, n, [(kind, fam)], transpose=True) \
+                == grid.transpose()
+        # several grids stack top to bottom over one denominator
+        parts = list(zip(kinds, fams))
+        assert hp.sweedler_grid(h, n, parts) == la.vstack(dense)
+        assert hp.sweedler_grid(h, n, parts[1:3], transpose=True) \
+            == la.vstack([g.transpose() for g in dense[1:3]])
+
+
+def test_sweedler_grids_of_empty_blocks_and_unknown_kinds():
+    h = hp.builtin("kS3")
+    zero = [la.Mat.zeros(0, 0)] * h.dim
+    assert hp.sweedler_grid(h, 0, [("col", zero), ("mult", zero)]) \
+        == la.Mat.zeros(0, 0)
+    with pytest.raises(ValueError, match="unknown Sweedler grid kind"):
+        hp.sweedler_grid(h, 1, [("diagonal", [la.Mat.identity(1)] * h.dim)])
+
+
+def test_hopf_hash_is_the_dataclass_hash_computed_once():
+    h = hp.group_algebra(hp.cyclic_table(3))
+    fields = tuple(getattr(h, f.name) for f in dataclasses.fields(h) if f.compare)
+    assert "_hash" not in vars(h)
+    assert hash(h) == hash(fields)
+    assert vars(h)["_hash"] == hash(fields)
+    assert hash(h) == hash(hp.builtin("kC3")) and h == hp.builtin("kC3")
+    assert hash(h) == hash(dataclasses.replace(h, labels=None))

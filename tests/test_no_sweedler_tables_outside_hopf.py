@@ -1,7 +1,8 @@
 """Only `hopf` knows how Delta and S are stored.
 
-`hopf.comult_sum` and `hopf.antipode_images` are the one reader of the
-sparse tables ``comult_terms`` and ``antipode_terms`` for sums of
+`hopf.comult_sum`, `hopf.antipode_images` and the grid builder
+`hopf.sweedler_grid` (through its placement tables) are the readers of
+the sparse tables ``comult_terms`` and ``antipode_terms`` for sums of
 matrices; every other module of the package writes its Sweedler sums
 through them.  This scan parses every module with `ast` and fails on a
 load of either table outside ``hopf.py``, and on a load of the dense

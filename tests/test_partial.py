@@ -339,17 +339,27 @@ def test_check_partial_rep_passes_on_generator_output():
             assert pm.check_partial_rep(gen.random_partial(r, name, 4)).ok
 
 
-@pytest.mark.parametrize("name, products", [("kS3", 30), ("sweedler", 28)])
-def test_check_partial_rep_makes_one_product_per_column_and_sweedler_term(
-        name, products, monkeypatch):
-    # d deviation columns, then one stacked product per Sweedler term in
-    # each of PR2-PR5
+@pytest.mark.parametrize("name", ["kS3", "sweedler", "kC2-dual"])
+def test_check_partial_rep_makes_three_products(name, monkeypatch):
+    # the deviation table, then [W2 | W4]^T Dtab^T and [V3; V5] Dtab,
+    # whatever d and the Sweedler terms
     m = gen.random_partial(gen.rng(f"products-{name}"), name, 3)
-    h = m.hopf
-    assert products == h.dim + 4 * sum(len(t) for t in h.comult_terms)
+    m = pm.PartialModule(m.hopf, m.dim, m.pi)  # no memo from the generator
+    dn = m.hopf.dim * m.dim
     calls = gen.count_products(monkeypatch)
     assert pm.check_partial_rep(m).ok
-    assert len(calls) == products
+    assert calls == [((dn, m.dim), (m.dim, dn)), ((2 * dn, dn), (dn, dn)),
+                     ((2 * dn, dn), (dn, dn))]
+
+
+@pytest.mark.parametrize("name", ["kS3", "sweedler"])
+def test_is_algebra_map_makes_one_product(name, monkeypatch):
+    r = gen.rng(f"algebra-map-products-{name}")
+    for m in (gen.random_global(r, name, 3), gen.random_partial(r, name, 3)):
+        calls = gen.count_products(monkeypatch)
+        pm.is_algebra_map(m)
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_check_partial_rep_evaluates_once_and_hands_out_new_reports(monkeypatch):

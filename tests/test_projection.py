@@ -111,8 +111,9 @@ def test_equivalence_lemma_paper_projections(p36, p37):
 
 
 def test_twisted_conjugate_builds_per_projected_module(monkeypatch):
-    # the conjugates and the twins are each built once per instance and
-    # shared by adjoint_op, tilde_op and the lemma; a raw pair builds both
+    # ProjectedModule.build keeps the conjugates it checked, the twins are
+    # built once per instance, and adjoint_op, tilde_op and the lemma share
+    # both; a raw pair builds both
     p = graded_projection(1, 1, 1)
     calls = gen.count_calls(monkeypatch, pj, "twisted_conjugates")
     counts = []
@@ -124,16 +125,18 @@ def test_twisted_conjugate_builds_per_projected_module(monkeypatch):
                  lambda: pj.check_equivalence_lemma(graded_projection(1, 1, 1))):
         step()
         counts.append(len(calls))
-    # the last lemma's ProjectedModule.build checks the c-condition once
-    assert counts == [1, 2, 2, 2, 4, 7]
+    # the last lemma's ProjectedModule.build checks the c-condition once,
+    # and the lemma reads those conjugates and builds the twins
+    assert counts == [0, 1, 1, 1, 3, 5]
 
 
 def test_twisted_conjugate_builds_in_the_restriction_demo(monkeypatch):
-    # one per c-condition check (two direct, six in ProjectedModule.build)
-    # and one per family read on p37, whose lemma reuses both
+    # one per c-condition check (two direct, six in ProjectedModule.build,
+    # which keeps its family) and p37's twins; adjoint_op(p37, .) and
+    # p37's lemma read the family that p37's build kept
     calls = gen.count_calls(monkeypatch, pj, "twisted_conjugates")
     assert demo_restriction()[0]
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 def test_equivalence_lemma_fails_jointly():
