@@ -39,7 +39,7 @@ from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness,
 from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
                      first_nonzero_col, first_unstable, frac, hstack, kron,
                      mat_to_vec, rank, restrict_operators, solve, solve_blocks,
-                     solve_matrix, unit_vec, vec_scale, vstack)
+                     solve_matrix, split_blocks, unit_vec, vec_scale, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       diagonal_action, is_global, regular_module,
                       tensor_with_global)
@@ -161,15 +161,15 @@ def _pa3_sides(b):
 
     Block k of the left side is pi(e_i) pi(e_k).  With Delta(e_i) =
     sum c e_p (x) e_q, block k of the right side is sum c L(e_p . 1)
-    pi(e_q e_k) for PA3 and sum c R(e_q . 1) pi(e_p e_k) for PA3'.
+    pi(e_q e_k) for PA3 and sum c R(e_q . 1) pi(e_p e_k) for PA3'; the
+    pi(e_p e_k), k = 0..d-1, are block row p of the "mult" Sweedler grid.
     """
     h, m = b.hopf, b.dim
-    mod = b.as_module()
     ones = [a.apply(b.alg_unit) for a in b.action]
     left = [mult_by(b.left, u) for u in ones]
     right = [mult_by(b.right, u) for u in ones]
-    translates = [hstack([mod.pi_vec(h.mult[p][k]) for k in range(h.dim)])
-                  for p in range(h.dim)]
+    translates = [row for row, in split_blocks(
+        hp.sweedler_grid(h, m, [("mult", b.action)]), [m] * h.dim, [h.dim * m])]
     stacked = hstack(b.action)
     lhs = [a * stacked for a in b.action]
 
@@ -545,14 +545,16 @@ def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     block k of the second is sum c R(pi(e_s e_h) 1) pi(e_r).
     """
     h, m = b.hopf, b.dim
-    mod = b.as_module()
-    incl = standard_dilation(mod).ambient_inclusion
+    incl = standard_dilation(b.as_module()).ambient_inclusion
     phi_unit = phi.apply(b.alg_unit)
     twisted = [phi * mult_by(b.right, a.apply(b.alg_unit)) for a in b.action]
     by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
-    # at_one[s][i] = R(pi(e_s e_i) 1)
-    at_one = [[mult_by(b.right, mod.pi_vec(h.mult[s][i]).apply(b.alg_unit))
-               for i in range(h.dim)] for s in range(h.dim)]
+    # block s of column i of the "mult" grid times 1_B in each block is
+    # pi(e_s e_i) 1; at_one[s][i] = R(pi(e_s e_i) 1)
+    at_ones = (hp.sweedler_grid(h, m, [("mult", b.action)])
+               * kron(Mat.identity(h.dim), _col(b.alg_unit))).col_list()
+    at_one = [[mult_by(b.right, col[s * m:s * m + m]) for col in at_ones]
+              for s in range(h.dim)]
     return [(incl * hp.comult_sum(h, i, lambda p, q: by_unit[q] * twisted[p],
                                   gb.dim, m),
              vstack([hp.comult_sum(h, k, lambda r, s: at_one[s][i] * b.action[r], m, m)

@@ -9,7 +9,7 @@ A Hopf algebra of dimension d is stored as plain arrays:
 * ``counit``          -- values of the counit on the basis
 * ``antipode``        -- matrix of S in the column convention
 
-Every axiom is a finite exact tensor-contraction identity, checked by
+Every axiom is a finite exact identity between matrices, checked by
 ``validate_hopf``.  Constructors always validate their output and compute
 the inverse antipode; construction fails if S is singular.
 
@@ -21,12 +21,14 @@ associativity witness read the L_s; the associativity witness takes their
 columns as integer numerators over one common denominator, so both sides
 of each triple are compared as integer vectors.
 
-The coalgebra, bialgebra and antipode checks read sparse tables:
-``mult_terms[i][j]`` lists the (k, c) with c != 0 in e_i * e_j,
-``comult_terms[i]`` the Sweedler terms (j, k, c) of Delta(e_i) and
-``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i).  All three belong
-to `HopfAlgebraData`: the last two are built with it, and ``mult_terms``
-on first use.
+The coalgebra, bialgebra and antipode axioms and the conditions on a
+Hopf morphism are identities on the product mu (d x d^2, column (i, j)
+= e_i e_j), the coproduct Delta (d^2 x d, column i = Delta(e_i), first
+leg major), the unit column u and the counit row eps, such as
+mu (S (x) 1) Delta = u eps; the witness is the first nonzero column of
+the difference.  ``comult_terms[i]`` lists the Sweedler terms (j, k, c)
+of Delta(e_i) and ``antipode_terms[i]`` the (j, c) with c != 0 in S(e_i);
+both are built with each `HopfAlgebraData`.
 
 Only this module reads how Delta and S are stored: every Sweedler sum of
 matrices elsewhere goes through ``comult_sum``, ``antipode_images`` or
@@ -34,7 +36,7 @@ matrices elsewhere goes through ``comult_sum``, ``antipode_images`` or
 n x n matrices is the d n x d n block matrix whose block (a, j) is
 sum c X_b over the terms (a, b, c) of Delta(e_j); its variants put the
 first leg in the block column, fold the antipode into the block index,
-or place the X_k of e_r e_s (from ``mult_terms``).  Each variant's
+or place the X_k of e_r e_s (read off ``mult``).  Each variant's
 placement table is built once per Hopf algebra, and a grid is assembled
 straight from the integer numerator rows of the family.  The PR1-PR5
 checker of ``partial`` is three products with these grids.
@@ -42,9 +44,9 @@ checker of ``partial`` is three products with these grids.
 `HopfAlgebraData` and the algebras of ``actions`` derive from
 `ConstantsAlgebra`, the one home of their regular representation:
 ``left`` and ``right`` are built from the constants on first use and kept
-on the object by `_memo`, as are a Hopf algebra's ``mult_terms``, its
-grid placement tables and its hash.  Memos are attributes, not fields,
-so equality and hashing see only the arrays.
+on the object by `_memo`, as are a Hopf algebra's grid placement tables
+and its hash.  Memos are attributes, not fields, so equality and hashing
+see only the arrays.
 """
 
 from dataclasses import dataclass, field, fields
@@ -52,19 +54,14 @@ from functools import lru_cache
 from math import lcm
 
 from .linalg import (Mat, ShapeError, _common_den, _mat_sum, _reduced,
-                     first_nonzero_col, frac, inverse, unit_vec, vstack)
+                     first_nonzero_col, frac, hstack, inverse, kron, unit_vec,
+                     vstack)
 from .reports import ValidationError, ValidationReport
 
 
 def _freeze3(data):
     return tuple(tuple(tuple(frac(x) for x in row) for row in plane)
                  for plane in data)
-
-
-def _mult_terms(mult):
-    """The sparse table of mult: terms[i][j] lists the (k, c) with c != 0."""
-    return tuple(tuple(tuple((k, c) for k, c in enumerate(row) if c)
-                       for row in plane) for plane in mult)
 
 
 def left_mults(mult, dim):
@@ -145,10 +142,8 @@ def _grid_placements(h, kind):
       mult:   sum c X_k over e_r e_s = sum c e_k.
     """
     if kind == "mult":
-        for r, row in enumerate(h.mult_terms):
-            for s, terms in enumerate(row):
-                for k, c in terms:
-                    yield r, s, k, c
+        yield from ((r, s, k, c) for r, plane in enumerate(h.mult)
+                    for s, row in enumerate(plane) for k, c in enumerate(row) if c)
         return
     if kind not in ("col", "col_s", "row", "row_s"):
         raise ValueError(f"unknown Sweedler grid kind {kind!r}")
@@ -232,20 +227,6 @@ def sweedler_grid(h, n, parts, transpose=False):
     return _reduced(out, den * cden, width)
 
 
-def _collect(terms):
-    """Sum (key, coeff) pairs into a dict of tensor coefficients, zeros dropped."""
-    out = {}
-    for key, c in terms:
-        out[key] = out[key] + c if key in out else c
-    return {key: c for key, c in out.items() if c}
-
-
-def _comult_el(h, u):
-    """Delta of the coefficient vector u, as tensor coefficients."""
-    return _collect(((a, b), c * cc) for k, c in enumerate(u) if c
-                    for a, b, cc in h.comult_terms[k])
-
-
 def _combination(terms, vecs):
     """sum c vecs[p] over the (p, c) of terms, vecs sparse integer vectors,
     as the sorted tuple of its nonzero (s, x)."""
@@ -314,10 +295,6 @@ class HopfAlgebraData(ConstantsAlgebra):
         return _memo(self, "_hash", lambda: hash(tuple(
             getattr(self, f.name) for f in fields(self) if f.compare)))
 
-    @property
-    def mult_terms(self):
-        return _memo(self, "_mult_terms", lambda: _mult_terms(self.mult))
-
     def __post_init__(self):
         object.__setattr__(self, "comult_terms", tuple(
             tuple((j, k, c) for j, row in enumerate(plane)
@@ -335,10 +312,13 @@ class HopfAlgebraData(ConstantsAlgebra):
         counit = tuple(frac(x) for x in counit)
         if not isinstance(antipode, Mat):
             antipode = Mat(antipode)
+        if antipode_inv is not None and not isinstance(antipode_inv, Mat):
+            antipode_inv = Mat(antipode_inv)
         shapes_ok = (len(mult) == dim and all(len(p) == dim and all(len(r) == dim for r in p) for p in mult)
                      and len(comult) == dim and all(len(p) == dim and all(len(r) == dim for r in p) for p in comult)
                      and len(unit) == dim and len(counit) == dim
-                     and antipode.rows == dim and antipode.cols == dim)
+                     and all(s.rows == dim and s.cols == dim
+                             for s in (antipode, antipode_inv) if s is not None))
         if not shapes_ok:
             raise ShapeError("inconsistent structure constant dimensions")
         if antipode_inv is None:
@@ -347,8 +327,6 @@ class HopfAlgebraData(ConstantsAlgebra):
             except ValueError:
                 raise ValidationError("antipode is singular; an invertible "
                                       "antipode is required")
-        elif not isinstance(antipode_inv, Mat):
-            antipode_inv = Mat(antipode_inv)
         h = HopfAlgebraData(dim, mult, unit, comult, counit, antipode,
                             antipode_inv, tuple(labels) if labels else None)
         if validate:
@@ -357,14 +335,24 @@ class HopfAlgebraData(ConstantsAlgebra):
                 raise ValidationError(report)
         return h
 
-    # -- elementwise coalgebra helpers --------------------------------------
-
-    def counit_el(self, u):
-        return sum((a * e for a, e in zip(u, self.counit)), frac(0))
-
     def is_cocommutative(self):
         return all(self.comult[i][k][j] == c
                    for i, terms in enumerate(self.comult_terms) for j, k, c in terms)
+
+
+def _structure_maps(h):
+    """mu, Delta, the unit column u and the counit row eps of h as matrices."""
+    d = h.dim
+    return (Mat.from_cols([v for plane in h.mult for v in plane], d),
+            Mat.from_cols([[x for row in plane for x in row] for plane in h.comult], d * d),
+            Mat.from_cols([h.unit], d), Mat([h.counit], cols=d))
+
+
+def _record_identity(report, name, difference):
+    """Record check name, failing at (j,) for the first nonzero column j of
+    the difference of the two sides of an identity."""
+    j = first_nonzero_col(difference)
+    report.record(name, j is None, None if j is None else (j,))
 
 
 def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
@@ -378,60 +366,36 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     witness = _unit_witness(h.left, h.unit)
     report.record("unit", witness is None, witness)
 
-    witness = next(((i,) for i in range(d)
-                    if _collect(((a, b, c), cpc * cab)
-                                for p, c, cpc in h.comult_terms[i]
-                                for a, b, cab in h.comult_terms[p])
-                    != _collect(((a, b, c), cap * cbc)
-                                for a, p, cap in h.comult_terms[i]
-                                for b, c, cbc in h.comult_terms[p])), None)
-    report.record("coassociativity", witness is None, witness)
+    mu, delta, unit, eps = _structure_maps(h)
+    ident = Mat.identity(d)
+    _record_identity(report, "coassociativity",
+                     kron(delta, ident) * delta - kron(ident, delta) * delta)
+    _record_identity(report, "counit", vstack([kron(eps, ident) * delta - ident,
+                                               kron(ident, eps) * delta - ident]))
 
-    witness = next(((i,) for i in range(d)
-                    if _collect((k, c * h.counit[j]) for j, k, c in h.comult_terms[i])
-                    != {i: 1}
-                    or _collect((j, c * h.counit[k]) for j, k, c in h.comult_terms[i])
-                    != {i: 1}), None)
-    report.record("counit", witness is None, witness)
-
-    terms = h.mult_terms
+    # eps mu = eps (x) eps, and block i of Delta mu is Delta L_i = D_i Delta,
+    # with D_i = sum c L_a (x) L_b over Delta(e_i): no matrix on H^(x)4
     witness = None
-    if h.counit_el(h.unit) != 1:
+    if eps.apply(h.unit) != (1,):
         witness = ("counit of unit",)
-    elif _comult_el(h, h.unit) != _collect(((j, k), a * b) for j, a in enumerate(h.unit)
-                                           for k, b in enumerate(h.unit)):
+    elif delta.apply(h.unit) != kron(unit, unit).col(0):
         witness = ("comult of unit",)
-    if witness is None:
-        for i in range(d):
-            for j in range(d):
-                prod = h.mult[i][j]
-                if h.counit_el(prod) != h.counit[i] * h.counit[j]:
-                    witness = (i, j, "counit multiplicative")
-                    break
-                right = _collect(((a, b), cpq * crs * x * y)
-                                 for p, q, cpq in h.comult_terms[i]
-                                 for r, s, crs in h.comult_terms[j]
-                                 for a, x in terms[p][r]
-                                 for b, y in terms[q][s])
-                if _comult_el(h, prod) != right:
-                    witness = (i, j, "comult multiplicative")
-                    break
-            if witness:
-                break
+    else:
+        left = h.left
+        by_eps = eps * mu - kron(eps, eps)
+        products = [comult_sum(h, i, lambda a, b: kron(left[a], left[b]), d * d, d * d)
+                    * delta for i in range(d)]
+        j = first_nonzero_col(vstack([by_eps, delta * mu - hstack(products)]))
+        if j is not None:
+            kind = "counit" if by_eps.num[0][j] else "comult"
+            witness = (*divmod(j, d), f"{kind} multiplicative")
     report.record("bialgebra", witness is None, witness)
 
-    # S(e_i(1)) e_i(2) and e_i(1) S(e_i(2)) against eps(e_i) 1
-    ones = [_collect((t, e * x) for t, x in enumerate(h.unit)) for e in h.counit]
-    witness = next(((i,) for i in range(d)
-                    if _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
-                                for a, s in h.antipode_terms[j]
-                                for t, x in terms[a][k]) != ones[i]
-                    or _collect((t, c * s * x) for j, k, c in h.comult_terms[i]
-                                for b, s in h.antipode_terms[k]
-                                for t, x in terms[j][b]) != ones[i]), None)
-    report.record("antipode", witness is None, witness)
+    ones = unit * eps
+    _record_identity(report, "antipode",
+                     vstack([mu * (kron(h.antipode, ident) * delta) - ones,
+                             mu * (kron(ident, h.antipode) * delta) - ones]))
 
-    ident = Mat.identity(d)
     inv_ok = (h.antipode * h.antipode_inv == ident
               and h.antipode_inv * h.antipode == ident)
     report.record("antipode invertible", inv_ok)
@@ -555,20 +519,14 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
     report = ValidationReport("hopf morphism")
     report.record("unit", f.apply(src.unit) == dst.unit)
 
-    images = [mult_by(dst.left, x) for x in f.col_list()]
-    witness = next(((i, j) for i in range(src.dim) for j in range(src.dim)
-                    if f.apply(src.mult[i][j]) != images[i].apply(f.col(j))), None)
+    mu, delta, _, eps = _structure_maps(src)
+    mu_dst, delta_dst, _, eps_dst = _structure_maps(dst)
+    ff = kron(f, f)
+    j = first_nonzero_col(f * mu - mu_dst * ff)
+    witness = None if j is None else divmod(j, src.dim)
     report.record("multiplicative", witness is None, witness)
-
-    witness = next(((i,) for i in range(src.dim)
-                    if _collect(((a, b), c * x * y) for j, k, c in src.comult_terms[i]
-                                for a, x in enumerate(f.col(j)) if x != 0
-                                for b, y in enumerate(f.col(k)) if y != 0)
-                    != _comult_el(dst, f.col(i))), None)
-    report.record("comultiplicative", witness is None, witness)
-
-    report.record("counit", all(dst.counit_el(f.col(i)) == src.counit[i]
-                                for i in range(src.dim)))
+    _record_identity(report, "comultiplicative", ff * delta - delta_dst * f)
+    report.record("counit", eps_dst * f == eps)
     report.record("antipode", f * src.antipode == dst.antipode * f)
     return report
 

@@ -97,7 +97,12 @@ def hopf_from_json(data, validate=True) -> HopfAlgebraData:
     if labels is not None and not isinstance(labels, list):
         raise FormatError("labels must be an array")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise FormatError("hopf dim must be an integer")
+        if labels is not None and (len(labels) != dim
+                                   or not all(isinstance(x, str) for x in labels)):
+            raise FormatError(f"labels must be an array of {dim} strings")
         antipode_inv = None
         if "antipode_inv" in data:
             antipode_inv = mat_from_json(data["antipode_inv"])

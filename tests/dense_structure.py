@@ -1,6 +1,6 @@
 """Reference for the differential tests of the sparse structure tables.
 
-These are the dense routines that `hopf._mult_terms` and
+These are the dense routines that the regular representation and
 `HopfAlgebraData.comult_terms` replaced: products scan every entry of the
 dense ``mult[i][j]`` planes and skip the zeros, the associativity witness
 multiplies basis vectors triple by triple, the Sweedler terms of Delta(e_i)

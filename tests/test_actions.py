@@ -120,7 +120,7 @@ def test_recorded_attributes_are_not_part_of_the_value(monkeypatch):
         assert set(vars(bare)) == {f.name for f in dataclasses.fields(s)}
         assert s == bare and hash(s) == hash(bare)
         assert canon(s) == canon(bare)
-        assert not {"left", "projector", "mult_terms"} & set(canon(s))
+        assert not {"left", "projector"} & set(canon(s))
         assert "_left" in vars(s) and bare.left == s.left
 
 
@@ -289,11 +289,10 @@ def test_regular_builds_per_construction(monkeypatch, construction, count):
     ("global_smash", 1),
 ])
 def test_sparse_table_builds_per_construction(monkeypatch, construction, checked):
-    # no construction builds a sparse table of constants: each of the
-    # `checked` algebra objects whose associativity it checks (one table
-    # build each, before the witness read the L_s) is witnessed once
-    builds = _builds(monkeypatch, construction, ("_mult_terms", "_associativity_witness"))
-    assert builds == {"_mult_terms": 0, "_associativity_witness": checked}
+    # each of the `checked` algebra objects whose associativity a
+    # construction checks is witnessed once, from its L_s
+    builds = _builds(monkeypatch, construction, ("_associativity_witness",))
+    assert builds == {"_associativity_witness": checked}
 
 
 def test_morita_context_on_shipped_examples():

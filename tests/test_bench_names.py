@@ -139,5 +139,5 @@ def test_equal_constants_give_equal_hopf_algebras():
     b = hp.HopfAlgebraData.build(
         3, [[[int(x) for x in row] for row in plane] for plane in a.mult],
         [str(x) for x in a.unit], a.comult, a.counit, a.antipode.entries)
-    assert a is not b and a.mult_terms is not b.mult_terms
+    assert a is not b and a.left is not b.left
     assert a == b and hash(a) == hash(b)

@@ -1,13 +1,11 @@
 """The regular representation of an algebra object is built in one place.
 
 `hopf.ConstantsAlgebra` builds the L_s and the R_s of an algebra given by
-structure constants from its constants, once per object, and
-`hopf.HopfAlgebraData` builds a Hopf algebra's sparse table.  Anywhere
-else in the package, a call of `left_mults`, `right_mults` or
-`_mult_terms` on an object's ``.mult`` or ``.alg_mult`` rebuilds what the
-object already keeps; this scan parses every module with `ast` and fails
-on such a call.  Calls on constants that no object holds yet (a local
-table) are allowed.
+structure constants from its constants, once per object.  Anywhere else
+in the package, a call of `left_mults` or `right_mults` on an object's
+``.mult`` or ``.alg_mult`` rebuilds what the object already keeps; this
+scan parses every module with `ast` and fails on such a call.  Calls on
+constants that no object holds yet (a local table) are allowed.
 """
 
 import ast
@@ -19,8 +17,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    os.pardir, "src", "hopf_partial")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
-HOMES = {"left_mults": "hopf.ConstantsAlgebra", "right_mults": "hopf.ConstantsAlgebra",
-         "_mult_terms": "hopf.HopfAlgebraData"}
+HOMES = {"left_mults": "hopf.ConstantsAlgebra", "right_mults": "hopf.ConstantsAlgebra"}
 TABLES = {"mult", "alg_mult"}
 
 
@@ -64,18 +61,14 @@ def test_only_the_home_class_may_read_an_objects_table():
     home = "class ConstantsAlgebra:\n    def f(self):\n        return left_mults(self.mult, 1)\n"
     assert rebuilds(home, "hopf") == []
     assert rebuilds(home, "actions") == [("actions", 3, "left_mults")]
-    table = "class HopfAlgebraData:\n    def f(self):\n        return _mult_terms(self.mult)\n"
-    assert rebuilds(table, "hopf") == []
-    assert rebuilds(table.replace("_mult_terms", "left_mults"), "hopf") \
+    assert rebuilds(home.replace("ConstantsAlgebra", "HopfAlgebraData"), "hopf") \
         == [("hopf", 3, "left_mults")]
-    assert rebuilds(home.replace("left_mults", "_mult_terms"), "hopf") \
-        == [("hopf", 3, "_mult_terms")]
 
 
 @pytest.mark.parametrize("added, builder", [
     ("def f(b):\n    return left_mults(b.alg_mult, b.dim)\n", "left_mults"),
     ("def f(h):\n    return [r for r in hp.right_mults(h.mult, h.dim)]\n", "right_mults"),
-    ("class A:\n    def f(self):\n        return _mult_terms(self.mult)\n", "_mult_terms"),
+    ("class A:\n    def f(self):\n        return right_mults(self.mult, 1)\n", "right_mults"),
 ])
 def test_a_rebuild_is_caught(added, builder):
     source = _source("actions.py")

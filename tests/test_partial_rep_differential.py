@@ -63,7 +63,7 @@ def hopf_in_basis(h, p):
                     for t, yb in enumerate(coords[b]):
                         plane[s][t] += x * c * ya * yb
         comult.append(plane)
-    counit = [h.counit_el(v) for v in f]
+    counit = [sum(x * e for x, e in zip(v, h.counit)) for v in f]
     return hp.HopfAlgebraData.build(d, mult, q.apply(h.unit), comult, counit,
                                     q * h.antipode * p)
 

@@ -188,6 +188,21 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("validate-hopf",
      dict(io.hopf_to_json(hp.builtin("kC2")), labels=5),
      "labels must be an array"),
+    ("validate-hopf",
+     dict(io.hopf_to_json(hp.builtin("kC2")), labels=[1, 2]),
+     "labels must be an array of 2 strings"),
+    ("validate-hopf", dict(io.hopf_to_json(hp.builtin("kC2")), dim="x"),
+     "hopf dim must be an integer"),
+    ("validate-hopf", dict(io.hopf_to_json(hp.builtin("kC2")), dim=2.0),
+     "hopf dim must be an integer"),
+    ("check-partial",
+     {"hopf": dict(io.hopf_to_json(hp.builtin("kC2")), dim=None), "dim": 1,
+      "pi": [[["1"]], [["1"]]]},
+     "hopf dim must be an integer"),
+    ("validate-hopf",
+     dict(io.hopf_to_json(hp.builtin("kC2")),
+          antipode_inv=[["1", "0", "0"], ["0", "1", "0"]]),
+     "inconsistent structure constant dimensions"),
     ("check-partial",
      {"hopf": "kC2-dual", "dim": 2, "pi": 5},
      "pi must be an array of matrices"),

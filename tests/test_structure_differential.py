@@ -11,10 +11,8 @@ the partial and global smash products of the shipped partial module
 algebras, also perturbed by 1/2, 1/3 and 1/6.
 
 The derived structure each algebra object keeps (``left`` and ``right``,
-some of them stored by the builder that found them, and a Hopf algebra's
-``mult_terms``) must equal `hopf.left_mults`, `hopf.right_mults` and
-`hopf._mult_terms` of the object's own constants; the module and smash
-algebras keep no sparse table.
+some of them stored by the builder that found them) must equal
+`hopf.left_mults` and `hopf.right_mults` of the object's own constants.
 """
 
 import itertools
@@ -209,7 +207,3 @@ def test_derived_structure_of_every_algebra_object(smash_algebras):
         table = alg.alg_mult if hasattr(alg, "alg_mult") else alg.mult
         assert alg.left == tuple(hp.left_mults(table, alg.dim))
         assert alg.right == tuple(hp.right_mults(table, alg.dim))
-        if isinstance(alg, hp.HopfAlgebraData):
-            assert alg.mult_terms == hp._mult_terms(table)
-        else:
-            assert not hasattr(alg, "mult_terms")
