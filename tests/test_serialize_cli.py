@@ -188,6 +188,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     ("validate-hopf",
      dict(io.hopf_to_json(hp.builtin("kC2")), labels=5),
      "labels must be an array"),
+    ("check-partial",
+     {"hopf": "kC2-dual", "dim": 2, "pi": 5},
+     "pi must be an array of matrices"),
     ("validate-hopf",
      dict(io.hopf_to_json(hp.builtin("kC2")), labels=[1, 2]),
      "labels must be an array of 2 strings"),
@@ -203,9 +206,6 @@ def test_cli_exit_codes(tmp_path, capsys):
      dict(io.hopf_to_json(hp.builtin("kC2")),
           antipode_inv=[["1", "0", "0"], ["0", "1", "0"]]),
      "inconsistent structure constant dimensions"),
-    ("check-partial",
-     {"hopf": "kC2-dual", "dim": 2, "pi": 5},
-     "pi must be an array of matrices"),
 ])
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, verb, doc,
                                                    message):
