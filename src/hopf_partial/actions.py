@@ -12,11 +12,13 @@ Every product and every Sweedler sum over a tensor product is a matrix
 built from two constructions: the regular representation of an algebra
 given by structure constants (the left and right multiplications L_s and
 R_s of `hopf.left_mults` and `hopf.right_mults`), and the diagonal action
-`partial.diagonal_action`.  So A # H acts on A (x) H by (L_a (x) 1)
-composed with the diagonal action of h, and B is a module algebra exactly
-when its product mu: B (x) B -> B is H-linear.  Each axiom is a matrix
-identity whose witness is read off the first nonzero column of the
-difference; the unit and associativity witnesses read the L_s as well.
+`hopf.diagonal_action`.  So A # H acts on A (x) H by (L_a (x) 1)
+composed with the diagonal action of h.  PA2 needs no operator on
+B (x) B: block a of its two sides for e_i is pi(e_i) L_a and
+sum c L(e_p . e_a) pi(e_q) over Delta(e_i) = sum c e_p (x) e_q.  Each
+axiom is a matrix identity whose witness is read off the first nonzero
+column of the difference; the unit and associativity witnesses read the
+L_s as well, and no construction reads a dense product cube.
 
 The three algebra classes derive from `hopf.ConstantsAlgebra`, so each
 object builds its ``left`` and ``right`` at most once, and none of them
@@ -34,15 +36,14 @@ from dataclasses import dataclass
 from . import hopf as hp
 from .dilation import (_factor_through, _translates, dilate_morphism,
                        standard_dilation)
-from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness,
-                   _freeze3, _memo, _unit_witness, mult_by, right_mults)
-from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
-                     first_nonzero_col, first_unstable, frac, hstack, kron,
-                     mat_to_vec, rank, restrict_operators, solve, solve_blocks,
-                     solve_matrix, split_blocks, unit_vec, vec_scale, vstack)
+from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness, _freeze3,
+                   _memo, _unit_witness, diagonal_action, mult_by, right_mults)
+from .linalg import (Mat, ShapeError, Subspace, _columns, block_diag, column_space,
+                     first_nonzero_col, first_unstable, frac, hstack, kron, mat_to_vec,
+                     rank, restrict_operators, solve, solve_blocks, solve_matrix,
+                     split_blocks, unit_vec, vec_scale, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
-                      diagonal_action, is_global, regular_module,
-                      tensor_with_global)
+                      is_global, regular_module, tensor_with_global)
 from .reports import ValidationError, ValidationReport
 
 
@@ -148,12 +149,14 @@ def _first_difference(sides, width):
 
 
 def _pa2_sides(b):
-    """Per e_i, pi(e_i) mu and mu D_i, with mu: B (x) B -> B the product and
-    D the diagonal action on B (x) B: column (a, c) of the two sides is
-    e_i . (e_a e_c) and (e_i(1) . e_a)(e_i(2) . e_c), the PA2 witness."""
-    mu = Mat.from_cols([v for plane in b.alg_mult for v in plane], b.dim)
-    diag = diagonal_action(b.hopf, b.action, b.action)
-    return [(a * mu, mu * di) for a, di in zip(b.action, diag)]
+    """Per e_i, the m x m^2 sides of PA2, whose block a is pi(e_i) L_a and
+    sum c L(e_p . e_a) pi(e_q) over Delta(e_i) = sum c e_p (x) e_q: column
+    (a, c) is e_i . (e_a e_c) and (e_i(1) . e_a)(e_i(2) . e_c), the witness."""
+    h, m, pi, mu = b.hopf, b.dim, b.action, _columns(b.dim, b.left)
+    moved = [[mult_by(b.left, u) for u in a.col_list()] for a in pi]  # L(e_p . e_a)
+    return [(a * mu, _columns(m, [hp.comult_sum(h, i, lambda p, q: moved[p][k] * pi[q],
+                                                m, m) for k in range(m)]))
+            for i, a in enumerate(pi)]
 
 
 def _pa3_sides(b):
@@ -244,11 +247,6 @@ def direct_product(algebras) -> PartialModuleAlgebra:
 def _col(v):
     """The vector v as a one-column matrix."""
     return Mat.from_cols([v], len(v))
-
-
-def _columns(rows, mats):
-    """hstack(mats), or the rows x 0 matrix when there are none."""
-    return hstack([Mat.zeros(rows, 0), *mats])
 
 
 def _subalgebra_left(incl, ops, extra, msg):

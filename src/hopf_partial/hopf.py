@@ -22,8 +22,8 @@ columns as integer numerators over one common denominator, so both sides
 of each triple are compared as integer vectors.
 
 The coalgebra, bialgebra and antipode axioms and the conditions on a
-Hopf morphism are identities on the product mu (d x d^2, column (i, j)
-= e_i e_j), the coproduct Delta (d^2 x d, column i = Delta(e_i), first
+Hopf morphism are identities on the product mu (d x d^2, the L_s side by
+side), the coproduct Delta (d^2 x d, column i = Delta(e_i), first
 leg major), the unit column u and the counit row eps, such as
 mu (S (x) 1) Delta = u eps; the witness is the first nonzero column of
 the difference.  ``comult_terms[i]`` lists the Sweedler terms (j, k, c)
@@ -32,7 +32,8 @@ both are built with each `HopfAlgebraData`.
 
 Only this module reads how Delta and S are stored: every Sweedler sum of
 matrices elsewhere goes through ``comult_sum``, ``antipode_images`` or
-``sweedler_grid``.  A Sweedler grid of a family X_0, ..., X_{d-1} of
+``sweedler_grid``, and the diagonal action on a tensor product through
+``diagonal_action``.  A Sweedler grid of a family X_0, ..., X_{d-1} of
 n x n matrices is the d n x d n block matrix whose block (a, j) is
 sum c X_b over the terms (a, b, c) of Delta(e_j); its variants put the
 first leg in the block column, fold the antipode into the block index,
@@ -53,9 +54,8 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from math import lcm
 
-from .linalg import (Mat, ShapeError, _common_den, _mat_sum, _reduced,
-                     first_nonzero_col, frac, hstack, inverse, kron, unit_vec,
-                     vstack)
+from .linalg import (Mat, ShapeError, _columns, _common_den, _mat_sum, _reduced,
+                     first_nonzero_col, frac, inverse, kron, unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
 
@@ -121,6 +121,13 @@ def comult_sum(h, i, term, rows, cols):
     """sum c term(a, b) over Delta(e_i) = sum c e_a (x) e_b, a rows x cols
     matrix (the zero matrix when Delta(e_i) has no terms)."""
     return _mat_sum(((term(a, b), c) for a, b, c in h.comult_terms[i]), rows, cols)
+
+
+def diagonal_action(h, left, right):
+    """Action of each e_i on a tensor product: sum c left[a] (x) right[b]."""
+    n = left[0].rows * right[0].rows
+    return tuple(comult_sum(h, i, lambda a, b: kron(left[a], right[b]), n, n)
+                 for i in range(h.dim))
 
 
 def antipode_images(h, mats, rows, cols):
@@ -343,7 +350,7 @@ class HopfAlgebraData(ConstantsAlgebra):
 def _structure_maps(h):
     """mu, Delta, the unit column u and the counit row eps of h as matrices."""
     d = h.dim
-    return (Mat.from_cols([v for plane in h.mult for v in plane], d),
+    return (_columns(d, h.left),
             Mat.from_cols([[x for row in plane for x in row] for plane in h.comult], d * d),
             Mat.from_cols([h.unit], d), Mat([h.counit], cols=d))
 
@@ -373,19 +380,16 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     _record_identity(report, "counit", vstack([kron(eps, ident) * delta - ident,
                                                kron(ident, eps) * delta - ident]))
 
-    # eps mu = eps (x) eps, and block i of Delta mu is Delta L_i = D_i Delta,
-    # with D_i = sum c L_a (x) L_b over Delta(e_i): no matrix on H^(x)4
+    # eps mu = eps (x) eps and Delta L_i = D_i Delta, D the diagonal action on H (x) H
     witness = None
     if eps.apply(h.unit) != (1,):
         witness = ("counit of unit",)
     elif delta.apply(h.unit) != kron(unit, unit).col(0):
         witness = ("comult of unit",)
     else:
-        left = h.left
         by_eps = eps * mu - kron(eps, eps)
-        products = [comult_sum(h, i, lambda a, b: kron(left[a], left[b]), d * d, d * d)
-                    * delta for i in range(d)]
-        j = first_nonzero_col(vstack([by_eps, delta * mu - hstack(products)]))
+        products = [di * delta for di in diagonal_action(h, h.left, h.left)]
+        j = first_nonzero_col(vstack([by_eps, delta * mu - _columns(d * d, products)]))
         if j is not None:
             kind = "counit" if by_eps.num[0][j] else "comult"
             witness = (*divmod(j, d), f"{kind} multiplicative")

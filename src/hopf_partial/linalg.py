@@ -292,6 +292,11 @@ def hstack(mats):
                  for i in range(rows)], den, sum(m.cols for m in mats))
 
 
+def _columns(rows, mats):
+    """hstack(mats), or the rows x 0 matrix when there are none."""
+    return hstack([Mat.zeros(rows, 0), *mats])
+
+
 def vstack(mats):
     mats = list(mats)
     cols = mats[0].cols

@@ -35,7 +35,7 @@ classifications (dual C2 and the four-dimensional Sweedler algebra).
 from dataclasses import dataclass
 
 from . import hopf as hp
-from .hopf import HopfAlgebraData, _memo, builtin
+from .hopf import HopfAlgebraData, _memo, builtin, diagonal_action
 from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
                      column_space, first_unstable, frac, hstack, inverse,
                      kernel_basis, kron, left_mult_operator, mat_to_vec,
@@ -84,13 +84,6 @@ def twisted_conjugates(m: PartialModule, t=None, tilde=False):
     if t is not None:
         left = [a * t for a in left]
     return tuple(hp.comult_sum(h, i, lambda a, b: left[a] * right[b], n, n)
-                 for i in range(h.dim))
-
-
-def diagonal_action(h: HopfAlgebraData, left, right):
-    """Action of each e_i on a tensor product: sum c left[a] (x) right[b]."""
-    n = left[0].rows * right[0].rows
-    return tuple(hp.comult_sum(h, i, lambda a, b: kron(left[a], right[b]), n, n)
                  for i in range(h.dim))
 
 

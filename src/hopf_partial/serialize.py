@@ -27,6 +27,9 @@ def scalar_to_str(x: Fraction) -> str:
 def scalar_from_json(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise FormatError(f"scalars must be integers or 'p/q' strings, got {s!r}")
+    # Fraction expands a decimal exponent in full: "1e10000000" stalls
+    if isinstance(s, str) and ("e" in s or "E" in s):
+        raise FormatError(f"bad scalar {s!r}")
     try:
         return frac(s)
     except (ValueError, TypeError, ZeroDivisionError):
@@ -214,5 +217,5 @@ def dumps(obj) -> str:
 def loads(text):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise FormatError(f"invalid JSON: {exc}")

@@ -12,6 +12,7 @@ import random
 import sys
 from fractions import Fraction
 
+from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
@@ -268,6 +269,27 @@ def random_builtin_partial(r, hopf_name, dim) -> pm.PartialModule:
     base = pm.PartialModule(h, dim, pis)
     assert pm.check_partial_rep(base).ok
     return conjugate_module(base, rand_invertible(r, dim))
+
+
+def partial_action_algebra(table) -> ac.PartialModuleAlgebra:
+    """A_par = k^{X_1} with the partial action of kG, G given by its Cayley table.
+
+    X_1 is the set of subsets S of G with 1 in S; the delta_S are orthogonal
+    idempotents summing to 1, and g . delta_S = delta_{gS} if g^-1 is in S
+    and 0 otherwise (Dokuchaev-Exel-Piccione, J. Algebra 226 (2000)).
+    """
+    inv = hp.check_group_table(table)
+    n = len(table)
+    sets = [frozenset((0, *rest)) for size in range(n)
+            for rest in itertools.combinations(range(1, n), size)]
+    index = {s: k for k, s in enumerate(sets)}
+    m = len(sets)
+    zero = (0,) * m
+    mult = [[la.unit_vec(m, s) if s == t else zero for t in range(m)] for s in range(m)]
+    action = [la.Mat.from_cols([la.unit_vec(m, index[frozenset(table[g][x] for x in s)])
+                                if inv[g] in s else zero for s in sets], m)
+              for g in range(n)]
+    return ac.PartialModuleAlgebra.build(hp.group_algebra(table), mult, (1,) * m, action)
 
 
 def random_global(r, hopf_name, max_dim) -> pm.PartialModule:

@@ -256,6 +256,18 @@ def test_build_counts_per_construction(monkeypatch, construction, name, count):
     assert len(calls) == count
 
 
+def test_no_check_acts_on_an_algebra_tensor_itself(monkeypatch):
+    # PA2 reads m x m blocks of the L_s, so no check builds the diagonal
+    # action on B (x) B, an m^2 x m^2 matrix per basis element of H
+    algebras = list(shipped_partial_algebras().values())
+    calls = [gen.count_calls(monkeypatch, m, "diagonal_action")
+             for m in PACKAGE if hasattr(m, "diagonal_action")]
+    for b in algebras:
+        ac.check_partial_action(b)
+        ac.globalize(b)
+    assert [args for c in calls for args in c if args[1] is args[2]] == []
+
+
 def _builds(monkeypatch, construction, names):
     """Calls of each of names while one construction runs, counted in every
     module that looks the name up."""

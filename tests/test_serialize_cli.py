@@ -57,10 +57,24 @@ def test_output_is_deterministic():
     assert io.dumps(doc) == io.dumps(io.loads(io.dumps(doc)))
 
 
+class _Raw:
+    """Document text written as it is: io.dumps cannot print a JSON integer
+    literal past Python's limit on integer digits."""
+
+    def __init__(self, text):
+        self.text = text
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
-    path.write_text(io.dumps(payload))
+    path.write_text(payload.text if isinstance(payload, _Raw) else io.dumps(payload))
     return str(path)
+
+
+def _dual_c2_module(x):
+    """A global kC2-dual module, p_0 acting by the idempotent [[1, x], [0, 0]]."""
+    return {"hopf": "kC2-dual", "dim": 2,
+            "pi": [[["1", x], ["0", "0"]], [["0", f"-{x}"], ["0", "1"]]]}
 
 
 def test_cli_validate_hopf(tmp_path, capsys):
@@ -206,6 +220,15 @@ def test_cli_exit_codes(tmp_path, capsys):
      dict(io.hopf_to_json(hp.builtin("kC2")),
           antipode_inv=[["1", "0", "0"], ["0", "1", "0"]]),
      "inconsistent structure constant dimensions"),
+    ("check-action",
+     _Raw('{"hopf": "kC2-dual", "dim": 1, "pi": [[["1"]], [["0"]]], '
+          f'"alg_mult": [[["1"]]], "alg_unit": [{"1" * 5001}]}}'),
+     "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit"),
+    ("shadow", _dual_c2_module("1e5000"), "bad scalar '1e5000'"),
+    ("dilate", _dual_c2_module("1E5000"), "bad scalar '1E5000'"),
+    ("classify", _dual_c2_module("1e5000"), "bad scalar '1e5000'"),
+    ("check-partial", _dual_c2_module("1e10000000"), "bad scalar '1e10000000'"),
 ])
 def test_cli_malformed_input_exits_2_with_one_line(tmp_path, capsys, verb, doc,
                                                    message):
