@@ -34,16 +34,16 @@ fields.
 from dataclasses import dataclass
 
 from . import hopf as hp
-from .dilation import (_factor_through, _translates, dilate_morphism,
-                       standard_dilation)
+from .dilation import _factor_through, dilate_morphism, standard_dilation
 from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness, _freeze3,
-                   _memo, _unit_witness, diagonal_action, mult_by, right_mults)
+                   _memo, _unit_witness, diagonal_action, mult_by, right_from_left)
 from .linalg import (Mat, ShapeError, Subspace, _columns, block_diag, column_space,
                      first_nonzero_col, first_unstable, frac, hstack, kron, mat_to_vec,
                      rank, restrict_operators, solve, solve_blocks, solve_matrix,
                      split_blocks, unit_vec, vec_scale, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       is_global, regular_module, tensor_with_global)
+from .projection import _translates
 from .reports import ValidationError, ValidationReport
 
 
@@ -378,13 +378,11 @@ def _convolution_ops(b: PartialModuleAlgebra, fs: Mat):
 
 
 def _find_unit(left, right):
-    """The two-sided unit u, sum u_s L_s = I = sum u_s R_s, of a nonzero
-    algebra with left_mults left and right_mults right, or None."""
+    """The two-sided unit u, sum u_s L_s = I = sum u_s R_s, of a nonzero algebra
+    with L_s left and R_s right, or None: column j says R_j u = e_j = L_j u."""
     n = len(left)
-    system = Mat.from_cols([mat_to_vec(a) + mat_to_vec(c) for a, c in zip(left, right)],
-                           2 * n * n)
     ident = mat_to_vec(Mat.identity(n))
-    return solve(system, ident + ident) if n else None
+    return solve(vstack(right + left), ident + ident) if n else None
 
 
 def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
@@ -423,7 +421,7 @@ def globalize(b: PartialModuleAlgebra):
     left, _ = _subalgebra_left(incl, _convolution_ops(b, incl), Mat.zeros(m * d, 0),
                                "convolution leaves the dilation subspace")
     mult = [a.col_list() for a in left]
-    right = tuple(right_mults(mult, mb))
+    right = right_from_left(left)
     unit_coords = _find_unit(left, right)
     gb = GlobalModuleAlgebra(h, mb, _freeze3(mult), mod.pi,
                              unital=unit_coords is not None,

@@ -7,7 +7,8 @@ of a coordinate vector is the value at the j-th Hopf basis element.  The
 right-translation action (h.f)(k) = f(kh) becomes an explicit block
 matrix assembled from the multiplication structure constants, the
 embedding phi(v) lists the action values (pi(e_0)v, ..., pi(e_{d-1})v),
-and the module is cut out by span saturation.
+and, the translation action being global, the module is H.phi(M): the
+span of the translates e_s.phi(v), one column space and no fixpoint.
 
 All proof steps behind the universal property (well-definedness of the
 comparison map, of the dilated morphisms) are turned into exact kernel
@@ -17,13 +18,12 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hopf import _memo
-from .linalg import (Mat, block_diag, column_space, hstack, kernel_basis, kron,
-                     rank, solve, solve_blocks, solve_matrix, span_closure,
-                     vstack)
+from .hopf import _memo, sweedler_grid
+from .linalg import (Mat, block_diag, column_space, kernel_basis, kron,
+                     rank, solve, solve_blocks, solve_matrix, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, intertwiner_system, is_global, is_module_iso)
-from .projection import ProjectedModule, is_minimal, is_proper, restrict
+from .projection import ProjectedModule, _translates, is_minimal, is_proper, restrict
 from .reports import ValidationError, ValidationReport, require
 
 
@@ -73,6 +73,11 @@ def _unit_evaluation(h, n) -> Mat:
 def standard_dilation(m: PartialModule) -> Dilation:
     """The proper and minimal dilation carried by Hom(H, M).
 
+    Its module is H.phi(M): column block s of the "mult" Sweedler grid of
+    pi (block (r, s) is pi(e_r e_s)) is e_s.phi, and the one solve for the
+    action matrices, t and theta proves the grid's column space invariant
+    and containing im phi, or raises ValidationError.
+
     Every claimed property is asserted on the produced instance: theta is
     injective with image im t, it intertwines the actions, the pair is
     proper and minimal, and restricting the projected module returns the
@@ -85,15 +90,15 @@ def standard_dilation(m: PartialModule) -> Dilation:
     n = m.dim
     acts = _translation_action(h, n)
     phi = _phi_matrix(m)
-    closure = span_closure(column_space(phi), acts)
-    incl = closure.basis.transpose()
+    space = column_space(sweedler_grid(h, n, [("mult", m.pi)]))
+    incl = space.basis.transpose()
 
     t_full = phi * _unit_evaluation(h, n)
-    # the closure is invariant under acts and t_full (whose image is im phi)
-    # and contains the columns of phi, so every block is consistent
-    *ops, t, theta = solve_blocks(incl, [a * incl for a in acts]
-                                  + [t_full * incl, phi])
-    module = PartialModule(h, closure.dim, tuple(ops))
+    blocks = solve_blocks(incl, [a * incl for a in acts] + [t_full * incl, phi])
+    if blocks is None:
+        raise ValidationError("the span of the translates of phi is not invariant")
+    *ops, t, theta = blocks
+    module = PartialModule(h, space.dim, tuple(ops))
     projected = ProjectedModule.build(module, t)
 
     dil = Dilation(m, projected, theta, proper=True, minimal=True,
@@ -158,11 +163,6 @@ def _factor_through(dec: Mat, target: Mat) -> Mat:
     if ft is None:
         raise ValidationError("map is not well defined: kernel containment fails")
     return ft.transpose()
-
-
-def _translates(module: PartialModule, theta: Mat) -> Mat:
-    """[pi(e_0) theta | ... | pi(e_{d-1}) theta], the translates of theta's columns."""
-    return hstack([p * theta for p in module.pi])
 
 
 def universal_morphism(d2: Dilation) -> Mat:

@@ -75,6 +75,13 @@ def right_mults(mult, dim):
             for s in range(dim)]
 
 
+def right_from_left(left):
+    """The R_s from the L_s: column j of R_s is column s of L_j."""
+    n = len(left)
+    side = _columns(n, left)
+    return tuple(_reduced([row[s::n] for row in side.num], side.den, n) for s in range(n))
+
+
 def _memo(obj, name, compute):
     """compute() stored on the frozen obj as the non-field attribute name.
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .hopf import _memo
 from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
-                     kernel_basis, pivot_columns, restrict_operators,
-                     span_closure, vstack)
+                     hstack, kernel_basis, pivot_columns, restrict_operators,
+                     vstack)
 from .partial import (PartialModule, check_partial_rep, hom_space,
                       is_algebra_map, quotient_action, twisted_conjugates)
 from .reports import ValidationError, ValidationReport
@@ -151,6 +151,17 @@ def _restrict(p: ProjectedModule):
     return out, incl
 
 
+def _translates(module: PartialModule, theta: Mat) -> Mat:
+    """[pi(e_0) theta | ... | pi(e_{d-1}) theta], the translates of theta's columns."""
+    return hstack([p * theta for p in module.pi])
+
+
+def _generated_submodule(module: PartialModule, t: Mat) -> Subspace:
+    """The submodule generated by im t: on a global module pi(1) = I and
+    pi(h) pi(k) = pi(hk), so it is the span of the translates pi(e_i) t x."""
+    return column_space(_translates(module, t))
+
+
 def _annihilated_submodule(module: PartialModule, t: Mat) -> Subspace:
     """{x : t pi(h) x = 0 for all h}, the largest submodule killed by t."""
     stacked = vstack([t * p for p in module.pi])
@@ -164,12 +175,13 @@ def _annihilated_submodule(module: PartialModule, t: Mat) -> Subspace:
 def minimalize(p: ProjectedModule) -> ProjectedModule:
     """Shrink (N, T) to an isomorphic proper and minimal pair.
 
-    First the module is replaced by the action closure of im t, then any
-    leftover submodule annihilated by t is quotiented away.  Both steps
+    First the module is replaced by the submodule generated by im t, the
+    span of its translates (pi is an algebra map, as `build` verified), then
+    any leftover submodule annihilated by t is quotiented away.  Both steps
     leave the restriction untouched.  The returned pair is proved to have
     no t-killed submodule, and that is recorded as its is_minimal memo.
     """
-    closure = span_closure(column_space(p.t), p.module.pi)
+    closure = _generated_submodule(p.module, p.t)
     incl = closure.basis.transpose()
     ops = restrict_operators((*p.module.pi, p.t), incl)
     module = PartialModule(p.module.hopf, closure.dim, ops[:-1])
@@ -194,9 +206,10 @@ def is_minimal(p: ProjectedModule) -> bool:
 
 
 def is_proper(p: ProjectedModule) -> bool:
-    """The module is generated by im t; memoized on p."""
-    return _memo(p, "_proper", lambda: span_closure(
-        column_space(p.t), p.module.pi).dim == p.module.dim)
+    """The module is generated by im t, that is spanned by the translates
+    pi(e_i) t x, as pi is an algebra map (`build` checked it); memoized on p."""
+    return _memo(p, "_proper", lambda: _generated_submodule(p.module, p.t).dim
+                 == p.module.dim)
 
 
 def projected_morphism_space(p: ProjectedModule, q: ProjectedModule):

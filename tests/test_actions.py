@@ -288,8 +288,10 @@ def _builds(monkeypatch, construction, names):
 ])
 def test_regular_builds_per_construction(monkeypatch, construction, count):
     # each algebra object builds its L_s and R_s at most once, and the
-    # builders store the L_s they get from eliminations
-    builds = _builds(monkeypatch, construction, ("left_mults", "right_mults"))
+    # builders store the L_s they get from eliminations; globalize reads
+    # the R_s of Bbar off those L_s
+    builds = _builds(monkeypatch, construction,
+                     ("left_mults", "right_mults", "right_from_left"))
     assert sum(builds.values()) == count
 
 

@@ -145,6 +145,25 @@ def test_standard_dilation_solves_once_against_its_inclusion(monkeypatch):
     assert sum(a == dil.ambient_inclusion for a in calls) == 1
 
 
+def test_a_space_that_is_not_invariant_is_a_validation_error(monkeypatch):
+    # the solve against the span of the translates is what proves the span
+    # invariant: with one translation operator perturbed by the all-ones
+    # matrix, the dilation of this 3-dim module (4 of 6 dimensions) fails
+    # with a message, not by unpacking None
+    m = partially_graded_module(1, 1, 1)
+    original = dl._translation_action
+
+    def perturbed(h, n):
+        *acts, last = original(h, n)
+        ones = la.Mat([[1] * last.cols for _ in range(last.rows)])
+        return [*acts, last + ones]
+
+    monkeypatch.setattr(dl, "_translation_action", perturbed)
+    dl.standard_dilation.cache_clear()
+    with pytest.raises(ValidationError, match="translates of phi is not invariant"):
+        dl.standard_dilation(m)
+
+
 def test_failed_restriction_is_not_memoized(monkeypatch):
     # t = [[1, -2], [0, 0]] breaks the commutation condition on kC2, and
     # its image carries g -> -2, which is not a partial representation
