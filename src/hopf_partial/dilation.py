@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .hopf import _memo, sweedler_grid
-from .linalg import (Mat, block_diag, column_space, kernel_basis, kron,
-                     rank, solve, solve_blocks, solve_matrix, vstack)
+from .linalg import (Mat, block_diag, column_space, intertwining_witness,
+                     kernel_basis, kron, rank, solve, solve_blocks, solve_matrix,
+                     vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, intertwiner_system, is_global, is_module_iso)
 from .projection import ProjectedModule, _translates, is_minimal, is_proper, restrict
@@ -75,8 +76,10 @@ def standard_dilation(m: PartialModule) -> Dilation:
 
     Its module is H.phi(M): column block s of the "mult" Sweedler grid of
     pi (block (r, s) is pi(e_r e_s)) is e_s.phi, and the one solve for the
-    action matrices, t and theta proves the grid's column space invariant
-    and containing im phi, or raises ValidationError.
+    action matrices and theta proves the grid's column space invariant
+    and containing im phi, or raises ValidationError.  The projection is
+    f -> phi(f(1)), phi E with E the evaluation at 1; as incl theta = phi,
+    phi E incl = incl theta E incl, so on the module it is theta (E incl).
 
     Every claimed property is asserted on the produced instance: theta is
     injective with image im t, it intertwines the actions, the pair is
@@ -93,13 +96,12 @@ def standard_dilation(m: PartialModule) -> Dilation:
     space = column_space(sweedler_grid(h, n, [("mult", m.pi)]))
     incl = space.basis.transpose()
 
-    t_full = phi * _unit_evaluation(h, n)
-    blocks = solve_blocks(incl, [a * incl for a in acts] + [t_full * incl, phi])
+    blocks = solve_blocks(incl, [a * incl for a in acts] + [phi])
     if blocks is None:
         raise ValidationError("the span of the translates of phi is not invariant")
-    *ops, t, theta = blocks
+    *ops, theta = blocks
     module = PartialModule(h, space.dim, tuple(ops))
-    projected = ProjectedModule.build(module, t)
+    projected = ProjectedModule.build(module, theta * (_unit_evaluation(h, n) * incl))
 
     dil = Dilation(m, projected, theta, proper=True, minimal=True,
                    ambient_inclusion=incl)
@@ -132,12 +134,11 @@ def _evaluate_dilation(d: Dilation):
     theta = d.theta
     src = d.source
 
-    report.record("theta injective", rank(theta) == src.dim)
+    image = column_space(theta)
+    report.record("theta injective", image.dim == src.dim)
     report.record("intertwining",
-                  all(theta * src.pi[i] == t * mod.pi[i] * theta
-                      for i in range(src.hopf.dim)))
-    report.record("image of theta is im t",
-                  column_space(theta) == column_space(t))
+                  intertwining_witness(theta, src.pi, [t * p for p in mod.pi]) is None)
+    report.record("image of theta is im t", image == column_space(t))
 
     iso_ok = False
     if report.checks[0].passed and report.checks[2].passed:
@@ -179,13 +180,12 @@ def universal_morphism(d2: Dilation) -> Mat:
     std = standard_dilation(d2.source)
     mod_n = d2.projected.module
     mod_std = std.projected.module
-    d = mod_n.hopf.dim
 
     phi = _factor_through(_translates(mod_n, d2.theta),
                           _translates(mod_std, std.theta))
 
     require(rank(phi) == mod_std.dim, "comparison map must be surjective")
-    require(all(phi * mod_n.pi[i] == mod_std.pi[i] * phi for i in range(d)),
+    require(intertwining_witness(phi, mod_n.pi, mod_std.pi) is None,
             "comparison map must be H-linear")
     require(std.projected.t * phi == phi * d2.projected.t,
             "comparison map must intertwine the projections")
@@ -206,14 +206,13 @@ def dilate_morphism(f: ModuleMorphism) -> Mat:
     """
     std_m = standard_dilation(f.source)
     std_n = standard_dilation(f.target)
-    d = f.source.hopf.dim
     mod_m = std_m.projected.module
     mod_n = std_n.projected.module
     fbar = _factor_through(_translates(mod_m, std_m.theta),
                            _translates(mod_n, std_n.theta * f.mat))
     require(fbar * std_m.theta == std_n.theta * f.mat,
             "dilated morphism must commute with the embeddings")
-    require(all(fbar * mod_m.pi[i] == mod_n.pi[i] * fbar for i in range(d)),
+    require(intertwining_witness(fbar, mod_m.pi, mod_n.pi) is None,
             "dilated morphism must be H-linear")
     return fbar
 
@@ -295,7 +294,6 @@ def dilation_preserves_sums(ms) -> ValidationReport:
         summed = [block_diag([s.projected.module.pi[i] for s in stds])
                   for i in range(ms[0].hopf.dim)]
         report.record("canonical map H-linear",
-                      all(canonical * summed[i]
-                          == std_total.projected.module.pi[i] * canonical
-                          for i in range(ms[0].hopf.dim)))
+                      intertwining_witness(canonical, summed,
+                                           std_total.projected.module.pi) is None)
     return report

@@ -13,10 +13,10 @@ Every axiom is a finite exact identity between matrices, checked by
 ``validate_hopf``.  Constructors always validate their output and compute
 the inverse antipode; construction fails if S is singular.
 
-Products of elements are matrices: ``left_mults`` and ``right_mults`` give
-the regular representation of an algebra given by constants, the
-matrices L_s of u -> e_s u and R_s of u -> u e_s, and ``mult_by`` turns
-either into multiplication by an element.  The unit witness and the
+Products of elements are matrices: ``left_mults`` gives the L_s of
+u -> e_s u of an algebra given by constants, ``right_from_left`` reads
+the R_s of u -> u e_s off them, and ``mult_by`` turns either family, or
+any other, into the combination sum u_s X_s.  The unit witness and the
 associativity witness read the L_s; the associativity witness takes their
 columns as integer numerators over one common denominator, so both sides
 of each triple are compared as integer vectors.
@@ -44,10 +44,10 @@ checker of ``partial`` is three products with these grids.
 
 `HopfAlgebraData` and the algebras of ``actions`` derive from
 `ConstantsAlgebra`, the one home of their regular representation:
-``left`` and ``right`` are built from the constants on first use and kept
-on the object by `_memo`, as are a Hopf algebra's grid placement tables
-and its hash.  Memos are attributes, not fields, so equality and hashing
-see only the arrays.
+``left`` is built from the constants and ``right`` read off it, on first
+use, and both are kept on the object by `_memo`, as are a Hopf algebra's
+grid placement tables and its hash.  Memos are attributes, not fields,
+so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field, fields
@@ -67,12 +67,6 @@ def _freeze3(data):
 def left_mults(mult, dim):
     """L_0, ..., L_{dim-1}: the matrices of u -> e_s u, column j = mult[s][j]."""
     return [Mat.from_cols(mult[s], dim) for s in range(dim)]
-
-
-def right_mults(mult, dim):
-    """R_0, ..., R_{dim-1}: the matrices of u -> u e_s, column j = mult[j][s]."""
-    return [Mat.from_cols([mult[j][s] for j in range(dim)], dim)
-            for s in range(dim)]
 
 
 def right_from_left(left):
@@ -101,9 +95,9 @@ def _memo(obj, name, compute):
 class ConstantsAlgebra:
     """An algebra given by structure constants, held in the field named _table.
 
-    ``left`` and ``right`` are its L_s and R_s, each built from the
-    constants on first use.  A builder that already holds the L_s or R_s
-    stores them as ``_left`` or ``_right`` through `_memo` instead.
+    ``left`` and ``right`` are its L_s, built from the constants on first
+    use, and its R_s, read off the L_s.  A builder that already holds the
+    L_s or R_s stores them as ``_left`` or ``_right`` through `_memo`.
     """
 
     _table = "mult"
@@ -115,13 +109,14 @@ class ConstantsAlgebra:
 
     @property
     def right(self):
-        return _memo(self, "_right", lambda: tuple(
-            right_mults(getattr(self, self._table), self.dim)))
+        return _memo(self, "_right", lambda: right_from_left(self.left))
 
 
 def mult_by(mats, u):
-    """sum u_s mats[s]: L(u) from left_mults, R(u) from right_mults."""
-    return _mat_sum(((m, c) for m, c in zip(mats, u) if c), len(u), len(u))
+    """sum u_s mats[s], for a family of n x n matrices: L(u) from the L_s,
+    R(u) from the R_s, pi(u) from a module's pi; n = len(u) if it is empty."""
+    n = mats[0].rows if mats else len(u)
+    return _mat_sum(((m, c) for m, c in zip(mats, u) if c), n, n)
 
 
 def comult_sum(h, i, term, rows, cols):

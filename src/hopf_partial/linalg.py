@@ -25,6 +25,12 @@ elimination of [incl | op_1 incl | ... | op_k incl].  The entry views
 (``m[i, j]``, ``row``, ``col``, ``entries``) are `fractions.Fraction`s
 built on demand.
 
+Three helpers report the first failure of an identity, or None:
+`first_nonzero_col` (the first nonzero column of a difference),
+`first_unstable` (the first operator that moves a subspace off itself)
+and `intertwining_witness` (the first i with f src[i] != dst[i] f).  Every
+check that a map intertwines two operator families goes through the last.
+
 Conventions, fixed once for the whole package:
 
 * a matrix represents a linear map in the column convention: column j is
@@ -514,20 +520,23 @@ class Subspace:
         return sol
 
 
+def _null_rows(echelon: Mat, pivots, n):
+    """den (e_f - sum_r E[r, f] e_{p_r}) for each non-pivot column f, where
+    E = num / den is a reduced echelon form on n columns with pivots p_r."""
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        row = [0] * n
+        row[f] = echelon.den
+        for r, p in enumerate(pivots):
+            row[p] = -echelon.num[r][f]
+        rows.append(row)
+    return rows
+
+
 def kernel_basis(a: Mat) -> Subspace:
     """Canonical basis of the null space {v : a v = 0}."""
     red, pivots = rref(a)
-    n = a.cols
-    free = [c for c in range(n) if c not in pivots]
-    vecs = []
-    for f in free:
-        # den * (e_f - sum_r red[r, f] e_{pivots[r]})
-        v = [0] * n
-        v[f] = red.den
-        for r, p in enumerate(pivots):
-            v[p] = -red.num[r][f]
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+    return Subspace.from_vectors(a.cols, _null_rows(red, pivots, a.cols))
 
 
 def column_space(a: Mat) -> Subspace:
@@ -563,6 +572,14 @@ def span_closure(seed: Subspace, operators) -> Subspace:
         current = nxt
 
 
+def intertwining_witness(f: Mat, src, dst):
+    """Index of the first i with f src[i] != dst[i] f, or None; the scan stops
+    there.  Raises ShapeError when the two families differ in length."""
+    if len(src) != len(dst):
+        raise ShapeError("operator families differ in length")
+    return next((i for i, (a, b) in enumerate(zip(src, dst)) if f * a != b * f), None)
+
+
 def first_unstable(sub: Subspace, operators):
     """Index of the first operator mapping some vector of sub outside it, or None."""
     inside = _span_test(sub.basis)
@@ -580,18 +597,8 @@ def quotient_map(ambient_dim, w: Subspace):
     """
     if w.ambient_dim != ambient_dim:
         raise ShapeError("ambient dimension mismatch")
-    pivots = _pivots(w.basis)
-    others = [c for c in range(ambient_dim) if c not in pivots]
-    den = w.basis.den
-    rows = []
-    for c in others:
-        # den * (e_c - sum_r w[r, c] e_{pivots[r]}), as a row
-        row = [0] * ambient_dim
-        row[c] = den
-        for r, p in enumerate(pivots):
-            row[p] = -w.basis.num[r][c]
-        rows.append(row)
-    return _reduced(rows, den, ambient_dim), len(others)
+    rows = _null_rows(w.basis, _pivots(w.basis), ambient_dim)
+    return _reduced(rows, w.basis.den, ambient_dim), len(rows)
 
 
 def quotient_section(ambient_dim, w: Subspace) -> Mat:

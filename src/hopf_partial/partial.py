@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 from . import hopf as hp
 from .hopf import HopfAlgebraData, _memo, builtin, diagonal_action
-from .linalg import (Mat, ShapeError, Subspace, _mat_sum, block_diag,
-                     column_space, first_unstable, frac, hstack, inverse,
+from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
+                     first_unstable, frac, hstack, intertwining_witness, inverse,
                      kernel_basis, kron, left_mult_operator, mat_to_vec,
                      nonzero_blocks, quotient_map, quotient_section, rank, restrict_operators,
                      right_mult_operator, span_closure, split_blocks,
@@ -65,10 +65,10 @@ class PartialModule:
         return PartialModule(hopf, mats[0].rows if mats else 0,
                              tuple(m if isinstance(m, Mat) else Mat(m) for m in mats))
 
-    def pi_vec(self, coeffs):
-        """pi of a general Hopf element given by its coefficient vector."""
-        return _mat_sum(((self.pi[i], c) for i, c in enumerate(coeffs) if c),
-                        self.dim, self.dim)
+
+def _antipode_images(m: PartialModule):
+    """(pi(S e_0), ..., pi(S e_{d-1})), summed once per module and memoized."""
+    return _memo(m, "_pi_s", lambda: hp.antipode_images(m.hopf, m.pi, m.dim, m.dim))
 
 
 def twisted_conjugates(m: PartialModule, t=None, tilde=False):
@@ -76,10 +76,11 @@ def twisted_conjugates(m: PartialModule, t=None, tilde=False):
 
     With tilde, the twins pi(S(e_i (1))) t pi(e_i (2)).  t None stands for
     the identity, giving the operators eps_{e_i} and their twins.  The
-    images pi(S e_j) are built once, and so is each left factor times t.
+    images pi(S e_j) are built once per module, and each left factor times
+    t once per call.
     """
     h, n = m.hopf, m.dim
-    pi_s = hp.antipode_images(h, m.pi, n, n)
+    pi_s = _antipode_images(m)
     left, right = (pi_s, m.pi) if tilde else (m.pi, pi_s)
     if t is not None:
         left = [a * t for a in left]
@@ -91,12 +92,9 @@ def quotient_action(n, rel: Subspace, ops):
     """(q, dim, induced ops) for k^n -> k^n / rel; each op must preserve rel."""
     q, qdim = quotient_map(n, rel)
     section = quotient_section(n, rel)
-    induced = []
-    for k, op in enumerate(ops):
-        mat = q * op * section
-        require(mat * q == q * op,
-                f"operator {k} does not descend to the quotient")
-        induced.append(mat)
+    induced = [q * op * section for op in ops]
+    k = intertwining_witness(q, ops, induced)
+    require(k is None, f"operator {k} does not descend to the quotient")
     return q, qdim, induced
 
 
@@ -152,9 +150,9 @@ def _evaluate_partial_rep(m: PartialModule):
     h = m.hopf
     d = h.dim
     n = m.dim
-    checks = [Check("PR1 unit", m.pi_vec(h.unit) == Mat.identity(n))]
+    checks = [Check("PR1 unit", hp.mult_by(m.pi, h.unit) == Mat.identity(n))]
 
-    pi_s = hp.antipode_images(h, m.pi, n, n)
+    pi_s = _antipode_images(m)
     dev = _deviation_table(m)
     by_columns = hp.sweedler_grid(h, n, [("col", pi_s), ("col_s", m.pi)],
                                   transpose=True) * dev.transpose()
@@ -172,7 +170,7 @@ def _evaluate_partial_rep(m: PartialModule):
 
 def is_algebra_map(m: PartialModule) -> bool:
     """Direct globality test: pi respects unit and products of basis elements."""
-    if m.pi_vec(m.hopf.unit) != Mat.identity(m.dim):
+    if hp.mult_by(m.pi, m.hopf.unit) != Mat.identity(m.dim):
         return False
     return _deviation_table(m).is_zero()
 
@@ -251,17 +249,15 @@ class ModuleMorphism:
             raise ValueError("modules live over different Hopf algebras")
         if mat.rows != target.dim or mat.cols != source.dim:
             raise ShapeError("morphism matrix shape mismatch")
-        for i in range(source.hopf.dim):
-            require(mat * source.pi[i] == target.pi[i] * mat,
-                    f"matrix does not intertwine the actions at index {i}")
+        i = intertwining_witness(mat, source.pi, target.pi)
+        require(i is None, f"matrix does not intertwine the actions at index {i}")
         return ModuleMorphism(source, target, mat)
 
 
 def is_module_iso(f: Mat, m: PartialModule, n: PartialModule) -> bool:
     if f.rows != n.dim or f.cols != m.dim or m.dim != n.dim:
         return False
-    return (all(f * m.pi[i] == n.pi[i] * f for i in range(m.hopf.dim))
-            and rank(f) == m.dim)
+    return intertwining_witness(f, m.pi, n.pi) is None and rank(f) == m.dim
 
 
 def direct_sum(ms) -> PartialModule:
@@ -298,7 +294,7 @@ def base_subalgebra(m: PartialModule) -> Subspace:
 
 def base_subalgebra_commutes(m: PartialModule) -> bool:
     eps = twisted_conjugates(m)
-    return all(a * b == b * a for a in eps for b in eps)
+    return all(intertwining_witness(a, eps, eps) is None for a in eps)
 
 
 def tensor_with_global(m: PartialModule, n: PartialModule) -> PartialModule:

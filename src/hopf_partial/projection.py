@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .hopf import _memo
 from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
-                     hstack, kernel_basis, pivot_columns, restrict_operators,
-                     vstack)
+                     hstack, intertwining_witness, kernel_basis, pivot_columns,
+                     restrict_operators, vstack)
 from .partial import (PartialModule, check_partial_rep, hom_space,
                       is_algebra_map, quotient_action, twisted_conjugates)
 from .reports import ValidationError, ValidationReport
@@ -85,8 +85,7 @@ def _c_condition(module: PartialModule, t: Mat):
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
     family = twisted_conjugates(module, t)
-    return family, next((i for i, ti in enumerate(family) if ti * t != t * ti),
-                        None)
+    return family, intertwining_witness(t, family, family)
 
 
 def check_equivalence_lemma(p, t=None) -> ValidationReport:
@@ -106,18 +105,18 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
         module = p
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
-    d = module.hopf.dim
     if isinstance(p, ProjectedModule):
         adj, tld = _conjugates(p), _conjugates(p, tilde=True)
     else:
         adj, tld = (twisted_conjugates(module, t, tilde) for tilde in (False, True))
     report = ValidationReport("equivalence lemma")
-    w1 = next((i for i in range(d) if adj[i] * t != t * adj[i]), None)
+    w1 = intertwining_witness(t, adj, adj)
     report.record("(i) c-condition", w1 is None, w1)
-    w2 = next((i for i in range(d) if tld[i] * t != t * tld[i]), None)
+    w2 = intertwining_witness(t, tld, tld)
     report.record("(ii) twisted c-condition", w2 is None, w2)
-    w3 = next(((i, j) for i in range(d) for j in range(d)
-               if adj[i] * tld[j] != tld[j] * adj[i]), None)
+    # row i of (iii): the first j with T_i T~_j != T~_j T_i
+    rows = (intertwining_witness(a, tld, tld) for a in adj)
+    w3 = next(((i, j) for i, j in enumerate(rows) if j is not None), None)
     report.record("(iii) pairwise commutation", w3 is None, w3)
     agree = (w1 is None) == (w2 is None) == (w3 is None)
     report.record("conditions agree", agree)

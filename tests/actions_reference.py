@@ -13,6 +13,7 @@ sides of every identity, not just an equal verdict.
 from fractions import Fraction
 
 from dense_structure import alg_prod, comult_pairs, unit_vec
+from partial_rep_reference import pi_vec
 from hopf_partial.dilation import standard_dilation
 from hopf_partial.linalg import Mat
 
@@ -64,10 +65,10 @@ def _pa3_term(b, k, j, primed):
 
     def term(p, q):
         if primed:
-            return prod(b, mod.pi_vec(h.mult[p][k]).col(j),
+            return prod(b, pi_vec(mod, h.mult[p][k]).col(j),
                         b.action[q].apply(b.alg_unit))
         return prod(b, b.action[p].apply(b.alg_unit),
-                    mod.pi_vec(h.mult[q][k]).col(j))
+                    pi_vec(mod, h.mult[q][k]).col(j))
     return term
 
 
@@ -165,7 +166,7 @@ def evaluated_sides(b, gb, phi):
             rhs.append(tuple(x for k in range(h.dim)
                              for x in comult_vec_sum(h, k, m, lambda r, s: prod(
                                  b, b.action[r].col(a),
-                                 mod.pi_vec(h.mult[s][hi]).apply(b.alg_unit)))))
+                                 pi_vec(mod, h.mult[s][hi]).apply(b.alg_unit)))))
         rows = m * h.dim
         sides.append((Mat.from_cols(lhs, rows), Mat.from_cols(rhs, rows)))
     return sides

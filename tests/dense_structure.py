@@ -5,12 +5,16 @@ These are the dense routines that the regular representation and
 dense ``mult[i][j]`` planes and skip the zeros, the associativity witness
 multiplies basis vectors triple by triple, the Sweedler terms of Delta(e_i)
 are read off the whole d x d plane ``comult[i]`` on every call, and the
-smash product expands every Sweedler term over dense vectors.  They are
-slow and obviously right, so `tests/test_structure_differential.py`
-requires the sparse versions to return equal products and witnesses.
+smash product expands every Sweedler term over dense vectors, and
+`right_mults` reads the R_s off the constants, as the library did before
+it read them off the L_s.  They are slow and obviously right, so
+`tests/test_structure_differential.py` requires the sparse versions to
+return equal products and witnesses.
 """
 
 from fractions import Fraction
+
+from hopf_partial.linalg import Mat
 
 
 def unit_vec(n, i):
@@ -33,6 +37,11 @@ def alg_prod(mult, u, v):
                 if row[k] != 0:
                     out[k] += c * row[k]
     return tuple(out)
+
+
+def right_mults(mult, dim):
+    """R_0, ..., R_{dim-1}: the matrices of u -> u e_s, column j = mult[j][s]."""
+    return [Mat.from_cols([mult[j][s] for j in range(dim)], dim) for s in range(dim)]
 
 
 def associativity_witness(mult):

@@ -120,7 +120,7 @@ def test_phi_expressions_and_q_span(globalized):
     b, gb, phi = globalized
     bs = ac.global_smash(gb)
     pr = ac.partial_smash(b).projector
-    right = hp.right_mults(bs.mult, bs.dim)
+    right = hp.right_from_left(hp.left_mults(bs.mult, bs.dim))
     fails = []
     for p in [phi] + perturbed_phis(phi):
         exprs = ac._phi_expressions(b, p, pr, right)

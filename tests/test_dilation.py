@@ -121,11 +121,11 @@ def test_round_trip_checks_each_module_once(monkeypatch, hopf_name):
 def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
     m = gen.random_partial(gen.rng("dilation-checks-once"), "kS3", 3)
     dil = dl.standard_dilation(m)
-    ranks = gen.count_calls(monkeypatch, dl, "rank")
+    spaces = gen.count_calls(monkeypatch, dl, "column_space")
     isos = gen.count_calls(monkeypatch, dl, "is_module_iso")
     first = dl.check_dilation(dil)
     # standard_dilation's own check already evaluated this instance
-    assert ranks == [] and isos == []
+    assert spaces == [] and isos == []
     first.record("extra", False)
     second = dl.check_dilation(dil)
     assert second is not first and second.ok and len(second.checks) == 6
@@ -134,14 +134,15 @@ def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
                        dil.minimal, dil.ambient_inclusion)
     assert twin == dil and twin is not dil
     assert dl.check_dilation(twin).to_json() == second.to_json()
-    assert len(ranks) == 1 and len(isos) == 1
+    # theta is eliminated once, for both its rank and its image; t once
+    assert [a for a, in spaces] == [twin.theta, twin.projected.t] and len(isos) == 1
 
 
 def test_standard_dilation_solves_once_against_its_inclusion(monkeypatch):
     m = gen.random_ks3_partial(gen.rng("count"), 3)
     calls = gen.count_solves(monkeypatch)
     dil = dl.standard_dilation(m)
-    # the d translation operators, t and theta in one solve
+    # the d translation operators and theta in one solve; t is theta (E incl)
     assert sum(a == dil.ambient_inclusion for a in calls) == 1
 
 

@@ -1,11 +1,12 @@
 """The regular representation of an algebra object is built in one place.
 
-`hopf.ConstantsAlgebra` builds the L_s and the R_s of an algebra given by
-structure constants from its constants, once per object.  Anywhere else
-in the package, a call of `left_mults` or `right_mults` on an object's
-``.mult`` or ``.alg_mult`` rebuilds what the object already keeps; this
-scan parses every module with `ast` and fails on such a call.  Calls on
-constants that no object holds yet (a local table) are allowed.
+`hopf.ConstantsAlgebra` builds the L_s of an algebra given by structure
+constants from its constants, once per object, and reads its R_s off the
+L_s.  Anywhere else in the package, a call of `left_mults` on an
+object's ``.mult`` or ``.alg_mult`` rebuilds what the object already
+keeps; this scan parses every module with `ast` and fails on such a
+call.  Calls on constants that no object holds yet (a local table) are
+allowed.
 """
 
 import ast
@@ -17,7 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                    os.pardir, "src", "hopf_partial")
 MODULES = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
 
-HOMES = {"left_mults": "hopf.ConstantsAlgebra", "right_mults": "hopf.ConstantsAlgebra"}
+HOMES = {"left_mults": "hopf.ConstantsAlgebra"}
 TABLES = {"mult", "alg_mult"}
 
 
@@ -67,8 +68,8 @@ def test_only_the_home_class_may_read_an_objects_table():
 
 @pytest.mark.parametrize("added, builder", [
     ("def f(b):\n    return left_mults(b.alg_mult, b.dim)\n", "left_mults"),
-    ("def f(h):\n    return [r for r in hp.right_mults(h.mult, h.dim)]\n", "right_mults"),
-    ("class A:\n    def f(self):\n        return right_mults(self.mult, 1)\n", "right_mults"),
+    ("def f(h):\n    return [r for r in hp.left_mults(h.mult, h.dim)]\n", "left_mults"),
+    ("class A:\n    def f(self):\n        return left_mults(self.alg_mult, 1)\n", "left_mults"),
 ])
 def test_a_rebuild_is_caught(added, builder):
     source = _source("actions.py")
@@ -78,4 +79,4 @@ def test_a_rebuild_is_caught(added, builder):
 
 
 def test_a_local_table_is_allowed():
-    assert rebuilds("def f(mult, n):\n    return right_mults(mult, n)\n", "actions") == []
+    assert rebuilds("def f(mult, n):\n    return left_mults(mult, n)\n", "actions") == []

@@ -219,10 +219,10 @@ def test_matrix_sweedler_sums_of_nothing_are_zero():
     rows = [la.Mat([[a, b, 0]]) for a, b in ((1, 0), (0, 1), (2, 0), (0, 3))]
     assert hp.antipode_images(H4, rows, 1, 3)[2:] == (la.Mat([[0, -3, 0]]), rows[2])
     w2 = pm.w_n_module(2)
-    assert w2.pi_vec((0, 0, 0, 0)) == la.Mat.zeros(2, 2)
+    assert hp.mult_by(w2.pi, (0, 0, 0, 0)) == la.Mat.zeros(2, 2)
     assert hp.comult_sum(H4, 2, lambda a, b: w2.pi[a] * w2.pi[b], 2, 2) \
         == w2.pi[1] * w2.pi[2] + w2.pi[2]
-    assert w2.pi_vec((F(1, 2), 0, 1, -1)) \
+    assert hp.mult_by(w2.pi, (F(1, 2), 0, 1, -1)) \
         == w2.pi[0].scale(F(1, 2)) + w2.pi[2] - w2.pi[3]
 
 

@@ -70,7 +70,7 @@ def hopf_in_basis(h, p):
 
 def module_in_basis(h2, m, p):
     """m as a module over hopf_in_basis(m.hopf, p): pi(f_j) = sum_i p[i, j] pi(e_i)."""
-    return pm.PartialModule(h2, m.dim, tuple(m.pi_vec(v) for v in p.col_list()))
+    return pm.PartialModule(h2, m.dim, tuple(hp.mult_by(m.pi, v) for v in p.col_list()))
 
 
 @pytest.mark.parametrize("name", hp.BUILTIN_NAMES)

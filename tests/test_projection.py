@@ -94,7 +94,7 @@ def test_adjoint_linearity(p37):
     direct = la.Mat.zeros(4, 4)
     for i, c in enumerate(coeffs):
         for a, b, cf in H4.comult_terms[i]:
-            pi_sb = p37.module.pi_vec(H4.antipode.col(b))
+            pi_sb = hp.mult_by(p37.module.pi, H4.antipode.col(b))
             direct = direct + (p37.module.pi[a] * p37.t * pi_sb).scale(c * cf)
     assert combo == direct
 
@@ -128,6 +128,21 @@ def test_twisted_conjugate_builds_per_projected_module(monkeypatch):
     # the last lemma's ProjectedModule.build checks the c-condition once,
     # and the lemma reads those conjugates and builds the twins
     assert counts == [0, 1, 1, 1, 3, 5]
+
+
+def test_antipode_images_are_summed_once_per_module(monkeypatch):
+    # the PR checker, both families of a raw pair's lemma and the
+    # globality test read one memoized pi(S e_j) family (four sums before)
+    p = graded_projection(1, 1, 1)
+    m = pm.PartialModule(p.module.hopf, p.module.dim, p.module.pi)
+    calls = gen.count_calls(monkeypatch, hp, "antipode_images")
+    assert pm.check_partial_rep(m).ok
+    assert pj.check_equivalence_lemma(m, p.t).ok
+    assert pm.is_global(m)
+    assert len(calls) == 1
+    # an equal but new module sums its own
+    pm.is_global(pm.PartialModule(m.hopf, m.dim, m.pi))
+    assert len(calls) == 2
 
 
 def test_twisted_conjugate_builds_in_the_restriction_demo(monkeypatch):
