@@ -27,7 +27,8 @@ builds a sparse table of its constants.  A subalgebra (eB, the partial
 smash product, the globalization) gets its L_s from the same elimination
 that finds its unit, and its builder stores them through `_memo`;
 `global_smash` stores its smash operators, which are its L_s, and
-`partial_smash` also records its smash idempotent as ``projector``.
+`partial_smash` also records its smash idempotent as ``projector`` and
+B (x) H with the diagonal action as ``ambient_module``.
 Memos are not fields, so equality, hashing and digests see only the
 fields.
 """
@@ -35,7 +36,7 @@ fields.
 from dataclasses import dataclass
 
 from . import hopf as hp
-from .dilation import _factor_through, dilate_morphism, standard_dilation
+from .dilation import _factor_through, check_dilation, dilate_morphism, standard_dilation
 from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness, _freeze3,
                    _memo, _unit_witness, diagonal_action, mult_by, right_from_left)
 from .linalg import (Mat, ShapeError, Subspace, _columns, block_diag, column_space,
@@ -44,7 +45,7 @@ from .linalg import (Mat, ShapeError, Subspace, _columns, block_diag, column_spa
                      solve, solve_blocks, solve_matrix, split_blocks, unit_vec,
                      vec_scale, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
-                      is_global, regular_module, tensor_with_global)
+                      is_global, regular_module)
 from .projection import _translates
 from .reports import ValidationError, ValidationReport
 
@@ -300,11 +301,14 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     Also installs the canonical partial module structure given by left
     multiplication with the elements 1 # e_i and checks it satisfies the
     five partial representation identities.  The result records, as
-    attributes outside the fields, its L_s, read by ``left``, and
-    ``projector``: the smash idempotent on B (x) H whose image it lives on.
+    attributes outside the fields, its L_s, read by ``left``,
+    ``projector``: the smash idempotent on B (x) H whose image it lives on,
+    and ``ambient_module``: B (x) H with the diagonal action.
     """
     h = b.hopf
-    ops = _smash_operators(b, diagonal_action(h, b.action, regular_module(h).pi))
+    ambient = PartialModule(h, b.dim * h.dim,
+                            diagonal_action(h, b.action, regular_module(h).pi))
+    ops = _smash_operators(b, ambient.pi)
     pr = _smash_projector(b, ops)
     if pr * pr != pr:
         raise ValidationError("smash projector is not idempotent; "
@@ -320,10 +324,11 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     if _unit_witness(left, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
     module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
-    out = SmashAlgebra(h, b.dim, sub, r, _freeze3(a.col_list() for a in left),
+    out = SmashAlgebra(h, b.dim, sub, r, tuple(a.transpose().entries for a in left),
                        unit, tuple(ones), module)
     _memo(out, "_left", lambda: left)
     _memo(out, "projector", lambda: pr)
+    _memo(out, "ambient_module", lambda: ambient)
     witness = _associativity_witness(out.left)
     if witness is not None:
         raise ValidationError(f"smash product is not associative at {witness}")
@@ -350,7 +355,7 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
         unit, *ones = _unit_tensors(gb.alg_unit, h).col_list()
         ones = tuple(ones)
     out = SmashAlgebra(h, gb.dim, Subspace.full(dim), dim,
-                       _freeze3(op.col_list() for op in ops), unit, ones,
+                       tuple(op.transpose().entries for op in ops), unit, ones,
                        PartialModule(h, dim, diag))
     _memo(out, "_left", lambda: tuple(ops))
     witness = _associativity_witness(out.left)
@@ -422,10 +427,9 @@ def globalize(b: PartialModuleAlgebra):
 
     left, _ = _subalgebra_left(incl, _convolution_ops(b, incl), Mat.zeros(m * d, 0),
                                "convolution leaves the dilation subspace")
-    mult = [a.col_list() for a in left]
     right = right_from_left(left)
     unit_coords = _find_unit(left, right)
-    gb = GlobalModuleAlgebra(h, mb, _freeze3(mult), mod.pi,
+    gb = GlobalModuleAlgebra(h, mb, tuple(a.transpose().entries for a in left), mod.pi,
                              unital=unit_coords is not None,
                              alg_unit=unit_coords)
     _memo(gb, "_left", lambda: left)
@@ -442,9 +446,9 @@ def globalize(b: PartialModuleAlgebra):
     report.record("action by algebra maps",
                   _first_difference(_pa2_sides(gb), mb) is None)
 
-    t = std.projected.t
-    report.record("restricted action equals the partial action", intertwining_witness(
-        phi, b.action, [t * p for p in mod.pi]) is None)
+    # theta pi(e_i) = t pi_N(e_i) theta, proved for the dilation of b.as_module()
+    report.record("restricted action equals the partial action",
+                  check_dilation(std).check_named("intertwining").passed)
 
     report.record("idempotency witness identity",
                   all(lhs == rhs for lhs, rhs in _idempotency_sides(b, gb, phi)))
@@ -468,11 +472,11 @@ def zeta_xi(b: PartialModuleAlgebra):
     """
     h = b.hopf
     m, d = b.dim, h.dim
-    mod_b = b.as_module()
-    std_b = standard_dilation(mod_b)
+    std_b = standard_dilation(b.as_module())
     mbar = std_b.projected.module
     reg = regular_module(h)
-    bh = tensor_with_global(mod_b, reg)
+    sm = partial_smash(b)
+    bh = sm.ambient_module
     std_bh = standard_dilation(bh)
     over = std_bh.projected.module
     dim_bt = mbar.dim * d
@@ -501,7 +505,6 @@ def zeta_xi(b: PartialModuleAlgebra):
     report.record("zeta is H-linear", intertwining_witness(zeta, over.pi, diag) is None)
 
     # the partial smash product is a direct summand of B (x) H
-    sm = partial_smash(b)
     pr = sm.projector
     report.record("smash idempotent commutes with the action",
                   intertwining_witness(pr, bh.pi, bh.pi) is None)

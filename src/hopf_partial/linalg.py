@@ -730,8 +730,3 @@ def vec_to_mat(v, rows, cols):
 def left_mult_operator(a: Mat):
     """Operator X -> a X on row-major vectorized square matrices."""
     return kron(a, Mat.identity(a.cols))
-
-
-def right_mult_operator(a: Mat):
-    """Operator X -> X a on row-major vectorized square matrices."""
-    return kron(Mat.identity(a.rows), a.transpose())

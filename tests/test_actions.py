@@ -308,6 +308,32 @@ def test_sparse_table_builds_per_construction(monkeypatch, construction, checked
     assert builds == {"_associativity_witness": checked}
 
 
+@pytest.mark.parametrize("construction, name, count", [
+    ("zeta_xi", "diagonal_action", 2),
+    ("globalize", "intertwining_witness", 4),
+    ("partial_smash", "_freeze3", 0),
+    ("global_smash", "_freeze3", 0),
+    ("globalize", "_freeze3", 0),
+])
+def test_nothing_is_built_or_checked_twice(monkeypatch, construction, name, count):
+    # zeta_xi reads B (x) H from partial_smash, which builds it once, and
+    # the diagonal action on Bbar (x) H; globalize reads the dilation's
+    # "intertwining" Check; the cubes are read off the L_s as Fractions
+    assert _builds(monkeypatch, construction, (name,)) == {name: count}
+
+
+def test_smash_records_b_tensor_h_and_its_cube():
+    for name, b in shipped_partial_algebras().items():
+        sm = ac.partial_smash(b)
+        reg = pm.regular_module(b.hopf)
+        assert sm.ambient_module == pm.tensor_with_global(b.as_module(), reg), name
+        assert sm.mult == hp._freeze3(a.col_list() for a in sm.left), name
+        gb = ac.globalize(b)[0]
+        assert gb.alg_mult == hp._freeze3(a.col_list() for a in gb.left), name
+        bs = ac.global_smash(gb)
+        assert bs.mult == hp._freeze3(a.col_list() for a in bs.left), name
+
+
 def test_morita_context_on_shipped_examples():
     algebras = shipped_partial_algebras()
     for name in ("kC2-dual-half", "kC2-dual-mixed-2", "sweedler-pure-1"):

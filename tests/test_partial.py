@@ -170,8 +170,10 @@ def test_tensor_over_base_of_graded_module(graded):
 
 
 def test_tensor_over_base_tower_module():
-    # hand derivation: the balanced word pairs close on (shift, 0) and
-    # (0, shift), so the relations kill all but the lowest tensor slot
+    # hand derivation: with s the shift, the generators' relations at x and
+    # y are -s (x) 1 - 1 (x) s and s (x) 1 - 1 (x) s (the twin eps~_x is -s),
+    # so the relations span the images of s (x) 1 and 1 (x) s and kill all
+    # but the lowest tensor slot
     w2 = pm.w_n_module(2)
     out = pm.tensor_over_base(w2, w2)
     assert out.dim == 1
