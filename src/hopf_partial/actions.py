@@ -39,11 +39,10 @@ from . import hopf as hp
 from .dilation import _factor_through, check_dilation, dilate_morphism, standard_dilation
 from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness, _freeze3,
                    _memo, _unit_witness, diagonal_action, mult_by, right_from_left)
-from .linalg import (Mat, ShapeError, Subspace, _columns, block_diag, column_space,
+from .linalg import (Mat, ShapeError, Subspace, _col, _columns, block_diag, column_space,
                      first_nonzero_col, first_unstable, frac, hstack,
-                     intertwining_witness, kron, mat_to_vec, rank, restrict_operators,
-                     solve, solve_blocks, solve_matrix, split_blocks, unit_vec,
-                     vec_scale, vstack)
+                     intertwining_witness, kron, rank, reshape, restrict_operators,
+                     solve_blocks, solve_matrix, split_blocks, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       is_global, regular_module)
 from .projection import _translates
@@ -127,8 +126,8 @@ def check_partial_action(b: PartialModuleAlgebra) -> ValidationReport:
     mod = b.as_module()
     report = ValidationReport("partial module algebra")
     report.record("algebra associativity", *_flag(_associativity_witness(b.left)))
-    report.record("algebra unit", _unit_witness(b.left, b.alg_unit) is None)
-    report.record("PA1", mult_by(b.action, b.hopf.unit) == Mat.identity(b.dim))
+    report.record("algebra unit", _unit_witness(b.left, _col(b.alg_unit)) is None)
+    report.record("PA1", mult_by(b.action, _col(b.hopf.unit))[0] == Mat.identity(b.dim))
     report.record("PA2", *_flag(_first_difference(_pa2_sides(b), b.dim)))
     pa3, pa3_primed = _pa3_sides(b)
     report.record("PA3", *_flag(_first_difference(pa3, b.dim)))
@@ -156,7 +155,7 @@ def _pa2_sides(b):
     sum c L(e_p . e_a) pi(e_q) over Delta(e_i) = sum c e_p (x) e_q: column
     (a, c) is e_i . (e_a e_c) and (e_i(1) . e_a)(e_i(2) . e_c), the witness."""
     h, m, pi, mu = b.hopf, b.dim, b.action, _columns(b.dim, b.left)
-    moved = [[mult_by(b.left, u) for u in a.col_list()] for a in pi]  # L(e_p . e_a)
+    moved = [mult_by(b.left, a) for a in pi]  # L(e_p . e_a)
     return [(a * mu, _columns(m, [hp.comult_sum(h, i, lambda p, q: moved[p][k] * pi[q],
                                                 m, m) for k in range(m)]))
             for i, a in enumerate(pi)]
@@ -171,9 +170,8 @@ def _pa3_sides(b):
     pi(e_p e_k), k = 0..d-1, are block row p of the "mult" Sweedler grid.
     """
     h, m = b.hopf, b.dim
-    ones = [a.apply(b.alg_unit) for a in b.action]
-    left = [mult_by(b.left, u) for u in ones]
-    right = [mult_by(b.right, u) for u in ones]
+    ones = _translates(b.as_module(), _col(b.alg_unit))
+    left, right = mult_by(b.left, ones), mult_by(b.right, ones)
     translates = [row for row, in split_blocks(
         hp.sweedler_grid(h, m, [("mult", b.action)]), [m] * h.dim, [h.dim * m])]
     stacked = hstack(b.action)
@@ -194,9 +192,9 @@ def check_global_action(b: PartialModuleAlgebra) -> ValidationReport:
                   check_partial_rep(mod).ok and is_global(mod))
     report.record("action through the coproduct",
                   *_flag(_first_difference(_pa2_sides(b), b.dim)))
+    one = _col(b.alg_unit)
     report.record("unit scaled by counit",
-                  all(a.apply(b.alg_unit) == vec_scale(b.alg_unit, c)
-                      for a, c in zip(b.action, b.hopf.counit)))
+                  all(a * one == one.scale(c) for a, c in zip(b.action, b.hopf.counit)))
     return report
 
 
@@ -210,16 +208,16 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
     glob = check_global_action(b_global)
     if not glob.ok:
         raise ValidationError(glob)
-    e = tuple(frac(x) for x in e)
-    left_e = mult_by(b_global.left, e)
-    if left_e.apply(e) != e:
+    e = _col(e)
+    left_e, = mult_by(b_global.left, e)
+    if left_e * e != e:
         raise ValidationError("e is not idempotent")
-    if left_e != mult_by(b_global.right, e):
+    if (left_e,) != mult_by(b_global.right, e):
         raise ValidationError("e is not central")
 
     incl = column_space(left_e).basis.transpose()
-    ops = [mult_by(b_global.left, u) for u in incl.col_list()]
-    left, unit = _subalgebra_left(incl, ops, _col(e), "eB is not closed as expected")
+    left, unit = _subalgebra_left(incl, mult_by(b_global.left, incl), e,
+                                  "eB is not closed as expected")
     action = restrict_operators([left_e * a for a in b_global.action], incl)
     out = PartialModuleAlgebra.build(b_global.hopf, [a.col_list() for a in left],
                                      unit.col(0), action)
@@ -245,11 +243,6 @@ def direct_product(algebras) -> PartialModuleAlgebra:
     unit = [x for a in algebras for x in a.alg_unit]
     action = [block_diag([a.action[i] for a in algebras]) for i in range(h.dim)]
     return PartialModuleAlgebra.build(h, mult, unit, action)
-
-
-def _col(v):
-    """The vector v as a one-column matrix."""
-    return Mat.from_cols([v], len(v))
 
 
 def _subalgebra_left(incl, ops, extra, msg):
@@ -317,15 +310,15 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     r = sub.dim
     incl = sub.basis.transpose()
 
-    left, coords = _subalgebra_left(incl, [mult_by(ops, u) for u in incl.col_list()],
+    left, coords = _subalgebra_left(incl, mult_by(ops, incl),
                                     pr * _unit_tensors(b.alg_unit, h),
                                     "smash product left its defining subspace")
-    unit, *ones = coords.col_list()
+    unit, ones = split_blocks(coords, [r], [1, h.dim])[0]
     if _unit_witness(left, unit) is not None:
         raise ValidationError("1 # 1 is not a two-sided unit")
-    module = PartialModule(h, r, tuple(mult_by(left, ci) for ci in ones))
+    module = PartialModule(h, r, mult_by(left, ones))
     out = SmashAlgebra(h, b.dim, sub, r, tuple(a.transpose().entries for a in left),
-                       unit, tuple(ones), module)
+                       unit.col(0), tuple(ones.col_list()), module)
     _memo(out, "_left", lambda: left)
     _memo(out, "projector", lambda: pr)
     _memo(out, "ambient_module", lambda: ambient)
@@ -361,7 +354,7 @@ def global_smash(gb: GlobalModuleAlgebra) -> SmashAlgebra:
     witness = _associativity_witness(out.left)
     if witness is not None:
         raise ValidationError(f"global smash product not associative at {witness}")
-    if unit is not None and _unit_witness(ops, unit) is not None:
+    if unit is not None and _unit_witness(ops, _col(unit)) is not None:
         raise ValidationError("1 # 1 is not a unit although Bbar is unital")
     return out
 
@@ -372,24 +365,21 @@ def _convolution_ops(b: PartialModuleAlgebra, fs: Mat):
     """The operators g -> f * g on B^d, one per column f of fs.
 
     (f * g)(e_k) = sum c f(e_p) g(e_q) over Delta(e_k) = sum c e_p (x) e_q,
-    so block row k of the operator is that Sweedler sum of L(f(e_p)) put
-    in block column q.
+    so the operator is the "row" Sweedler grid of the L(f(e_p)): its block
+    (k, q) is sum c L(f(e_p)) over the terms of Delta(e_k) with second leg q.
     """
-    h, m, d = b.hopf, b.dim, b.hopf.dim
-    slots = [Mat([unit_vec(d, q)]) for q in range(d)]
-    legs = ([mult_by(b.left, f[p * m:(p + 1) * m]) for p in range(d)]
-            for f in fs.col_list())
-    return [vstack([hp.comult_sum(h, k, lambda p, q: kron(slots[q], at[p]), m, m * d)
-                    for k in range(d)])
-            for at in legs]
+    h, m = b.hopf, b.dim
+    legs = [mult_by(b.left, f_p) for f_p, in split_blocks(fs, [m] * h.dim, [fs.cols])]
+    return [hp.sweedler_grid(h, m, [("row", at)]) for at in zip(*legs)]
 
 
 def _find_unit(left, right):
     """The two-sided unit u, sum u_s L_s = I = sum u_s R_s, of a nonzero algebra
     with L_s left and R_s right, or None: column j says R_j u = e_j = L_j u."""
     n = len(left)
-    ident = mat_to_vec(Mat.identity(n))
-    return solve(vstack(right + left), ident + ident) if n else None
+    ident = reshape(Mat.identity(n), n * n, 1)
+    u = solve_matrix(vstack(right + left), vstack([ident, ident])) if n else None
+    return None if u is None else u.col(0)
 
 
 def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
@@ -398,8 +388,8 @@ def _idempotency_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     Column j of the two sides is sum c (e_p . phi(e_j))(e_q . phi(1)) and
     e_i . phi(e_j), with the action and right multiplications of Bbar.
     """
-    phi_unit = phi.apply(b.alg_unit)
-    by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
+    phi_unit = phi * _col(b.alg_unit)
+    by_unit = mult_by(gb.right, hstack([a * phi_unit for a in gb.action]))
     return [(hp.comult_sum(b.hopf, i, lambda p, q: by_unit[q] * gb.action[p] * phi,
                            gb.dim, b.dim), a * phi)
             for i, a in enumerate(gb.action)]
@@ -437,7 +427,7 @@ def globalize(b: PartialModuleAlgebra):
 
     phi = std.theta
     report.record("phi multiplicative", intertwining_witness(
-        phi, b.left, [mult_by(left, u) for u in phi.col_list()]) is None)
+        phi, b.left, mult_by(left, phi)) is None)
     report.record("phi(B) is a two-sided ideal",
                   first_unstable(column_space(phi), left + right) is None)
 
@@ -492,7 +482,7 @@ def zeta_xi(b: PartialModuleAlgebra):
 
     # block i: sum c over(e_p) theta (1 (x) L(S e_q)) over Delta(e_i)
     twisted = [std_bh.theta * kron(Mat.identity(m), s)
-               for s in hp.antipode_images(h, reg.pi, d, d)]
+               for s in hp.antipode_images(h, reg.pi)]
     xi_target = hstack([hp.comult_sum(h, i, lambda p, q: over.pi[p] * twisted[q],
                                       over.dim, m * d)
                         for i in range(d)])
@@ -531,7 +521,7 @@ def _phi_expressions(b: PartialModuleAlgebra, phi, pr, right):
     pr is the smash projector and right the R_s of Bbar # H."""
     h = b.hopf
     phi_amb = kron(phi, Mat.identity(h.dim))
-    by_one = mult_by(right, kron(_col(phi.apply(b.alg_unit)), _col(h.unit)).col(0))
+    by_one, = mult_by(right, kron(phi * _col(b.alg_unit), _col(h.unit)))
     return phi_amb * pr, by_one * phi_amb, by_one * phi_amb * pr
 
 
@@ -545,15 +535,13 @@ def _evaluated_sides(b: PartialModuleAlgebra, gb: GlobalModuleAlgebra, phi):
     """
     h, m = b.hopf, b.dim
     incl = standard_dilation(b.as_module()).ambient_inclusion
-    phi_unit = phi.apply(b.alg_unit)
-    twisted = [phi * mult_by(b.right, a.apply(b.alg_unit)) for a in b.action]
-    by_unit = [mult_by(gb.right, a.apply(phi_unit)) for a in gb.action]
-    # block s of column i of the "mult" grid times 1_B in each block is
-    # pi(e_s e_i) 1; at_one[s][i] = R(pi(e_s e_i) 1)
-    at_ones = (hp.sweedler_grid(h, m, [("mult", b.action)])
-               * kron(Mat.identity(h.dim), _col(b.alg_unit))).col_list()
-    at_one = [[mult_by(b.right, col[s * m:s * m + m]) for col in at_ones]
-              for s in range(h.dim)]
+    one = _col(b.alg_unit)
+    ones = _translates(b.as_module(), one)  # column p is pi(e_p) 1
+    twisted = [phi * r for r in mult_by(b.right, ones)]
+    phi_unit = phi * one
+    by_unit = mult_by(gb.right, hstack([a * phi_unit for a in gb.action]))
+    # column i of ones L_s is pi(e_s e_i) 1, so at_one[s][i] = R(pi(e_s e_i) 1)
+    at_one = [mult_by(b.right, ones * left_s) for left_s in h.left]
     return [(incl * hp.comult_sum(h, i, lambda p, q: by_unit[q] * twisted[p],
                                   gb.dim, m),
              vstack([hp.comult_sum(h, k, lambda r, s: at_one[s][i] * b.action[r], m, m)
@@ -580,13 +568,13 @@ def morita_context(b: PartialModuleAlgebra):
     sm = partial_smash(b)
     bs = global_smash(gb)
     dim_bt = bs.dim
-    left, right = list(bs.left), list(bs.right)
+    left, right = bs.left, bs.right
 
     report = ValidationReport("morita context")
 
     phi_amb = kron(phi, Mat.identity(b.hopf.dim))
     phi_sm = phi_amb * sm.ambient.basis.transpose()
-    phi_sm_left = [mult_by(left, v) for v in phi_sm.col_list()]
+    phi_sm_left = mult_by(left, phi_sm)
     report.record("Phi multiplicative",
                   intertwining_witness(phi_sm, sm.left, phi_sm_left) is None)
 
@@ -603,17 +591,15 @@ def morita_context(b: PartialModuleAlgebra):
         first_unstable(p_space, phi_sm_left + right) is None)
     report.record(
         "Q stable under Bbar#H on the left and Phi(B#H) on the right",
-        first_unstable(q_space, left + [mult_by(right, v) for v in phi_sm.col_list()])
+        first_unstable(q_space, left + mult_by(right, phi_sm))
         is None)
 
     p_mat, q_mat = p_space.basis.transpose(), q_space.basis.transpose()
-    tau_image = column_space(_columns(
-        dim_bt, [mult_by(left, v) * q_mat for v in p_space.vectors()]))
+    tau_image = column_space(_columns(dim_bt, [a * q_mat for a in mult_by(left, p_mat)]))
     report.record("tau lands in Phi(B#H)",
                   phi_sm_image.contains_subspace(tau_image))
     report.record("tau surjective onto Phi(B#H)", tau_image == phi_sm_image)
 
-    mu_image = column_space(_columns(
-        dim_bt, [mult_by(left, v) * p_mat for v in q_space.vectors()]))
+    mu_image = column_space(_columns(dim_bt, [a * p_mat for a in mult_by(left, q_mat)]))
     report.record("mu surjective onto Bbar#H", mu_image.dim == dim_bt)
     return p_space, q_space, report

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .hopf import _memo, sweedler_grid
-from .linalg import (Mat, block_diag, column_space, intertwining_witness,
-                     kernel_basis, kron, rank, solve, solve_blocks, solve_matrix,
-                     vstack)
+from .linalg import (Mat, block_diag, column_space, hstack,
+                     intertwining_witness, kernel_basis, kron, rank, solve_blocks,
+                     solve_matrix, split_blocks, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
-                      direct_sum, intertwiner_system, is_global, is_module_iso)
+                      direct_sum, is_global, is_module_iso)
 from .projection import ProjectedModule, _translates, is_minimal, is_proper, restrict
 from .reports import ValidationError, ValidationReport, require
 
@@ -222,8 +222,8 @@ def global_iff_phi_iso(m: PartialModule) -> ValidationReport:
 
     (a) the action matrices multiply like the Hopf algebra;
     (b) the embedding into the standard dilation is bijective;
-    (c) the embedding has a right inverse intertwiner, found by solving
-        the corresponding linear system.
+    (c) the embedding has a right inverse intertwiner, read off the
+        translates of theta.
     Agreement of the three is asserted; for global input the projection of
     the standard dilation must be the identity.
     """
@@ -247,25 +247,25 @@ def global_iff_phi_iso(m: PartialModule) -> ValidationReport:
 
 
 def _right_inverse_exists(m: PartialModule, std: Dilation) -> bool:
-    """Is there psi with psi theta = id and psi pi_Mbar(e_i) = pi(e_i) psi?"""
+    """Is there psi with psi theta = id and psi pi_Mbar(e_i) = pi(e_i) psi?
+    Such a psi sends the translates pi_Mbar(e_i) theta, which span Mbar, to
+    the pi(e_i), so it is the one F with [F pi_Mbar(e_i) theta]_i = [pi(e_i)]_i,
+    if that F exists, F theta = id and F intertwines."""
     mbar = std.projected.module
-    n, nb = m.dim, mbar.dim
-    if n == 0:
-        return True
-    if nb == 0:
+    ft = solve_matrix(_translates(mbar, std.theta).transpose(), hstack(m.pi).transpose())
+    if ft is None:
         return False
-    system = vstack([kron(Mat.identity(n), std.theta.transpose()),
-                     intertwiner_system(mbar.pi, m.pi)])
-    flat_rhs = [x for row in Mat.identity(n).entries for x in row]
-    flat_rhs.extend([0] * (n * nb * m.hopf.dim))
-    return solve(system, flat_rhs) is not None
+    psi = ft.transpose()
+    return (psi * std.theta == Mat.identity(m.dim)
+            and intertwining_witness(psi, mbar.pi, m.pi) is None)
 
 
 def dilation_preserves_sums(ms) -> ValidationReport:
     """Dilation of a direct sum versus the direct sum of dilations.
 
     The canonical comparison is assembled from the dilated inclusion
-    morphisms and asserted to be a bijective intertwiner.
+    morphisms, the column blocks of the identity of the direct sum, and
+    asserted to be a bijective intertwiner.
     """
     ms = list(ms)
     report = ValidationReport("dilation preserves direct sums")
@@ -276,16 +276,9 @@ def dilation_preserves_sums(ms) -> ValidationReport:
     report.record("dimension additivity",
                   total_bar_dim == sum(s.projected.module.dim for s in stds))
 
-    offset = 0
-    cols = []
-    for m, s in zip(ms, stds):
-        inj = Mat([[1 if r == offset + c else 0 for c in range(m.dim)]
-                   for r in range(total.dim)], cols=m.dim)
-        bar = dilate_morphism(ModuleMorphism.build(m, total, inj))
-        cols.extend(bar.col_list())
-        offset += m.dim
-    canonical = Mat.from_cols(cols, total_bar_dim) if cols \
-        else Mat.zeros(total_bar_dim, 0)
+    injections, = split_blocks(Mat.identity(total.dim), [total.dim], [m.dim for m in ms])
+    canonical = hstack([dilate_morphism(ModuleMorphism.build(m, total, inj))
+                        for m, inj in zip(ms, injections)])
 
     bijective = canonical.rows == canonical.cols == rank(canonical)
     report.record("canonical map bijective", bijective)

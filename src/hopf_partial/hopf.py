@@ -16,10 +16,11 @@ the inverse antipode; construction fails if S is singular.
 Products of elements are matrices: ``left_mults`` gives the L_s of
 u -> e_s u of an algebra given by constants, ``right_from_left`` reads
 the R_s of u -> u e_s off them, and ``mult_by`` turns either family, or
-any other, into the combination sum u_s X_s.  The unit witness and the
-associativity witness read the L_s; the associativity witness takes their
-columns as integer numerators over one common denominator, so both sides
-of each triple are compared as integer vectors.
+any other, into the combinations sum u_s X_s, one per column u of a
+coefficient matrix.  The unit witness and the associativity witness read
+the L_s; the associativity witness takes their columns as integer
+numerators over one common denominator, so both sides of each triple are
+compared as integer vectors.
 
 The coalgebra, bialgebra and antipode axioms and the conditions on a
 Hopf morphism are identities on the product mu (d x d^2, the L_s side by
@@ -51,10 +52,11 @@ so equality and hashing see only the arrays.
 """
 
 from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import (Mat, ShapeError, _columns, _common_den, _mat_sum, _reduced,
+from .linalg import (Mat, ShapeError, _col, _columns, _common_den, _mat_sum, _reduced,
                      first_nonzero_col, frac, inverse, kron, unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
@@ -112,11 +114,17 @@ class ConstantsAlgebra:
         return _memo(self, "_right", lambda: right_from_left(self.left))
 
 
-def mult_by(mats, u):
-    """sum u_s mats[s], for a family of n x n matrices: L(u) from the L_s,
-    R(u) from the R_s, pi(u) from a module's pi; n = len(u) if it is empty."""
-    n = mats[0].rows if mats else len(u)
-    return _mat_sum(((m, c) for m, c in zip(mats, u) if c), n, n)
+def mult_by(mats, u: Mat):
+    """sum_s u[s, j] mats[s] for each column j of u: L(u_j) from the L_s,
+    R(u_j) from the R_s, pi(u_j) from a module's pi.  Zero coefficients are
+    skipped and 1 scales nothing; an empty family gives u.cols zero matrices
+    of size u.rows.  Raises ShapeError unless u has one row per matrix."""
+    if u.rows != len(mats):
+        raise ShapeError(f"{u.rows} coefficient rows for {len(mats)} matrices")
+    rows, cols = (mats[0].rows, mats[0].cols) if mats else (u.rows, u.rows)
+    return tuple(_mat_sum(((mats[s], x if u.den == 1 else Fraction(x, u.den))
+                           for s, x in enumerate(col) if x), rows, cols)
+                 for col in u.transpose().num)
 
 
 def comult_sum(h, i, term, rows, cols):
@@ -132,11 +140,10 @@ def diagonal_action(h, left, right):
                  for i in range(h.dim))
 
 
-def antipode_images(h, mats, rows, cols):
+def antipode_images(h, mats):
     """(f(S e_0), ..., f(S e_{d-1})) for the linear f with f(e_j) = mats[j]:
-    entry i sums c mats[j] over S(e_i) = sum c e_j, a rows x cols matrix."""
-    return tuple(_mat_sum(((mats[j], c) for j, c in terms), rows, cols)
-                 for terms in h.antipode_terms)
+    entry i sums c mats[j] over S(e_i) = sum c e_j, column i of S."""
+    return mult_by(mats, h.antipode)
 
 
 def _grid_placements(h, kind):
@@ -276,14 +283,13 @@ def _associativity_witness(left):
     return None
 
 
-def _unit_witness(left, unit):
-    """First basis index j where unit fails to be a two-sided unit, given the
-    left multiplications of the algebra: the first nonzero column of L(u) - I
-    over [L_0 u | ... | L_{n-1} u] - I, whose columns j are u e_j and e_j u."""
-    n = len(unit)
-    ident = Mat.identity(n)
-    by_unit = Mat.from_cols([a.apply(unit) for a in left], n)
-    return first_nonzero_col(vstack([mult_by(left, unit) - ident, by_unit - ident]))
+def _unit_witness(left, unit: Mat):
+    """First basis index j where the column unit fails to be a two-sided unit,
+    given the L_s: the first nonzero column of L(u) - I over
+    [L_0 u | ... | L_{n-1} u] - I, whose columns j are u e_j and e_j u."""
+    ident = Mat.identity(unit.rows)
+    by_unit = _columns(unit.rows, [a * unit for a in left])
+    return first_nonzero_col(vstack([mult_by(left, unit)[0] - ident, by_unit - ident]))
 
 
 @dataclass(frozen=True)
@@ -344,17 +350,13 @@ class HopfAlgebraData(ConstantsAlgebra):
                 raise ValidationError(report)
         return h
 
-    def is_cocommutative(self):
-        return all(self.comult[i][k][j] == c
-                   for i, terms in enumerate(self.comult_terms) for j, k, c in terms)
-
 
 def _structure_maps(h):
     """mu, Delta, the unit column u and the counit row eps of h as matrices."""
     d = h.dim
     return (_columns(d, h.left),
             Mat.from_cols([[x for row in plane for x in row] for plane in h.comult], d * d),
-            Mat.from_cols([h.unit], d), Mat([h.counit], cols=d))
+            _col(h.unit), Mat([h.counit], cols=d))
 
 
 def _record_identity(report, name, difference):
@@ -372,10 +374,10 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
     witness = _associativity_witness(h.left)
     report.record("associativity", witness is None, witness)
 
-    witness = _unit_witness(h.left, h.unit)
+    mu, delta, unit, eps = _structure_maps(h)
+    witness = _unit_witness(h.left, unit)
     report.record("unit", witness is None, witness)
 
-    mu, delta, unit, eps = _structure_maps(h)
     ident = Mat.identity(d)
     _record_identity(report, "coassociativity",
                      kron(delta, ident) * delta - kron(ident, delta) * delta)
@@ -384,9 +386,9 @@ def validate_hopf(h: HopfAlgebraData) -> ValidationReport:
 
     # eps mu = eps (x) eps and Delta L_i = D_i Delta, D the diagonal action on H (x) H
     witness = None
-    if eps.apply(h.unit) != (1,):
+    if eps * unit != Mat.identity(1):
         witness = ("counit of unit",)
-    elif delta.apply(h.unit) != kron(unit, unit).col(0):
+    elif delta * unit != kron(unit, unit):
         witness = ("comult of unit",)
     else:
         by_eps = eps * mu - kron(eps, eps)
@@ -523,10 +525,10 @@ def hopf_morphism_report(src: HopfAlgebraData, dst: HopfAlgebraData,
     if f.rows != dst.dim or f.cols != src.dim:
         raise ShapeError("morphism matrix shape mismatch")
     report = ValidationReport("hopf morphism")
-    report.record("unit", f.apply(src.unit) == dst.unit)
+    mu, delta, unit, eps = _structure_maps(src)
+    mu_dst, delta_dst, unit_dst, eps_dst = _structure_maps(dst)
+    report.record("unit", f * unit == unit_dst)
 
-    mu, delta, _, eps = _structure_maps(src)
-    mu_dst, delta_dst, _, eps_dst = _structure_maps(dst)
     ff = kron(f, f)
     j = first_nonzero_col(f * mu - mu_dst * ff)
     witness = None if j is None else divmod(j, src.dim)

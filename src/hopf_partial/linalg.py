@@ -36,7 +36,9 @@ Conventions, fixed once for the whole package:
 * a matrix represents a linear map in the column convention: column j is
   the image of the j-th basis vector, and composition "apply A then B" is
   the product B*A;
-* vectors are tuples of Fractions;
+* a vector is an n x 1 `Mat` column and a family of them the columns of
+  one `Mat`; `Fraction` tuples appear only in dataclass fields and the
+  entry views, and `_col` turns one into a column;
 * tensor/Kronecker bases are ordered first-factor-major, i.e. the pair
   (i, k) of factor indices becomes the single index i*dim2 + k.
 """
@@ -62,11 +64,6 @@ def frac(x) -> Fraction:
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def vec_scale(u, c):
-    c = frac(c)
-    return tuple(c * a for a in u)
 
 
 def unit_vec(n, i):
@@ -296,6 +293,12 @@ def hstack(mats):
     return _mat([list(chain.from_iterable(_lift(m.num[i], f)
                                           for m, f in zip(mats, lifts)))
                  for i in range(rows)], den, sum(m.cols for m in mats))
+
+
+def _col(v):
+    """The vector v, a sequence of scalars, as a one-column matrix."""
+    num, den = _int_row(v)
+    return _mat([[x] for x in num], den, 1)
 
 
 def _columns(rows, mats):
@@ -716,17 +719,10 @@ def restrict_operators(ops, incl: Mat):
     return blocks
 
 
-def mat_to_vec(m: Mat):
-    """Row-major flattening of a matrix into a single vector."""
-    return _fracs(chain.from_iterable(m.num), m.den)
-
-
-def vec_to_mat(v, rows, cols):
-    if len(v) != rows * cols:
-        raise ShapeError("vector length does not factor")
-    return Mat([v[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
-
-
-def left_mult_operator(a: Mat):
-    """Operator X -> a X on row-major vectorized square matrices."""
-    return kron(a, Mat.identity(a.cols))
+def reshape(m: Mat, rows, cols) -> Mat:
+    """The entries of m, read row-major, refilled into a rows x cols matrix;
+    numerators and denominator carry over, so the result stays canonical."""
+    if m.rows * m.cols != rows * cols:
+        raise ShapeError("entry count does not match the new shape")
+    flat = list(chain.from_iterable(m.num))
+    return _mat([flat[i * cols:(i + 1) * cols] for i in range(rows)], m.den, cols)

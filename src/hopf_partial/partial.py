@@ -42,11 +42,11 @@ from dataclasses import dataclass
 
 from . import hopf as hp
 from .hopf import HopfAlgebraData, _memo, builtin, diagonal_action
-from .linalg import (Mat, ShapeError, Subspace, block_diag, column_space,
+from .linalg import (Mat, ShapeError, Subspace, _col, _columns, block_diag, column_space,
                      first_unstable, frac, hstack, intertwining_witness, inverse,
-                     kernel_basis, kron, left_mult_operator, mat_to_vec,
-                     nonzero_blocks, quotient_map, quotient_section, rank, restrict_operators,
-                     span_closure, split_blocks, vec_to_mat, vstack)
+                     kernel_basis, kron, nonzero_blocks, quotient_map, quotient_section,
+                     rank, reshape, restrict_operators, span_closure, split_blocks,
+                     vstack)
 from .reports import Check, ValidationError, ValidationReport, require
 
 
@@ -73,7 +73,7 @@ class PartialModule:
 
 def _antipode_images(m: PartialModule):
     """(pi(S e_0), ..., pi(S e_{d-1})), summed once per module and memoized."""
-    return _memo(m, "_pi_s", lambda: hp.antipode_images(m.hopf, m.pi, m.dim, m.dim))
+    return _memo(m, "_pi_s", lambda: hp.antipode_images(m.hopf, m.pi))
 
 
 def twisted_conjugates(m: PartialModule, t=None, tilde=False):
@@ -155,7 +155,7 @@ def _evaluate_partial_rep(m: PartialModule):
     h = m.hopf
     d = h.dim
     n = m.dim
-    checks = [Check("PR1 unit", hp.mult_by(m.pi, h.unit) == Mat.identity(n))]
+    checks = [Check("PR1 unit", hp.mult_by(m.pi, _col(h.unit))[0] == Mat.identity(n))]
 
     pi_s = _antipode_images(m)
     dev = _deviation_table(m)
@@ -175,7 +175,7 @@ def _evaluate_partial_rep(m: PartialModule):
 
 def is_algebra_map(m: PartialModule) -> bool:
     """Direct globality test: pi respects unit and products of basis elements."""
-    if hp.mult_by(m.pi, m.hopf.unit) != Mat.identity(m.dim):
+    if hp.mult_by(m.pi, _col(m.hopf.unit))[0] != Mat.identity(m.dim):
         return False
     return _deviation_table(m).is_zero()
 
@@ -197,7 +197,11 @@ def is_global(m: PartialModule) -> bool:
 
 
 def global_core(m: PartialModule) -> Subspace:
-    """Largest global submodule: {v : pi(e_i) pi(e_j) v = pi(e_i e_j) v}."""
+    """Largest global submodule: {v : pi(e_i) pi(e_j) v = pi(e_i e_j) v};
+    raises ValidationError unless m passes PR1-PR5."""
+    rep = check_partial_rep(m)
+    if not rep.ok:
+        raise ValidationError(rep)
     n, d = m.dim, m.hopf.dim
     table = _deviation_table(m)
     if table.is_zero():
@@ -215,7 +219,11 @@ def global_shadow(m: PartialModule):
     invariant for any family pi: D is bilinear and H associative, so
     pi(e_k) D(e_a, e_b) = D(e_k, e_a) pi(e_b) + D(e_k e_a, e_b)
     - D(e_k, e_a e_b).  The descent of pi to the quotient re-checks it.
+    Raises ValidationError unless m passes PR1-PR5.
     """
+    rep = check_partial_rep(m)
+    if not rep.ok:
+        raise ValidationError(rep)
     rel = column_space(hstack(_basis_deviations(m)))
     q, qdim, pis = quotient_action(m.dim, rel, m.pi)
     shadow = PartialModule(m.hopf, qdim, tuple(pis))
@@ -243,8 +251,8 @@ def hom_space(m: PartialModule, n: PartialModule):
     s, t = m.dim, n.dim
     if s == 0 or t == 0:
         return []
-    ker = kernel_basis(intertwiner_system(m.pi, n.pi))
-    return [vec_to_mat(v, t, s) for v in ker.vectors()]
+    ker = kernel_basis(intertwiner_system(m.pi, n.pi)).basis
+    return [reshape(row, t, s) for row, in split_blocks(ker, [1] * ker.rows, [t * s])]
 
 
 @dataclass(frozen=True)
@@ -282,10 +290,11 @@ def direct_sum(ms) -> PartialModule:
 
 
 def _generated_algebra(n, gens) -> Subspace:
-    """Span of all words in the n x n matrices gens, the empty word included."""
-    seed = Subspace.from_vectors(n * n, [mat_to_vec(Mat.identity(n))]
-                                 + [mat_to_vec(g) for g in gens])
-    return span_closure(seed, [left_mult_operator(g) for g in gens])
+    """Span of all words in the n x n matrices gens, the empty word included,
+    inside k^(n n), where kron(g, I) acts on a row-major flattened X as g X."""
+    ident = Mat.identity(n)
+    seed = column_space(hstack([reshape(g, n * n, 1) for g in (ident, *gens)]))
+    return span_closure(seed, [kron(g, ident) for g in gens])
 
 
 def image_algebra(m: PartialModule) -> Subspace:
@@ -348,11 +357,6 @@ def tensor_over_base(m: PartialModule, n: PartialModule) -> PartialModule:
 
 # -- the two worked classifications ------------------------------------------
 
-def _eigenbasis_columns(op: Mat, eigenvalue):
-    space = kernel_basis(op - Mat.identity(op.rows).scale(eigenvalue))
-    return space, space.vectors()
-
-
 def classify_dual_c2(m: PartialModule):
     """Eigenspace decomposition of a partial module over the dual of C2.
 
@@ -365,12 +369,10 @@ def classify_dual_c2(m: PartialModule):
     ident = Mat.identity(m.dim)
     require((t * (t - ident) * (t.scale(2) - ident)).is_zero(),
             "pi(p0) does not satisfy t(t-1)(2t-1) = 0")
-    _, v0 = _eigenbasis_columns(t, 1)
-    _, v1 = _eigenbasis_columns(t, 0)
-    _, vh = _eigenbasis_columns(t, frac("1/2"))
-    dims = (len(v0), len(v1), len(vh))
+    spaces = [kernel_basis(t - ident.scale(c)) for c in (1, 0, frac("1/2"))]
+    dims = tuple(space.dim for space in spaces)
     require(sum(dims) == m.dim, "eigenspaces do not fill the module")
-    cb = Mat.from_cols(v0 + v1 + vh, m.dim)
+    cb = _columns(m.dim, [space.basis.transpose() for space in spaces])
     diag = block_diag([Mat.identity(dims[0]),
                        Mat.zeros(dims[1], dims[1]),
                        Mat.identity(dims[2]).scale(frac("1/2"))])

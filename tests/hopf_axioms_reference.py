@@ -10,7 +10,7 @@ names, pass flags and witnesses.
 """
 
 from hopf_partial.hopf import _associativity_witness, _unit_witness, mult_by
-from hopf_partial.linalg import Mat, ShapeError, frac
+from hopf_partial.linalg import Mat, ShapeError, _col, frac
 from hopf_partial.reports import ValidationReport
 
 
@@ -46,7 +46,7 @@ def validate_hopf(h) -> ValidationReport:
     witness = _associativity_witness(h.left)
     report.record("associativity", witness is None, witness)
 
-    witness = _unit_witness(h.left, h.unit)
+    witness = _unit_witness(h.left, _col(h.unit))
     report.record("unit", witness is None, witness)
 
     witness = next(((i,) for i in range(d)
@@ -116,7 +116,7 @@ def hopf_morphism_report(src, dst, f: Mat) -> ValidationReport:
     report = ValidationReport("hopf morphism")
     report.record("unit", f.apply(src.unit) == dst.unit)
 
-    images = [mult_by(dst.left, x) for x in f.col_list()]
+    images = mult_by(dst.left, f)
     witness = next(((i, j) for i in range(src.dim) for j in range(src.dim)
                     if f.apply(src.mult[i][j]) != images[i].apply(f.col(j))), None)
     report.record("multiplicative", witness is None, witness)

@@ -15,6 +15,7 @@ from hopf_partial import linalg as la
 from hopf_partial import partial as pm
 from hopf_partial.hopf import diagonal_action
 from hopf_partial.reports import require
+from vector_reference import left_mult_operator, mat_to_vec, vec_to_mat
 
 
 def shadow_relations(m: pm.PartialModule) -> la.Subspace:
@@ -46,11 +47,11 @@ def balanced_word_pairs(m: pm.PartialModule, n: pm.PartialModule):
     dm, dn = m.dim, n.dim
     gens = list(zip(pm.twisted_conjugates(m, tilde=True), pm.twisted_conjugates(n)))
     seed = la.Subspace.from_vectors(dm * dm + dn * dn, [
-        la.mat_to_vec(a) + la.mat_to_vec(b)
+        mat_to_vec(a) + mat_to_vec(b)
         for a, b in [(la.Mat.identity(dm), la.Mat.identity(dn)), *gens]])
-    ops = [la.block_diag([la.left_mult_operator(a), right_mult_operator(b)])
+    ops = [la.block_diag([left_mult_operator(a), right_mult_operator(b)])
            for a, b in gens]
-    return [(la.vec_to_mat(v[: dm * dm], dm, dm), la.vec_to_mat(v[dm * dm:], dn, dn))
+    return [(vec_to_mat(v[: dm * dm], dm, dm), vec_to_mat(v[dm * dm:], dn, dn))
             for v in la.span_closure(seed, ops).vectors()]
 
 

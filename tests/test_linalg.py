@@ -120,6 +120,22 @@ def test_quotient_section_is_right_inverse(n, data):
     assert q * section == la.Mat.identity(dim)
 
 
+def test_reshape_refills_the_entries_row_major():
+    a = la.Mat([[1, "1/2"], [3, 4], [5, 6]])
+    flat = la.reshape(a, 6, 1)
+    assert flat.col(0) == tuple(x for row in a.entries for x in row)
+    assert la.reshape(flat, 3, 2) == a
+    assert la.reshape(a, 2, 3) == la.Mat([[1, "1/2", 3], [4, 5, 6]])
+    assert la.reshape(la.Mat.zeros(0, 3), 3, 0) == la.Mat.zeros(3, 0)
+    with pytest.raises(la.ShapeError):
+        la.reshape(a, 4, 2)
+
+
+def test_col_is_the_canonical_one_column_matrix():
+    assert la._col(("1/2", 0, F(-1, 3))) == la.Mat([["1/2"], [0], [F(-1, 3)]])
+    assert la._col(()) == la.Mat.zeros(0, 1)
+
+
 def test_kron_of_identities():
     assert la.kron(la.Mat.identity(2), la.Mat.identity(3)) == la.Mat.identity(6)
 

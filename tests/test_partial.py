@@ -75,8 +75,8 @@ def test_is_pure(graded):
 
 def test_hom_space_contains_identity(graded):
     homs = pm.hom_space(graded, graded)
-    span = la.Subspace.from_vectors(9, [la.mat_to_vec(f) for f in homs])
-    assert span.contains(la.mat_to_vec(la.Mat.identity(3)))
+    span = la.column_space(la.hstack([la.reshape(f, 9, 1) for f in homs]))
+    assert span.contains(la.reshape(la.Mat.identity(3), 9, 1).col(0))
 
 
 def test_hom_space_shift_commutant():
@@ -219,13 +219,23 @@ def test_matrix_sweedler_sums_of_nothing_are_zero():
     assert hp.comult_sum(h, 2, lambda a, b: la.Mat.identity(3), 2, 5) == la.Mat.zeros(2, 5)
     # S(x) = -y and S(y) = x, applied to rows given on the basis
     rows = [la.Mat([[a, b, 0]]) for a, b in ((1, 0), (0, 1), (2, 0), (0, 3))]
-    assert hp.antipode_images(H4, rows, 1, 3)[2:] == (la.Mat([[0, -3, 0]]), rows[2])
+    assert hp.antipode_images(H4, rows)[2:] == (la.Mat([[0, -3, 0]]), rows[2])
     w2 = pm.w_n_module(2)
-    assert hp.mult_by(w2.pi, (0, 0, 0, 0)) == la.Mat.zeros(2, 2)
     assert hp.comult_sum(H4, 2, lambda a, b: w2.pi[a] * w2.pi[b], 2, 2) \
         == w2.pi[1] * w2.pi[2] + w2.pi[2]
-    assert hp.mult_by(w2.pi, (F(1, 2), 0, 1, -1)) \
-        == w2.pi[0].scale(F(1, 2)) + w2.pi[2] - w2.pi[3]
+    # one combination per coefficient column, the zero column included
+    assert hp.mult_by(w2.pi, la.Mat([[0, F(1, 2)], [0, 0], [0, 1], [0, -1]])) \
+        == (la.Mat.zeros(2, 2), w2.pi[0].scale(F(1, 2)) + w2.pi[2] - w2.pi[3])
+    assert hp.mult_by((), la.Mat.zeros(0, 3)) == (la.Mat.zeros(0, 0),) * 3
+
+
+def test_mult_by_needs_one_coefficient_row_per_matrix():
+    w2 = pm.w_n_module(2)
+    for u in (la._col((1, 0)), la.Mat.zeros(5, 1), la.Mat.zeros(0, 1)):
+        with pytest.raises(la.ShapeError):
+            hp.mult_by(w2.pi, u)
+    with pytest.raises(la.ShapeError):
+        hp.mult_by((), la._col((1,)))
 
 
 def test_classify_dual_c2(graded):

@@ -50,9 +50,8 @@ def hopf_in_basis(h, p):
     d = h.dim
     f = p.col_list()
     coords = [q.col(k) for k in range(d)]
-    left = hp.left_mults(h.mult, d)
-    mult = [[q.apply(hp.mult_by(left, f[i]).apply(f[j])) for j in range(d)]
-            for i in range(d)]
+    images = hp.mult_by(hp.left_mults(h.mult, d), p)
+    mult = [[q.apply(images[i].apply(f[j])) for j in range(d)] for i in range(d)]
     comult = []
     for i in range(d):
         # Delta(f_i) = sum_k p[k, i] Delta(e_k), rewritten in f (x) f
@@ -70,7 +69,7 @@ def hopf_in_basis(h, p):
 
 def module_in_basis(h2, m, p):
     """m as a module over hopf_in_basis(m.hopf, p): pi(f_j) = sum_i p[i, j] pi(e_i)."""
-    return pm.PartialModule(h2, m.dim, tuple(hp.mult_by(m.pi, v) for v in p.col_list()))
+    return pm.PartialModule(h2, m.dim, hp.mult_by(m.pi, p))
 
 
 @pytest.mark.parametrize("name", hp.BUILTIN_NAMES)

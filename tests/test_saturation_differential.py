@@ -7,7 +7,10 @@ column space of the generators' relations eps~_i (x) 1 - 1 (x) eps_i.
 `saturation_reference` keeps the span-saturation forms they replaced.
 The relation spans must agree as subspaces (canonical echelon bases), and
 the outputs or the `ValidationError` messages exactly, on seeded modules
-over every builtin and on one-entry perturbations of them.
+over every builtin and on one-entry perturbations of them.  Dev is
+pi-invariant for any family, so the shadow's relation spans are compared
+on the perturbed modules too, which `global_shadow` itself refuses with
+their PR1-PR5 report.
 """
 
 import pytest
@@ -16,6 +19,7 @@ from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
 from hopf_partial.demos import partially_graded_module
+from hopf_partial.reports import ValidationError
 
 import gen
 import saturation_reference as ref
@@ -42,22 +46,30 @@ def test_global_shadow_matches_the_fixpoint(monkeypatch, name):
     kinds = set()
     for m in shadow_inputs(name):
         calls.clear()
+        assert la.column_space(la.hstack(pm._basis_deviations(m))) \
+            == ref.shadow_relations(m)
         got = outcome(pm.global_shadow, m)
-        assert calls[0][1] == ref.shadow_relations(m)
-        assert got == outcome(ref.global_shadow, m)
-        kinds.add((got[0], pm.check_partial_rep(m).ok))
-    # valid modules, and perturbed ones that still have a global quotient
-    assert {("ok", True), ("ok", False)} <= kinds
+        rep = pm.check_partial_rep(m)
+        if rep.ok:
+            assert calls[0][1] == ref.shadow_relations(m)
+            assert got == outcome(ref.global_shadow, m)
+        else:
+            assert calls == []
+            assert got == ("error", str(ValidationError(rep)))
+        kinds.add((got[0], rep.ok))
+    assert {("ok", True), ("error", False)} <= kinds
 
 
-def test_global_shadow_errors_match_the_fixpoint():
+def test_global_shadow_and_core_refuse_a_module_that_fails_the_axioms():
     # pi(1) = pi(g) = P, a proper idempotent, is multiplicative, so every
-    # deviation vanishes and the shadow is the module itself, which fails PR1
+    # deviation vanishes and the fixpoint's shadow is the module itself,
+    # which fails PR1 only after the quotient is built
     p = la.Mat([[1, 0], [0, 0]])
     bad = pm.PartialModule(hp.builtin("kC2"), 2, (p, p))
-    got = outcome(pm.global_shadow, bad)
-    assert got == ("error", "shadow fails the partial axioms")
-    assert got == outcome(ref.global_shadow, bad)
+    assert outcome(ref.global_shadow, bad) == ("error", "shadow fails the partial axioms")
+    refused = ("error", "partial representation: failed checks: PR1 unit")
+    assert outcome(pm.global_shadow, bad) == refused
+    assert outcome(pm.global_core, bad) == refused
 
 
 def tensor_pairs(name):

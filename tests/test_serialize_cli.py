@@ -147,6 +147,14 @@ def test_cli_core_shadow_restrict(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["dim"] == 3
 
 
+@pytest.mark.parametrize("verb", ["core", "shadow"])
+def test_cli_core_and_shadow_refuse_a_module_that_fails_the_axioms(tmp_path, capsys, verb):
+    path = _write(tmp_path, "bad.json", {"hopf": "kC2", "dim": 1, "pi": [[["2"]], [["0"]]]})
+    assert _outcome([verb, "--input", path], capsys) == (
+        1, "", "validation failed: partial representation: "
+               "failed checks: PR1 unit, PR2, PR3, PR4, PR5\n")
+
+
 def test_cli_algebra_verbs(tmp_path, capsys):
     half = shipped_partial_algebras()["kC2-dual-half"]
     path = _write(tmp_path, "half.json",

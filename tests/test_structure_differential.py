@@ -27,7 +27,7 @@ from hopf_partial import actions as ac
 from hopf_partial import hopf as hp
 from hopf_partial import partial as pm
 from hopf_partial.demos import graded_group_algebra, shipped_partial_algebras
-from hopf_partial.linalg import Mat
+from hopf_partial.linalg import Mat, _col
 from test_actions import adjoint_action_algebra
 from test_actions_differential import perturbed_globalizations
 
@@ -57,9 +57,9 @@ def assert_same_algebra(mult, unit, us, vs):
     left = hp.left_mults(mult, len(mult))
     assert hp._associativity_witness(left) == ref.associativity_witness(mult)
     if unit is not None:
-        assert hp._unit_witness(left, unit) == ref.unit_witness(mult, unit)
+        assert hp._unit_witness(left, _col(unit)) == ref.unit_witness(mult, unit)
     for u, v in zip(us, vs):
-        assert hp.mult_by(left, u).apply(v) == ref.alg_prod(mult, u, v)
+        assert hp.mult_by(left, _col(u))[0].apply(v) == ref.alg_prod(mult, u, v)
 
 
 @st.composite
@@ -138,8 +138,7 @@ def test_smash_products_of_shipped_algebras(smash_algebras):
                    tuple(F((-1) ** x, x % 3 + 1) for x in range(s.dim))]
             assert_same_algebra(s.mult, s.unit, us, list(reversed(us)))
             assert s.left == tuple(hp.left_mults(s.mult, s.dim))
-            for u in us:
-                left = hp.mult_by(s.left, u)
+            for u, left in zip(us, hp.mult_by(s.left, Mat.from_cols(us, s.dim))):
                 assert [left.apply(v) for v in us] \
                     == [ref.alg_prod(s.mult, u, v) for v in us]
 
@@ -168,7 +167,7 @@ def test_perturbed_global_smash_witnesses(smash_algebras):
             assert witness is not None, name
             assert witness == ref.associativity_witness(cube), name
             if bs.unit is not None:
-                assert hp._unit_witness(hp.left_mults(cube, bs.dim), bs.unit) \
+                assert hp._unit_witness(hp.left_mults(cube, bs.dim), _col(bs.unit)) \
                     == ref.unit_witness(cube, bs.unit), name
 
 
@@ -181,8 +180,7 @@ def test_smash_product_formula(name, alg):
             b.hopf, b.action, pm.regular_module(b.hopf).pi))
         vecs = [ref.unit_vec(dim, i) for i in range(dim)]
         vecs.append(tuple(F((-1) ** x * (x + 1), x % 3 + 1) for x in range(dim)))
-        for u in vecs:
-            left = hp.mult_by(ops, u)
+        for u, left in zip(vecs, hp.mult_by(ops, Mat.from_cols(vecs, dim))):
             for v in vecs:
                 assert left.apply(v) \
                     == ref.smash_product(b.hopf, b.alg_mult, b.action, u, v)
