@@ -41,8 +41,8 @@ from .hopf import (ConstantsAlgebra, HopfAlgebraData, _associativity_witness, _f
                    _memo, _unit_witness, diagonal_action, mult_by, right_from_left)
 from .linalg import (Mat, ShapeError, Subspace, _col, _columns, block_diag, column_space,
                      first_nonzero_col, first_unstable, frac, hstack,
-                     intertwining_witness, kron, rank, reshape, restrict_operators,
-                     solve_blocks, solve_matrix, split_blocks, vstack)
+                     echelon_coords, intertwining_witness, kron, rank, reshape,
+                     restrict_operators, solve_matrix, split_blocks, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       is_global, regular_module)
 from .projection import _translates
@@ -215,10 +215,11 @@ def induced_partial_algebra(b_global: PartialModuleAlgebra, e) -> PartialModuleA
     if (left_e,) != mult_by(b_global.right, e):
         raise ValidationError("e is not central")
 
-    incl = column_space(left_e).basis.transpose()
-    left, unit = _subalgebra_left(incl, mult_by(b_global.left, incl), e,
+    sub = column_space(left_e)
+    incl = sub.basis.transpose()
+    left, unit = _subalgebra_left(sub, mult_by(b_global.left, incl), e,
                                   "eB is not closed as expected")
-    action = restrict_operators([left_e * a for a in b_global.action], incl)
+    action = restrict_operators([left_e * a for a in b_global.action], sub)
     out = PartialModuleAlgebra.build(b_global.hopf, [a.col_list() for a in left],
                                      unit.col(0), action)
     _memo(out, "_left", lambda: left)
@@ -245,16 +246,18 @@ def direct_product(algebras) -> PartialModuleAlgebra:
     return PartialModuleAlgebra.build(h, mult, unit, action)
 
 
-def _subalgebra_left(incl, ops, extra, msg):
-    """The L_s of the algebra on the span of the columns u_s of incl, and
-    the coordinates of the columns of extra, given ops[s], the operator of
-    multiplication by u_s on the ambient space.
+def _subalgebra_left(sub, ops, extra, msg):
+    """The L_s of the algebra on the subspace sub, whose echelon basis
+    vectors u_s are the columns of incl = sub.basis^T, and the coordinates
+    of the columns of extra, given ops[s], the operator of multiplication
+    by u_s on the ambient space.
 
-    One solve_blocks of [incl | ops[0] incl | ... | ops[r-1] incl | extra]:
+    The `echelon_coords` of [ops[0] incl | ... | ops[r-1] incl | extra]:
     block s is L_s, its column j the coordinates of u_s u_j.  Raises
     ValidationError(msg) when the span is not closed or extra leaves it.
     """
-    blocks = solve_blocks(incl, [op * incl for op in ops] + [extra])
+    incl = sub.basis.transpose()
+    blocks = echelon_coords(sub, [op * incl for op in ops] + [extra])
     if blocks is None:
         raise ValidationError(msg)
     *left, coords = blocks
@@ -310,7 +313,7 @@ def partial_smash(b: PartialModuleAlgebra) -> SmashAlgebra:
     r = sub.dim
     incl = sub.basis.transpose()
 
-    left, coords = _subalgebra_left(incl, mult_by(ops, incl),
+    left, coords = _subalgebra_left(sub, mult_by(ops, incl),
                                     pr * _unit_tensors(b.alg_unit, h),
                                     "smash product left its defining subspace")
     unit, ones = split_blocks(coords, [r], [1, h.dim])[0]
@@ -412,10 +415,12 @@ def globalize(b: PartialModuleAlgebra):
     mod = std.projected.module
     mb = mod.dim
     incl = std.ambient_inclusion
+    # the dilation's space in B^d, whose echelon basis incl transposes
+    space = Subspace(m * d, incl.transpose())
 
     report = ValidationReport("globalization")
 
-    left, _ = _subalgebra_left(incl, _convolution_ops(b, incl), Mat.zeros(m * d, 0),
+    left, _ = _subalgebra_left(space, _convolution_ops(b, incl), Mat.zeros(m * d, 0),
                                "convolution leaves the dilation subspace")
     right = right_from_left(left)
     unit_coords = _find_unit(left, right)
@@ -499,9 +504,9 @@ def zeta_xi(b: PartialModuleAlgebra):
     report.record("smash idempotent commutes with the action",
                   intertwining_witness(pr, bh.pi, bh.pi) is None)
 
-    incl_sm = sm.ambient.basis.transpose()
-    iota = ModuleMorphism.build(sm.module, bh, incl_sm)
-    rho = ModuleMorphism.build(bh, sm.module, solve_matrix(incl_sm, pr))
+    iota = ModuleMorphism.build(sm.module, bh, sm.ambient.basis.transpose())
+    pr_coords, = echelon_coords(sm.ambient, [pr])
+    rho = ModuleMorphism.build(bh, sm.module, pr_coords)
     iota_bar = dilate_morphism(iota)
     rho_bar = dilate_morphism(rho)
     split_in = zeta * iota_bar

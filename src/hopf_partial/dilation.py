@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .hopf import _memo, sweedler_grid
-from .linalg import (Mat, block_diag, column_space, hstack,
-                     intertwining_witness, kernel_basis, kron, rank, solve_blocks,
-                     solve_matrix, split_blocks, vstack)
+from .linalg import (Mat, block_diag, column_space, echelon_coords, hstack,
+                     intertwining_witness, kernel_basis, kron, rank, solve_matrix,
+                     split_blocks, vstack)
 from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
                       direct_sum, is_global, is_module_iso)
-from .projection import ProjectedModule, _translates, is_minimal, is_proper, restrict
+from .projection import (ProjectedModule, _restrict, _t_pi, _translates, is_minimal,
+                         is_proper)
 from .reports import ValidationError, ValidationReport, require
 
 
@@ -75,9 +76,10 @@ def standard_dilation(m: PartialModule) -> Dilation:
     """The proper and minimal dilation carried by Hom(H, M).
 
     Its module is H.phi(M): column block s of the "mult" Sweedler grid of
-    pi (block (r, s) is pi(e_r e_s)) is e_s.phi, and the one solve for the
-    action matrices and theta proves the grid's column space invariant
-    and containing im phi, or raises ValidationError.  The projection is
+    pi (block (r, s) is pi(e_r e_s)) is e_s.phi.  The action matrices and
+    theta are read at the pivots of the grid's echelon basis, and one
+    verifying product proves that column space invariant and containing
+    im phi, or raises ValidationError.  The projection is
     f -> phi(f(1)), phi E with E the evaluation at 1; as incl theta = phi,
     phi E incl = incl theta E incl, so on the module it is theta (E incl).
 
@@ -96,7 +98,7 @@ def standard_dilation(m: PartialModule) -> Dilation:
     space = column_space(sweedler_grid(h, n, [("mult", m.pi)]))
     incl = space.basis.transpose()
 
-    blocks = solve_blocks(incl, [a * incl for a in acts] + [phi])
+    blocks = echelon_coords(space, [a * incl for a in acts] + [phi])
     if blocks is None:
         raise ValidationError("the span of the translates of phi is not invariant")
     *ops, theta = blocks
@@ -119,8 +121,9 @@ def check_dilation(d: Dilation) -> ValidationReport:
     may extend its report freely, and a caller's check after the one
     inside standard_dilation reads the tuple.  An equal but newly built
     Dilation is evaluated afresh.  The restriction of d.projected (with
-    its PR1-PR5 check), is_proper and is_minimal are memoized on that
-    ProjectedModule in turn.
+    its PR1-PR5 check), is_proper, is_minimal and the family t pi(e_i)
+    are memoized on that ProjectedModule in turn; the restriction is
+    d.source itself when the two are equal.
     """
     checks = _memo(d, "_dilation_checks", lambda: _evaluate_dilation(d))
     return ValidationReport("dilation", list(checks))
@@ -129,25 +132,24 @@ def check_dilation(d: Dilation) -> ValidationReport:
 def _evaluate_dilation(d: Dilation):
     """The six Checks of check_dilation, in order."""
     report = ValidationReport("dilation")
-    mod = d.projected.module
-    t = d.projected.t
+    p = d.projected
     theta = d.theta
     src = d.source
 
     image = column_space(theta)
     report.record("theta injective", image.dim == src.dim)
-    report.record("intertwining",
-                  intertwining_witness(theta, src.pi, [t * p for p in mod.pi]) is None)
-    report.record("image of theta is im t", image == column_space(t))
+    report.record("intertwining", intertwining_witness(theta, src.pi, _t_pi(p)) is None)
+    report.record("image of theta is im t", image == column_space(p.t))
 
     iso_ok = False
     if report.checks[0].passed and report.checks[2].passed:
-        restricted, incl_r = restrict(d.projected)
+        # restrict(p), offered the source to return when the two are equal
+        restricted, incl_r = _memo(p, "_restriction", lambda: _restrict(p, src))
         chi = solve_matrix(incl_r, theta)
         iso_ok = chi is not None and is_module_iso(chi, src, restricted)
     report.record("restriction isomorphic to source via theta", iso_ok)
-    report.record("proper", is_proper(d.projected))
-    report.record("minimal", is_minimal(d.projected))
+    report.record("proper", is_proper(p))
+    report.record("minimal", is_minimal(p))
     return tuple(report.checks)
 
 

@@ -19,9 +19,13 @@ content 1), cross-multiplied to clear a column, and divided by their
 pivots only when the reduced echelon form is read off.  Every linear
 system a X = B, the inverse (B = I) included, is one elimination of the
 block [a | B]; the systems a X_j = B_j of a family share one elimination of
-[a | B_1 | ... | B_k], cut back into blocks by `split_blocks`, so a
-family of operators gets its matrices on an invariant subspace from one
-elimination of [incl | op_1 incl | ... | op_k incl].  The entry views
+[a | B_1 | ... | B_k], cut back into blocks by `split_blocks`.  The one
+exception is a system against a `Subspace`'s echelon basis, a = basis^T:
+column p_r of that basis is the r-th unit vector, p_r its r-th pivot, so
+row r of X is row p_r of B, and one product a X == B proves the system
+consistent (`echelon_coords`, the counterpart of `solve_blocks`).  So a
+family of operators gets its matrices on an invariant subspace from
+[op_1 incl | ... | op_k incl] with no elimination.  The entry views
 (``m[i, j]``, ``row``, ``col``, ``entries``) are `fractions.Fraction`s
 built on demand.
 
@@ -703,17 +707,37 @@ def solve_blocks(a: Mat, blocks):
     return split_blocks(x, [a.cols], [b.cols for b in blocks])[0]
 
 
-def restrict_operators(ops, incl: Mat):
-    """Matrices of each op on the invariant subspace spanned by the columns of incl.
+def echelon_coords(sub: Subspace, blocks):
+    """The X_j with sub.basis^T X_j = B_j, one per block B_j, or None if a
+    column of some B_j leaves sub.
 
-    One elimination of [incl | op_1 incl | ... | op_k incl]; block j of the
-    solution is the matrix of op_j.  Raises if the subspace is not
-    invariant under some op.
+    Column p_r of the reduced echelon basis is the r-th unit vector, p_r its
+    r-th pivot, so the only candidate for [X_1 | ... | X_k] has row r equal
+    to row p_r of B = [B_1 | ... | B_k]; one product checks it against
+    every row of B.  It is cut back into one canonical block per B_j.
+    """
+    blocks = list(blocks)
+    b = hstack(blocks)
+    if b.rows != sub.ambient_dim:
+        raise ShapeError("row count mismatch")
+    x = _reduced([b.num[p] for p in _pivots(sub.basis)], b.den, b.cols)
+    if sub.basis.transpose() * x != b:
+        return None
+    return split_blocks(x, [sub.dim], [m.cols for m in blocks])[0]
+
+
+def restrict_operators(ops, sub: Subspace):
+    """Matrices of each op on the invariant subspace sub, in its echelon basis.
+
+    The `echelon_coords` of [op_1 incl | ... | op_k incl], incl = sub.basis^T;
+    block j is the matrix of op_j.  Raises if the subspace is not invariant
+    under some op.
     """
     ops = list(ops)
     if not ops:
         return ()
-    blocks = solve_blocks(incl, [op * incl for op in ops])
+    incl = sub.basis.transpose()
+    blocks = echelon_coords(sub, [op * incl for op in ops])
     if blocks is None:
         raise ValueError("subspace is not invariant under the operator")
     return blocks

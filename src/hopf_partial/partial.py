@@ -239,9 +239,8 @@ def is_pure(m: PartialModule) -> bool:
 
 def restrict_to_invariant(m: PartialModule, sub: Subspace):
     """Module induced on an action-invariant subspace, plus the inclusion."""
-    incl = sub.basis.transpose()
-    pis = restrict_operators(m.pi, incl)
-    return PartialModule(m.hopf, sub.dim, pis), incl
+    pis = restrict_operators(m.pi, sub)
+    return PartialModule(m.hopf, sub.dim, pis), sub.basis.transpose()
 
 
 def hom_space(m: PartialModule, n: PartialModule):
@@ -395,9 +394,8 @@ def classify_sweedler(m: PartialModule):
     w_space = kernel_basis(g)
     require(u_space.dim + w_space.dim == m.dim, "0/±1 eigenspaces do not split")
 
-    w_incl = w_space.basis.transpose()
     try:
-        c, d, g_on_w = restrict_operators((x, y, g), w_incl)
+        c, d, g_on_w = restrict_operators((x, y, g), w_space)
     except ValueError:
         raise ValidationError("ker[g] is not stable under [x], [y]")
     require(g_on_w.is_zero(), "[g] does not vanish on its kernel block")
@@ -405,9 +403,8 @@ def classify_sweedler(m: PartialModule):
     require(c * c == d * d, "c^2 = d^2 fails on the pure part")
 
     if u_space.dim:
-        u_incl = u_space.basis.transpose()
         try:
-            g_u, x_u, y_u = restrict_operators((g, x, y), u_incl)
+            g_u, x_u, y_u = restrict_operators((g, x, y), u_space)
         except ValueError:
             raise ValidationError("global part is not action-stable")
         require((x_u * x_u).is_zero(), "ab = ba = 0 fails on the global part")

@@ -12,18 +12,19 @@ A ProjectedModule is immutable, so what is proved about it is proved once:
 restrict, is_proper and is_minimal store their result on the instance the
 first time they return and hand it back on later calls.  The conjugates
 are stored the same way by `ProjectedModule.build`, which builds them to
-check the commutation condition, and the twins the first time
-`tilde_op` or `check_equivalence_lemma` asks for them.  The memos are
-not dataclass fields, so == and hash ignore them, and an equal but newly
-built instance is verified from scratch.
+check the commutation condition, the twins the first time `tilde_op` or
+`check_equivalence_lemma` asks for them, and the family t pi(e_i) the
+first time the restriction, is_minimal or a dilation's intertwining check
+reads it.  The memos are not dataclass fields, so == and hash ignore them,
+and an equal but newly built instance is verified from scratch.
 """
 
 from dataclasses import dataclass
 
 from .hopf import _memo
-from .linalg import (Mat, ShapeError, Subspace, column_space, first_unstable,
-                     hstack, intertwining_witness, kernel_basis, pivot_columns,
-                     restrict_operators, vstack)
+from .linalg import (Mat, ShapeError, Subspace, _reduced, column_space,
+                     first_unstable, hstack, intertwining_witness, kernel_basis,
+                     pivot_columns, restrict_operators, solve_blocks, vstack)
 from .partial import (PartialModule, check_partial_rep, hom_space,
                       is_algebra_map, quotient_action, twisted_conjugates)
 from .reports import ValidationError, ValidationReport
@@ -58,6 +59,11 @@ def _conjugates(p: ProjectedModule, tilde=False):
     """The family T_{e_i} of p, or with tilde its twins; memoized on p."""
     return _memo(p, "_tilde" if tilde else "_adjoint",
                  lambda: twisted_conjugates(p.module, p.t, tilde))
+
+
+def _t_pi(p: ProjectedModule):
+    """The family t pi(e_i) of p; memoized on p."""
+    return _memo(p, "_t_pi", lambda: tuple(p.t * q for q in p.module.pi))
 
 
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
@@ -125,7 +131,8 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
 
 def image_basis(t: Mat) -> Mat:
     """Columns of t at the pivot positions of its column space."""
-    return Mat.from_cols([t.col(j) for j in pivot_columns(t)], t.rows)
+    pivots = pivot_columns(t)
+    return _reduced([[row[j] for j in pivots] for row in t.num], t.den, len(pivots))
 
 
 def restrict(p: ProjectedModule):
@@ -135,15 +142,23 @@ def restrict(p: ProjectedModule):
     the inclusion matrix records the embedding into the ambient module.
     The result is verified against PR1-PR5 once and memoized on p, so a
     repeated restrict(p) returns the same pair without recomputing; a
-    restriction that fails raises ValidationError and stores nothing.
+    restriction that fails raises ValidationError and stores nothing.  The
+    restriction of a dilation, memoized by check_dilation, is the source
+    instance itself when the two are equal, so its PR1-PR5 Checks are read
+    from the source's memo.
     """
     return _memo(p, "_restriction", lambda: _restrict(p))
 
 
-def _restrict(p: ProjectedModule):
+def _restrict(p: ProjectedModule, source=None):
+    """The pair of restrict(p); the restricted module is source when equal."""
     incl = image_basis(p.t)
-    pis = restrict_operators([p.t * q for q in p.module.pi], incl)
+    pis = solve_blocks(incl, [a * incl for a in _t_pi(p)])
+    if pis is None:
+        raise ValueError("subspace is not invariant under the operator")
     out = PartialModule(p.module.hopf, incl.cols, pis)
+    if out == source:
+        out = source
     rep = check_partial_rep(out)
     if not rep.ok:
         raise ValidationError(rep)
@@ -161,10 +176,10 @@ def _generated_submodule(module: PartialModule, t: Mat) -> Subspace:
     return column_space(_translates(module, t))
 
 
-def _annihilated_submodule(module: PartialModule, t: Mat) -> Subspace:
-    """{x : t pi(h) x = 0 for all h}, the largest submodule killed by t."""
-    stacked = vstack([t * p for p in module.pi])
-    ker = kernel_basis(stacked)
+def _annihilated_submodule(module: PartialModule, t_pi) -> Subspace:
+    """{x : t pi(h) x = 0 for all h}, the largest submodule killed by t,
+    given the family t_pi of the t pi(e_i)."""
+    ker = kernel_basis(vstack(t_pi))
     if first_unstable(ker, module.pi) is not None:
         raise ValidationError("annihilated space is not action-stable; "
                               "module is not global")
@@ -181,18 +196,17 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
     no t-killed submodule, and that is recorded as its is_minimal memo.
     """
     closure = _generated_submodule(p.module, p.t)
-    incl = closure.basis.transpose()
-    ops = restrict_operators((*p.module.pi, p.t), incl)
+    ops = restrict_operators((*p.module.pi, p.t), closure)
     module = PartialModule(p.module.hopf, closure.dim, ops[:-1])
     t = ops[-1]
 
-    killed = _annihilated_submodule(module, t)
+    killed = _annihilated_submodule(module, [t * q for q in module.pi])
     if killed.dim:
         _, qdim, induced = quotient_action(module.dim, killed, ops)
         module = PartialModule(p.module.hopf, qdim, tuple(induced[:-1]))
         t = induced[-1]
     out = ProjectedModule.build(module, t)
-    if killed.dim and _annihilated_submodule(module, t).dim != 0:
+    if killed.dim and _annihilated_submodule(module, _t_pi(out)).dim != 0:
         raise ValidationError("minimalization left a t-killed submodule")
     _memo(out, "_minimal", lambda: True)
     return out
@@ -201,7 +215,7 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
 def is_minimal(p: ProjectedModule) -> bool:
     """No nonzero submodule is killed by t; memoized on p."""
     return _memo(p, "_minimal",
-                 lambda: _annihilated_submodule(p.module, p.t).dim == 0)
+                 lambda: _annihilated_submodule(p.module, _t_pi(p)).dim == 0)
 
 
 def is_proper(p: ProjectedModule) -> bool:

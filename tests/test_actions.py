@@ -8,9 +8,11 @@ import pytest
 
 import hopf_partial
 from hopf_partial import actions as ac
+from hopf_partial import dilation as dl
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
+from hopf_partial import projection as pj
 from hopf_partial.demos import (graded_group_algebra, scalar_algebra,
                                 shipped_partial_algebras)
 from hopf_partial.reports import ValidationError
@@ -125,19 +127,21 @@ def test_recorded_attributes_are_not_part_of_the_value(monkeypatch):
 
 
 def test_subalgebra_left_solves_a_whole_table_and_rejects_any_vector_outside():
-    # u_0 = (1, 1, 0) and u_1 = (0, 0, 2) in k^3 with the componentwise product
-    incl = la.Mat([[1, 0], [1, 0], [0, 2]])
+    # the echelon basis u_0 = (1, 1, 0), u_1 = (0, 0, 1) of the span of
+    # (1, 1, 0) and (0, 0, 2) in k^3 with the componentwise product
+    sub = la.column_space(la.Mat([[1, 0], [1, 0], [0, 2]]))
+    assert sub.basis == la.Mat([[1, 1, 0], [0, 0, 1]])
     ops = [la.Mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]]),
-           la.Mat([[0, 0, 0], [0, 0, 0], [0, 0, 2]])]
+           la.Mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]])]
     left, coords = ac._subalgebra_left(
-        incl, ops, la.Mat.from_cols([(1, 1, 0), (0, 0, 1)]), "outside")
-    assert left == (la.Mat([[1, 0], [0, 0]]), la.Mat([[0, 0], [0, 2]]))
-    assert coords.col_list() == [(F(1), F(0)), (F(0), F(1, 2))]
+        sub, ops, la.Mat.from_cols([(1, 1, 0), (0, 0, 2)]), "outside")
+    assert left == (la.Mat([[1, 0], [0, 0]]), la.Mat([[0, 0], [0, 1]]))
+    assert coords.col_list() == [(F(1), F(0)), (F(0), F(2))]
     with pytest.raises(ValidationError, match="^outside$"):
-        ac._subalgebra_left(incl, ops, la.Mat.from_cols([(1, 1, 0), (1, 0, 0)]), "outside")
+        ac._subalgebra_left(sub, ops, la.Mat.from_cols([(1, 1, 0), (1, 0, 0)]), "outside")
     not_closed = [la.Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), ops[1]]
     with pytest.raises(ValidationError, match="^not closed$"):
-        ac._subalgebra_left(incl, not_closed, la.Mat.zeros(3, 0), "not closed")
+        ac._subalgebra_left(sub, not_closed, la.Mat.zeros(3, 0), "not closed")
 
 
 def test_partial_smash_module_satisfies_partial_axioms():
@@ -184,11 +188,11 @@ def test_globalize_checks_the_underlying_module_once(monkeypatch):
     gb, phi, report = ac.globalize(mixed)
     assert report.ok
     # check_partial_action and standard_dilation share one check of
-    # mixed.as_module(); the second is of the restriction inside
-    # standard_dilation, an equal module built anew
-    assert len(calls) == 2
-    assert calls[0] is mixed.as_module()
-    assert calls[1] == calls[0] and calls[1] is not calls[0]
+    # mixed.as_module(); the restriction inside standard_dilation equals
+    # it, so it is that instance and reads the same memo
+    assert len(calls) == 1 and calls[0] is mixed.as_module()
+    std = dl.standard_dilation(mixed.as_module())
+    assert pj.restrict(std.projected)[0] is mixed.as_module()
 
 
 def test_globalize_global_input_gives_isomorphic_copy():

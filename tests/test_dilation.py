@@ -92,30 +92,48 @@ def test_round_trip_is_isomorphism():
             assert rep.ok
 
 
-@pytest.mark.parametrize("hopf_name", ["kS3", "sweedler"])
+def _module_for(hopf_name):
+    if hopf_name == "kC2-dual":
+        # the unit p_0 + p_1 is not a basis element, and the restriction
+        # lists the eigenvalues in the order 1, 1/2, 0
+        return partially_graded_module(1, 1, 1)
+    return gen.random_partial(gen.rng(f"checks-once-{hopf_name}"), hopf_name, 3)
+
+
+@pytest.mark.parametrize("hopf_name", ["kS3", "sweedler", "kC2-dual"])
 def test_round_trip_checks_each_module_once(monkeypatch, hopf_name):
-    m = gen.random_partial(gen.rng(f"checks-once-{hopf_name}"), hopf_name, 3)
+    m = _module_for(hopf_name)
     calls = gen.count_partial_rep_checks(monkeypatch)
     dil = dl.standard_dilation(m)
     report = dl.check_dilation(dil)
     back, incl = pj.restrict(dil.projected)
     assert report.ok
-    # the input, checked by standard_dilation, then its restriction,
-    # checked inside standard_dilation's own check_dilation
-    assert calls == [m, back]
+    if hopf_name == "kC2-dual":
+        # the input, checked by standard_dilation, then its restriction, a
+        # different module, checked inside standard_dilation's check_dilation
+        assert back != m and back is not m
+        assert calls == [m, back]
+    else:
+        # the restriction equals the input, so it is the input's instance
+        # and its PR1-PR5 Checks are the ones standard_dilation made
+        assert back is m
+        assert calls == [m]
+    checked = len(calls)
 
     again = dl.check_dilation(dil)
-    assert len(calls) == 2
+    assert len(calls) == checked
     assert again is not report
     assert again.to_json() == report.to_json() and len(again.checks) == 6
     again.record("extra", False)
     assert dl.check_dilation(dil).ok
 
-    # an equal but new instance carries no memo and is verified afresh
+    # an equal but new instance carries no memo and is verified afresh,
+    # its restriction an equal module built anew
     fresh = pj.ProjectedModule(dil.projected.module, dil.projected.t)
     assert fresh == dil.projected and fresh is not dil.projected
     assert pj.restrict(fresh) == (back, incl)
-    assert len(calls) == 3
+    assert len(calls) == checked + 1
+    assert calls[-1] == back and calls[-1] is not back
 
 
 def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
@@ -141,9 +159,13 @@ def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
 def test_standard_dilation_solves_once_against_its_inclusion(monkeypatch):
     m = gen.random_ks3_partial(gen.rng("count"), 3)
     calls = gen.count_solves(monkeypatch)
+    reads = gen.count_calls(monkeypatch, dl, "echelon_coords")
     dil = dl.standard_dilation(m)
-    # the d translation operators and theta in one solve; t is theta (E incl)
-    assert sum(a == dil.ambient_inclusion for a in calls) == 1
+    # the d translation operators and theta are read at the pivots of the
+    # echelon basis, with no elimination; t is theta (E incl)
+    assert not any(a == dil.ambient_inclusion for a in calls)
+    assert len(reads) == 1
+    assert reads[0][0].basis.transpose() == dil.ambient_inclusion
 
 
 def test_a_space_that_is_not_invariant_is_a_validation_error(monkeypatch):

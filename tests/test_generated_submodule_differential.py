@@ -60,9 +60,9 @@ def test_is_proper_and_minimalize_use_the_fixpoint_closure(monkeypatch):
     closures = []
     original = pj.restrict_operators
 
-    def recorded(ops, incl):
-        closures.append(incl)
-        return original(ops, incl)
+    def recorded(ops, sub):
+        closures.append(sub)
+        return original(ops, sub)
 
     monkeypatch.setattr(pj, "restrict_operators", recorded)
     for p in _pairs():
@@ -74,4 +74,4 @@ def test_is_proper_and_minimalize_use_the_fixpoint_closure(monkeypatch):
         assert pj.is_proper(fresh) == (closure.dim == p.module.dim)
         closures.clear()
         pj.minimalize(fresh)
-        assert closures[0] == closure.basis.transpose()
+        assert closures[0] == closure

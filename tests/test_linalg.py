@@ -210,6 +210,6 @@ def test_subspace_membership_and_canonical_equality():
 
 def test_restrict_operator_rejects_non_invariant():
     op = la.Mat([[0, 1], [1, 0]])
-    incl = la.Mat([[1], [0]])
+    sub = la.Subspace.from_vectors(2, [(1, 0)])
     with pytest.raises(ValueError):
-        la.restrict_operators([op], incl)
+        la.restrict_operators([op], sub)

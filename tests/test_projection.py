@@ -226,9 +226,9 @@ def _count_annihilated_calls(monkeypatch):
     calls = []
     original = pj._annihilated_submodule
 
-    def counted(module, t):
-        calls.append((module, t))
-        return original(module, t)
+    def counted(module, t_pi):
+        calls.append((module, t_pi))
+        return original(module, t_pi)
 
     monkeypatch.setattr(pj, "_annihilated_submodule", counted)
     return calls
@@ -243,10 +243,13 @@ def test_restrict_solves_once_for_all_operators(monkeypatch, p36):
 
 
 def test_minimalize_solves_once_for_its_restriction(monkeypatch, p36):
-    # the d action matrices and t on the action closure of im t
+    # the d action matrices and t on the action closure of im t are read at
+    # the pivots of its echelon basis, with no elimination
     calls = gen.count_solves(monkeypatch)
+    reads = gen.count_calls(monkeypatch, la, "echelon_coords")
     pj.minimalize(pj.ProjectedModule(p36.module, p36.t))
-    assert len(calls) == 1
+    assert calls == []
+    assert len(reads) == 1
 
 
 def test_minimalize_checks_an_unquotiented_module_once(monkeypatch, p36):
@@ -271,7 +274,8 @@ def test_minimalize_rechecks_the_quotient(monkeypatch):
     slim = pj.minimalize(pj.ProjectedModule(w2, la.Mat([[1, 0], [0, 0]])))
     assert slim.module.dim == 1
     assert len(calls) == 2
-    assert calls[1] == (slim.module, slim.t)
+    assert calls[1] == (slim.module, pj._t_pi(slim))
+    assert pj._t_pi(slim) == tuple(slim.t * q for q in slim.module.pi)
 
 
 def test_minimalize_preserves_restriction_up_to_identification():
@@ -324,4 +328,5 @@ def test_annihilated_submodule_rejects_a_partial_module():
     # which the shift [x] moves to e_1
     t = la.Mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     with pytest.raises(ValidationError, match="annihilated space is not action-stable"):
-        pj._annihilated_submodule(pm.w_n_module(3), t)
+        w3 = pm.w_n_module(3)
+        pj._annihilated_submodule(w3, [t * q for q in w3.pi])
