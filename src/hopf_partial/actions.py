@@ -43,7 +43,7 @@ from .linalg import (Mat, ShapeError, Subspace, _col, _columns, block_diag, colu
                      first_nonzero_col, first_unstable, frac, hstack,
                      echelon_coords, intertwining_witness, kron, rank, reshape,
                      restrict_operators, solve_matrix, split_blocks, vstack)
-from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
+from .partial import (ModuleMorphism, PartialModule, _mult_grid, check_partial_rep,
                       is_global, regular_module)
 from .projection import _translates
 from .reports import ValidationError, ValidationReport
@@ -167,13 +167,14 @@ def _pa3_sides(b):
     Block k of the left side is pi(e_i) pi(e_k).  With Delta(e_i) =
     sum c e_p (x) e_q, block k of the right side is sum c L(e_p . 1)
     pi(e_q e_k) for PA3 and sum c R(e_q . 1) pi(e_p e_k) for PA3'; the
-    pi(e_p e_k), k = 0..d-1, are block row p of the "mult" Sweedler grid.
+    pi(e_p e_k), k = 0..d-1, are block row p of the "mult" Sweedler grid,
+    memoized on the algebra's module.
     """
     h, m = b.hopf, b.dim
     ones = _translates(b.as_module(), _col(b.alg_unit))
     left, right = mult_by(b.left, ones), mult_by(b.right, ones)
     translates = [row for row, in split_blocks(
-        hp.sweedler_grid(h, m, [("mult", b.action)]), [m] * h.dim, [h.dim * m])]
+        _mult_grid(b.as_module()), [m] * h.dim, [h.dim * m])]
     stacked = hstack(b.action)
     lhs = [a * stacked for a in b.action]
 

@@ -18,14 +18,14 @@ containment checks.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .hopf import _memo, sweedler_grid
+from .hopf import _memo
 from .linalg import (Mat, block_diag, column_space, echelon_coords, hstack,
                      intertwining_witness, kernel_basis, kron, rank, solve_matrix,
                      split_blocks, vstack)
-from .partial import (ModuleMorphism, PartialModule, check_partial_rep,
+from .partial import (ModuleMorphism, PartialModule, _mult_grid, check_partial_rep,
                       direct_sum, is_global, is_module_iso)
-from .projection import (ProjectedModule, _restrict, _t_pi, _translates, is_minimal,
-                         is_proper)
+from .projection import (ProjectedModule, _image, _image_coords, _restrict, _t_pi,
+                         _translates, is_minimal, is_proper)
 from .reports import ValidationError, ValidationReport, require
 
 
@@ -95,7 +95,7 @@ def standard_dilation(m: PartialModule) -> Dilation:
     n = m.dim
     acts = _translation_action(h, n)
     phi = _phi_matrix(m)
-    space = column_space(sweedler_grid(h, n, [("mult", m.pi)]))
+    space = column_space(_mult_grid(m))
     incl = space.basis.transpose()
 
     blocks = echelon_coords(space, [a * incl for a in acts] + [phi])
@@ -121,9 +121,10 @@ def check_dilation(d: Dilation) -> ValidationReport:
     may extend its report freely, and a caller's check after the one
     inside standard_dilation reads the tuple.  An equal but newly built
     Dilation is evaluated afresh.  The restriction of d.projected (with
-    its PR1-PR5 check), is_proper, is_minimal and the family t pi(e_i)
-    are memoized on that ProjectedModule in turn; the restriction is
-    d.source itself when the two are equal.
+    its PR1-PR5 check), is_proper, is_minimal, the family t pi(e_i) and
+    the rref of t are memoized on that ProjectedModule in turn; the
+    restriction is d.source itself when the two are equal, and chi and
+    the image Check read the rref of t.
     """
     checks = _memo(d, "_dilation_checks", lambda: _evaluate_dilation(d))
     return ValidationReport("dilation", list(checks))
@@ -139,13 +140,15 @@ def _evaluate_dilation(d: Dilation):
     image = column_space(theta)
     report.record("theta injective", image.dim == src.dim)
     report.record("intertwining", intertwining_witness(theta, src.pi, _t_pi(p)) is None)
-    report.record("image of theta is im t", image == column_space(p.t))
+    # t is idempotent, so x lies in im t exactly when t x = x
+    report.record("image of theta is im t",
+                  image.dim == _image(p)[0].cols and p.t * theta == theta)
 
     iso_ok = False
     if report.checks[0].passed and report.checks[2].passed:
         # restrict(p), offered the source to return when the two are equal
-        restricted, incl_r = _memo(p, "_restriction", lambda: _restrict(p, src))
-        chi = solve_matrix(incl_r, theta)
+        restricted, _ = _memo(p, "_restriction", lambda: _restrict(p, src))
+        chi = _image_coords(p, theta)
         iso_ok = chi is not None and is_module_iso(chi, src, restricted)
     report.record("restriction isomorphic to source via theta", iso_ok)
     report.record("proper", is_proper(p))

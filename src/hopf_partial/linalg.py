@@ -18,16 +18,14 @@ Elimination is fraction-free: rows are kept primitive (integer rows with
 content 1), cross-multiplied to clear a column, and divided by their
 pivots only when the reduced echelon form is read off.  Every linear
 system a X = B, the inverse (B = I) included, is one elimination of the
-block [a | B]; the systems a X_j = B_j of a family share one elimination of
-[a | B_1 | ... | B_k], cut back into blocks by `split_blocks`.  The one
-exception is a system against a `Subspace`'s echelon basis, a = basis^T:
-column p_r of that basis is the r-th unit vector, p_r its r-th pivot, so
-row r of X is row p_r of B, and one product a X == B proves the system
-consistent (`echelon_coords`, the counterpart of `solve_blocks`).  So a
-family of operators gets its matrices on an invariant subspace from
-[op_1 incl | ... | op_k incl] with no elimination.  The entry views
-(``m[i, j]``, ``row``, ``col``, ``entries``) are `fractions.Fraction`s
-built on demand.
+block [a | B].  The exception is a system against a `Subspace`'s echelon
+basis, a = basis^T: column p_r of that basis is the r-th unit vector, p_r
+its r-th pivot, so row r of X is row p_r of B, and one product proves
+the system consistent (`echelon_coords`).  So a family of operators gets
+its matrices on an invariant subspace from [op_1 incl | ... | op_k incl]
+with no elimination, cut back into blocks by `split_blocks`.  The entry
+views (``m[i, j]``, ``row``, ``col``, ``entries``) are
+`fractions.Fraction`s built on demand.
 
 Three helpers report the first failure of an identity, or None:
 `first_nonzero_col` (the first nonzero column of a difference),
@@ -78,6 +76,8 @@ def unit_vec(n, i):
 
 def _int_row(v):
     """Integer numerators of v over the lcm of its denominators, and that lcm."""
+    if all(type(x) is int for x in v):
+        return list(v), 1
     v = [x if isinstance(x, (int, Fraction)) else frac(x) for x in v]
     d = lcm(*[x.denominator for x in v])
     if d == 1:
@@ -405,11 +405,6 @@ def rank(a: Mat) -> int:
     return len(rref(a)[1])
 
 
-def pivot_columns(a: Mat):
-    """Indices of a maximal independent set of columns (leftmost choice)."""
-    return rref(a)[1]
-
-
 def _pivots(echelon: Mat):
     return [next(j for j, x in enumerate(row) if x) for row in echelon.num]
 
@@ -694,34 +689,27 @@ def split_blocks(m: Mat, heights, widths):
     return tuple(grid)
 
 
-def solve_blocks(a: Mat, blocks):
-    """One solution X_j of a X_j = B_j per block B_j, or None if one is inconsistent.
-
-    One elimination of [a | B_1 | ... | B_k]; the solution is cut back into
-    one canonical block per B_j.
-    """
-    blocks = list(blocks)
-    x = solve_matrix(a, hstack(blocks))
-    if x is None:
-        return None
-    return split_blocks(x, [a.cols], [b.cols for b in blocks])[0]
-
-
 def echelon_coords(sub: Subspace, blocks):
     """The X_j with sub.basis^T X_j = B_j, one per block B_j, or None if a
     column of some B_j leaves sub.
 
     Column p_r of the reduced echelon basis is the r-th unit vector, p_r its
     r-th pivot, so the only candidate for [X_1 | ... | X_k] has row r equal
-    to row p_r of B = [B_1 | ... | B_k]; one product checks it against
-    every row of B.  It is cut back into one canonical block per B_j.
+    to row p_r of B = [B_1 | ... | B_k].  Row p_r of basis^T X is row r of
+    X, which is row p_r of B by construction, so one product checks the
+    candidate against the other rows of B only.  It is cut back into one
+    canonical block per B_j.
     """
     blocks = list(blocks)
     b = hstack(blocks)
     if b.rows != sub.ambient_dim:
         raise ShapeError("row count mismatch")
-    x = _reduced([b.num[p] for p in _pivots(sub.basis)], b.den, b.cols)
-    if sub.basis.transpose() * x != b:
+    pivots = _pivots(sub.basis)
+    x = _reduced([b.num[p] for p in pivots], b.den, b.cols)
+    others = [c for c in range(b.rows) if c not in pivots]
+    basis_rows = _reduced([[row[c] for row in sub.basis.num] for c in others],
+                          sub.basis.den, sub.dim)
+    if basis_rows * x != _reduced([b.num[c] for c in others], b.den, b.cols):
         return None
     return split_blocks(x, [sub.dim], [m.cols for m in blocks])[0]
 

@@ -22,8 +22,13 @@ vstack(pi) hstack(pi) minus the grid of the pi(e_i e_j), and each identity
 is that table multiplied on one side by a Sweedler grid of `hopf`, with
 the antipode folded into the grid.  PR2 and PR4 come from one product,
 PR3 and PR5 from another, so a check takes three products whatever d and
-Delta are.  The globality tests, the global core and the basis
-deviations read the same one-product table.
+Delta are.  The global core and the basis deviations read the same
+one-product table, and the "mult" grid of pi is built once per module.
+
+The globality tests read only the block rows of algebra generators of H:
+once pi(1) = I, the a with pi(ab) = pi(a) pi(b) for every b form a unital
+subalgebra, as H is associative, so they are all of H when the
+generators are among them (`is_algebra_map`).
 
 Alongside the axiom checker this module computes the lattice of global
 behaviour inside a partial module: the global core (largest global
@@ -76,18 +81,21 @@ def _antipode_images(m: PartialModule):
     return _memo(m, "_pi_s", lambda: hp.antipode_images(m.hopf, m.pi))
 
 
-def twisted_conjugates(m: PartialModule, t=None, tilde=False):
+def twisted_conjugates(m: PartialModule, t=None, tilde=False, *, pi_t=None):
     """The family T_{e_i} = pi(e_i (1)) t pi(S(e_i (2))) for i = 0..d-1.
 
     With tilde, the twins pi(S(e_i (1))) t pi(e_i (2)).  t None stands for
     the identity, giving the operators eps_{e_i} and their twins.  The
     images pi(S e_j) are built once per module, and each left factor times
-    t once per call.
+    t once per call; a caller that has formed the family pi(e_i) t hands it
+    over as pi_t (untwisted only), and it is read instead.
     """
     h, n = m.hopf, m.dim
     pi_s = _antipode_images(m)
     left, right = (pi_s, m.pi) if tilde else (m.pi, pi_s)
-    if t is not None:
+    if pi_t is not None:
+        left = pi_t
+    elif t is not None:
         left = [a * t for a in left]
     return tuple(hp.comult_sum(h, i, lambda a, b: left[a] * right[b], n, n)
                  for i in range(h.dim))
@@ -110,11 +118,15 @@ def intertwiner_system(src, dst) -> Mat:
                    for a, b in zip(src, dst)])
 
 
+def _mult_grid(m: PartialModule) -> Mat:
+    """The "mult" Sweedler grid of pi, block (r, s) = pi(e_r e_s); memoized on m."""
+    return _memo(m, "_mult_grid", lambda: hp.sweedler_grid(m.hopf, m.dim, [("mult", m.pi)]))
+
+
 def _deviation_table(m: PartialModule) -> Mat:
     """The d n x d n table whose block (i, j) is D(e_i, e_j), one product:
     vstack(pi) hstack(pi) minus the grid of the pi(e_i e_j)."""
-    return (vstack(m.pi) * hstack(m.pi)
-            - hp.sweedler_grid(m.hopf, m.dim, [("mult", m.pi)]))
+    return vstack(m.pi) * hstack(m.pi) - _mult_grid(m)
 
 
 def _basis_deviations(m: PartialModule):
@@ -173,24 +185,64 @@ def _evaluate_partial_rep(m: PartialModule):
     return tuple(checks)
 
 
+def _algebra_generators(h: HopfAlgebraData):
+    """Indices G of basis elements that generate H as a unital algebra;
+    memoized on h.
+
+    The basis is walked in index order, and e_i joins G when the unital
+    subalgebra generated so far does not contain it, that is when adding
+    it grows that subalgebra.  The dimension is read off the algebra
+    generated by the L_g, which is isomorphic to the subalgebra, as L is
+    faithful on a unital algebra (L_a 1 = a).
+    """
+    def walk():
+        gens, dim = [], 1
+        for i in range(h.dim):
+            if dim == h.dim:
+                break
+            grown = _generated_algebra(h.dim, [h.left[g] for g in (*gens, i)]).dim
+            if grown > dim:
+                gens.append(i)
+                dim = grown
+        return tuple(gens)
+    return _memo(h, "_generators", walk)
+
+
 def is_algebra_map(m: PartialModule) -> bool:
-    """Direct globality test: pi respects unit and products of basis elements."""
+    """Direct globality test: pi(1) = I, and pi(g b) = pi(g) pi(b) for every
+    algebra generator g of H and every basis element b, in one product.
+
+    The generators suffice.  The set S of the a with pi(ab) = pi(a) pi(b)
+    for every b is a subspace, as both sides are linear in a.  It contains
+    1, because pi(1) = I.  It is closed under products, because H is
+    associative: for a, a' in S, pi(a a' b) = pi(a) pi(a' b) =
+    pi(a) pi(a') pi(b) = pi(a a') pi(b).  So S is a unital subalgebra, and
+    S contains the generators, hence S = H: every deviation D(e_i, e_j)
+    vanishes.  Block (g, s) of the compared rows is pi(e_g e_s), the
+    combination of the pi with the coefficients of column s of L_g.
+    """
     if hp.mult_by(m.pi, _col(m.hopf.unit))[0] != Mat.identity(m.dim):
         return False
-    return _deviation_table(m).is_zero()
+    gens = _algebra_generators(m.hopf)
+    if not gens:
+        return True
+    return (vstack([m.pi[g] for g in gens]) * hstack(m.pi)
+            == vstack([hstack(hp.mult_by(m.pi, m.hopf.left[g])) for g in gens]))
 
 
 def is_global(m: PartialModule) -> bool:
     """True when pi(h_(1)) pi(S(h_(2))) = eps(h) id for every basis element.
 
     When that holds, pi is an algebra map; this consequence is re-checked
-    rather than trusted.
+    rather than trusted.  The epsilon condition at h = 1 gives pi(1)^2 = I,
+    so every D(e_i, e_j) vanishes exactly when pi(1) = I and pi is
+    multiplicative on the algebra generators, which `is_algebra_map` tests.
     """
     ident = Mat.identity(m.dim)
     if any(eps != ident.scale(c)
            for eps, c in zip(twisted_conjugates(m), m.hopf.counit)):
         return False
-    require(_deviation_table(m).is_zero(),
+    require(is_algebra_map(m),
             "epsilon condition holds but pi is not multiplicative; "
             "input is not a valid partial module")
     return True

@@ -15,8 +15,15 @@ are stored the same way by `ProjectedModule.build`, which builds them to
 check the commutation condition, the twins the first time `tilde_op` or
 `check_equivalence_lemma` asks for them, and the family t pi(e_i) the
 first time the restriction, is_minimal or a dilation's intertwining check
-reads it.  The memos are not dataclass fields, so == and hash ignore them,
-and an equal but newly built instance is verified from scratch.
+reads it.  `build` also keeps the family pi(e_i) t, the left factors of
+the conjugates, whose columns span the submodule generated by im t for
+is_proper and minimalize.  t is eliminated once per instance: the pivot
+columns incl_r of t and the nonzero rows R of rref(t) are kept as a pair,
+and as t^2 = t, R t = R and so R incl_r = I.  Coordinates in incl_r are
+then R B, proved by the product incl_r (R B) == B, for the restriction
+and a dilation's chi, and the rank of t is the width of incl_r.  The memos
+are not dataclass fields, so == and hash ignore them, and an equal but
+newly built instance is verified from scratch.
 """
 
 from dataclasses import dataclass
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from .hopf import _memo
 from .linalg import (Mat, ShapeError, Subspace, _reduced, column_space,
                      first_unstable, hstack, intertwining_witness, kernel_basis,
-                     pivot_columns, restrict_operators, solve_blocks, vstack)
+                     restrict_operators, rref, split_blocks, vstack)
 from .partial import (PartialModule, check_partial_rep, hom_space,
                       is_algebra_map, quotient_action, twisted_conjugates)
 from .reports import ValidationError, ValidationReport
@@ -47,11 +54,12 @@ class ProjectedModule:
             raise ShapeError("projection size does not match the module")
         if not is_algebra_map(module):
             raise ValidationError("underlying module must be global")
-        family, witness = _c_condition(module, t)
+        pi_t, family, witness = _c_condition(module, t)
         if witness is not None:
             raise ValidationError(f"commutation condition fails at basis index {witness}")
         out = ProjectedModule(module, t)
         _memo(out, "_adjoint", lambda: family)
+        _memo(out, "_pi_t", lambda: pi_t)
         return out
 
 
@@ -64,6 +72,30 @@ def _conjugates(p: ProjectedModule, tilde=False):
 def _t_pi(p: ProjectedModule):
     """The family t pi(e_i) of p; memoized on p."""
     return _memo(p, "_t_pi", lambda: tuple(p.t * q for q in p.module.pi))
+
+
+def _pi_t(p: ProjectedModule):
+    """The family pi(e_i) t of p; memoized on p (`build` stores its own)."""
+    return _memo(p, "_pi_t", lambda: tuple(q * p.t for q in p.module.pi))
+
+
+def _image(p: ProjectedModule):
+    """(incl_r, R): the pivot columns of t, a basis of im t, and the nonzero
+    rows of rref(t), with R incl_r = I; one elimination, memoized on p."""
+    def eliminate():
+        red, pivots = rref(p.t)
+        incl = _reduced([[row[j] for j in pivots] for row in p.t.num], p.t.den,
+                        len(pivots))
+        return incl, _reduced(red.num[:len(pivots)], red.den, p.t.cols)
+    return _memo(p, "_image", eliminate)
+
+
+def _image_coords(p: ProjectedModule, b: Mat):
+    """The X with incl_r X = b, read as R b and proved by one product, or
+    None when a column of b leaves im t."""
+    incl, r = _image(p)
+    x = r * b
+    return x if incl * x == b else None
 
 
 def adjoint_op(p: ProjectedModule, i: int) -> Mat:
@@ -81,17 +113,19 @@ def check_c_condition(module: PartialModule, t: Mat):
 
     Returns (bool, witness basis index).  Raises if t is not idempotent.
     """
-    _, witness = _c_condition(module, t)
+    *_, witness = _c_condition(module, t)
     return witness is None, witness
 
 
 def _c_condition(module: PartialModule, t: Mat):
-    """The family T_{e_i} of t and the first i with T_{e_i} t != t T_{e_i},
-    or None.  Raises if t is not idempotent."""
+    """The family pi(e_i) t, the family T_{e_i} of t built from it, and the
+    first i with T_{e_i} t != t T_{e_i}, or None.  Raises if t is not
+    idempotent."""
     if t * t != t:
         raise ValidationError("candidate projection is not idempotent")
-    family = twisted_conjugates(module, t)
-    return family, intertwining_witness(t, family, family)
+    pi_t = tuple(q * t for q in module.pi)
+    family = twisted_conjugates(module, t, pi_t=pi_t)
+    return pi_t, family, intertwining_witness(t, family, family)
 
 
 def check_equivalence_lemma(p, t=None) -> ValidationReport:
@@ -129,17 +163,13 @@ def check_equivalence_lemma(p, t=None) -> ValidationReport:
     return report
 
 
-def image_basis(t: Mat) -> Mat:
-    """Columns of t at the pivot positions of its column space."""
-    pivots = pivot_columns(t)
-    return _reduced([[row[j] for j in pivots] for row in t.num], t.den, len(pivots))
-
-
 def restrict(p: ProjectedModule):
     """The partial module on im t with pi(h) = t pi_N(h), plus the inclusion.
 
-    The restricted matrices are written in the pivot-column basis of im t;
-    the inclusion matrix records the embedding into the ambient module.
+    The restricted matrices are written in the pivot-column basis incl_r of
+    im t, read from the memoized rref of t as R t pi(e_i) incl_r and proved
+    by one product; the inclusion matrix records the embedding into the
+    ambient module.
     The result is verified against PR1-PR5 once and memoized on p, so a
     repeated restrict(p) returns the same pair without recomputing; a
     restriction that fails raises ValidationError and stores nothing.  The
@@ -152,10 +182,11 @@ def restrict(p: ProjectedModule):
 
 def _restrict(p: ProjectedModule, source=None):
     """The pair of restrict(p); the restricted module is source when equal."""
-    incl = image_basis(p.t)
-    pis = solve_blocks(incl, [a * incl for a in _t_pi(p)])
-    if pis is None:
+    incl, _ = _image(p)
+    x = _image_coords(p, hstack([a * incl for a in _t_pi(p)]))
+    if x is None:
         raise ValueError("subspace is not invariant under the operator")
+    pis = split_blocks(x, [incl.cols], [incl.cols] * len(p.module.pi))[0]
     out = PartialModule(p.module.hopf, incl.cols, pis)
     if out == source:
         out = source
@@ -170,10 +201,11 @@ def _translates(module: PartialModule, theta: Mat) -> Mat:
     return hstack([p * theta for p in module.pi])
 
 
-def _generated_submodule(module: PartialModule, t: Mat) -> Subspace:
+def _generated_submodule(pi_t) -> Subspace:
     """The submodule generated by im t: on a global module pi(1) = I and
-    pi(h) pi(k) = pi(hk), so it is the span of the translates pi(e_i) t x."""
-    return column_space(_translates(module, t))
+    pi(h) pi(k) = pi(hk), so it is the span of the translates pi(e_i) t x,
+    given the family pi_t of the pi(e_i) t."""
+    return column_space(hstack(pi_t))
 
 
 def _annihilated_submodule(module: PartialModule, t_pi) -> Subspace:
@@ -195,7 +227,7 @@ def minimalize(p: ProjectedModule) -> ProjectedModule:
     leave the restriction untouched.  The returned pair is proved to have
     no t-killed submodule, and that is recorded as its is_minimal memo.
     """
-    closure = _generated_submodule(p.module, p.t)
+    closure = _generated_submodule(_pi_t(p))
     ops = restrict_operators((*p.module.pi, p.t), closure)
     module = PartialModule(p.module.hopf, closure.dim, ops[:-1])
     t = ops[-1]
@@ -221,7 +253,7 @@ def is_minimal(p: ProjectedModule) -> bool:
 def is_proper(p: ProjectedModule) -> bool:
     """The module is generated by im t, that is spanned by the translates
     pi(e_i) t x, as pi is an algebra map (`build` checked it); memoized on p."""
-    return _memo(p, "_proper", lambda: _generated_submodule(p.module, p.t).dim
+    return _memo(p, "_proper", lambda: _generated_submodule(_pi_t(p)).dim
                  == p.module.dim)
 
 

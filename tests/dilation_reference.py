@@ -2,15 +2,23 @@
 
 The library reads coordinates in a `Subspace`'s echelon basis at its
 pivots (`linalg.echelon_coords`), returns a dilation's source instance as
-its restriction when the two are equal, and builds the family t pi(e_i)
-once per projected module.  These are the forms they replaced:
+its restriction when the two are equal, builds the families t pi(e_i) and
+pi(e_i) t once per projected module, eliminates t once per projected
+module and reads coordinates in the pivot-column basis of im t from that
+rref, and proves a projected module global on the generators of H.
+These are the forms they replaced:
 
 * `standard_dilation` solves for the action matrices and theta with one
   `solve_blocks` against the echelon inclusion, and checks the result
   with `evaluate_dilation`, which takes a new restriction and builds
   t pi(e_i) for each Check that reads it;
-* `restrict` builds the pivot-column basis from `Fraction` columns and
-  returns a new module every time, checked against PR1-PR5 afresh;
+* `build_projected` reads globality off the full deviation table and the
+  commutation condition off the element-wise conjugates;
+* `evaluate_dilation` compares column spaces for "image of theta is im t"
+  and solves for chi against the pivot-column basis of im t;
+* `restrict` builds the pivot-column basis from `Fraction` columns, solves
+  for the restricted matrices against it and returns a new module every
+  time, checked against PR1-PR5 afresh;
 * `restrict_operators` and `subalgebra_left` solve against any inclusion
   matrix whose columns span the subspace.
 """
@@ -22,13 +30,26 @@ from hopf_partial import projection as pj
 from hopf_partial.hopf import sweedler_grid
 from hopf_partial.reports import ValidationError, ValidationReport
 
+import globality_reference
+import twisted_conjugate_reference
+
+
+def solve_blocks(a, blocks):
+    """One solution X_j of a X_j = B_j per block B_j, or None if one is
+    inconsistent: one elimination of [a | B_1 | ... | B_k]."""
+    blocks = list(blocks)
+    x = la.solve_matrix(a, la.hstack(blocks))
+    if x is None:
+        return None
+    return la.split_blocks(x, [a.cols], [b.cols for b in blocks])[0]
+
 
 def restrict_operators(ops, incl):
     """Matrices of each op on the span of incl's columns: one solve_blocks."""
     ops = list(ops)
     if not ops:
         return ()
-    blocks = la.solve_blocks(incl, [op * incl for op in ops])
+    blocks = solve_blocks(incl, [op * incl for op in ops])
     if blocks is None:
         raise ValueError("subspace is not invariant under the operator")
     return blocks
@@ -36,7 +57,7 @@ def restrict_operators(ops, incl):
 
 def subalgebra_left(incl, ops, extra, msg):
     """The L_s on the span of incl's columns and the coordinates of extra."""
-    blocks = la.solve_blocks(incl, [op * incl for op in ops] + [extra])
+    blocks = solve_blocks(incl, [op * incl for op in ops] + [extra])
     if blocks is None:
         raise ValidationError(msg)
     *left, coords = blocks
@@ -45,7 +66,22 @@ def subalgebra_left(incl, ops, extra, msg):
 
 def image_basis(t):
     """Columns of t at its pivot columns, built from Fraction columns."""
-    return la.Mat.from_cols([t.col(j) for j in la.pivot_columns(t)], t.rows)
+    return la.Mat.from_cols([t.col(j) for j in la.rref(t)[1]], t.rows)
+
+
+def build_projected(module, t):
+    """ProjectedModule.build on the full deviation table and the element-wise
+    conjugates, with its errors."""
+    if t.rows != module.dim or t.cols != module.dim:
+        raise la.ShapeError("projection size does not match the module")
+    if not globality_reference.is_algebra_map(module):
+        raise ValidationError("underlying module must be global")
+    if t * t != t:
+        raise ValidationError("candidate projection is not idempotent")
+    ok, witness = twisted_conjugate_reference.c_condition(module, t)
+    if not ok:
+        raise ValidationError(f"commutation condition fails at basis index {witness}")
+    return pj.ProjectedModule(module, t)
 
 
 def restrict(p):
@@ -103,13 +139,12 @@ def standard_dilation(m):
     phi = dl._phi_matrix(m)
     space = la.column_space(sweedler_grid(h, n, [("mult", m.pi)]))
     incl = space.basis.transpose()
-    blocks = la.solve_blocks(incl, [a * incl for a in acts] + [phi])
+    blocks = solve_blocks(incl, [a * incl for a in acts] + [phi])
     if blocks is None:
         raise ValidationError("the span of the translates of phi is not invariant")
     *ops, theta = blocks
     module = pm.PartialModule(h, space.dim, tuple(ops))
-    projected = pj.ProjectedModule.build(
-        module, theta * (dl._unit_evaluation(h, n) * incl))
+    projected = build_projected(module, theta * (dl._unit_evaluation(h, n) * incl))
     dil = dl.Dilation(m, projected, theta, proper=True, minimal=True,
                       ambient_inclusion=incl)
     report = evaluate_dilation(dil)

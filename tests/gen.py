@@ -248,9 +248,15 @@ def random_builtin_partial(r, hopf_name, dim) -> pm.PartialModule:
         return pm.PartialModule(h, 0, (la.Mat.zeros(0, 0),) * h.dim)
     if hopf_name == "sweedler":
         return _sweedler_partial_of_dim(r, dim)
-    table = GROUP_TABLES[hopf_name]
+    return table_partial(r, h, GROUP_TABLES[hopf_name], hopf_name.endswith("-dual"), dim)
+
+
+def table_partial(r, h, table, dual, dim) -> pm.PartialModule:
+    """A partial module of dimension dim > 0 over the group algebra of the
+    Cayley table, or with dual over its dual, drawn as random_builtin_partial
+    describes."""
     d = len(table)
-    if hopf_name.endswith("-dual"):
+    if dual:
         subgroups = [set(s) for size in range(1, d + 1)
                      for s in itertools.combinations(range(d), size)
                      if 0 in s and all(table[a][b] in s for a in s for b in s)]
@@ -403,7 +409,8 @@ def count_products(monkeypatch):
 
 
 def count_calls(monkeypatch, module, name):
-    """Record the arguments of every call of module.name from now on.
+    """Record the positional arguments of every call of module.name from now
+    on; keyword arguments are passed on unrecorded.
 
     Only lookups of the name in that module see the wrapper; the
     standard_dilation cache is cleared so that no earlier result is reused.
@@ -411,9 +418,9 @@ def count_calls(monkeypatch, module, name):
     calls = []
     original = getattr(module, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
     standard_dilation.cache_clear()

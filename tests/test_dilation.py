@@ -2,12 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from hopf_partial import actions as ac
 from hopf_partial import dilation as dl
 from hopf_partial import hopf as hp
 from hopf_partial import linalg as la
 from hopf_partial import partial as pm
 from hopf_partial import projection as pj
-from hopf_partial.demos import antidiagonal_sweedler, partially_graded_module
+from hopf_partial.demos import (antidiagonal_sweedler, partially_graded_module,
+                                shipped_partial_algebras)
 from hopf_partial.reports import ValidationError
 
 import gen
@@ -141,6 +143,7 @@ def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
     dil = dl.standard_dilation(m)
     spaces = gen.count_calls(monkeypatch, dl, "column_space")
     isos = gen.count_calls(monkeypatch, dl, "is_module_iso")
+    rrefs = gen.count_calls(monkeypatch, pj, "rref")
     first = dl.check_dilation(dil)
     # standard_dilation's own check already evaluated this instance
     assert spaces == [] and isos == []
@@ -152,8 +155,38 @@ def test_check_dilation_evaluates_once_per_dilation(monkeypatch):
                        dil.minimal, dil.ambient_inclusion)
     assert twin == dil and twin is not dil
     assert dl.check_dilation(twin).to_json() == second.to_json()
-    # theta is eliminated once, for both its rank and its image; t once
-    assert [a for a, in spaces] == [twin.theta, twin.projected.t] and len(isos) == 1
+    # theta is eliminated once, for both its rank and its image; t is read
+    # from the rref memoized on the shared projected module
+    assert [a for a, in spaces] == [twin.theta] and len(isos) == 1
+    assert rrefs == []
+    # a new equal projected module eliminates t once, for the image Check,
+    # the restriction and chi
+    fresh = dl.Dilation(dil.source, pj.ProjectedModule(dil.projected.module, dil.projected.t),
+                        dil.theta, dil.proper, dil.minimal, dil.ambient_inclusion)
+    assert dl.check_dilation(fresh).to_json() == second.to_json()
+    assert rrefs == [(dil.projected.t,)]
+
+
+def _mult_grids(monkeypatch):
+    """The families whose "mult" Sweedler grid is built from now on."""
+    calls = gen.count_calls(monkeypatch, hp, "sweedler_grid")
+    return lambda: [mats for _, _, parts in calls for kind, mats in parts
+                    if kind == "mult"]
+
+
+def test_the_mult_grid_is_built_once_per_module(monkeypatch):
+    # PR1-PR5 and the dilation's space read one grid of the source, and
+    # the dilation's module is proved global without one
+    m = gen.random_builtin_partial(gen.rng("mult-grid-once"), "kS3", 3)
+    grids = _mult_grids(monkeypatch)
+    dil = dl.standard_dilation(m)
+    assert dl.check_dilation(dil).ok
+    assert grids() == [m.pi]
+    # globalize checks PA3 and dilates the algebra's one module
+    alg = shipped_partial_algebras()["sweedler-mixed-2"]
+    grids = _mult_grids(monkeypatch)
+    ac.globalize(alg)
+    assert grids().count(alg.action) == 1
 
 
 def test_standard_dilation_solves_once_against_its_inclusion(monkeypatch):

@@ -5,15 +5,22 @@ at its pivots and proves them with one product, where the oracle
 `dilation_reference` solves by elimination; a dilation's restriction is
 its source instance when the two are equal, where the oracle builds a new
 module; the family t pi(e_i) is built once per projected module, where the
-oracle builds it for each Check.  Every result must be the same: each
-field of every standard dilation, its Checks, every restriction, and the
-constructions built on them, run once as they are and once with every
-changed site routed through the oracle.
+oracle builds it for each Check; t is eliminated once per projected
+module, and the restriction, chi and "image of theta is im t" read that
+rref, where the oracle solves against the pivot-column basis of im t and
+compares column spaces; `ProjectedModule.build` proves globality on the
+generators of H, where the oracle reads the full deviation table.
+Every result must be the same: each field of every standard dilation,
+its Checks, every restriction, and the constructions built on them, run
+once as they are and once with every changed site routed through the
+oracle.
 
 Inputs: seeded partial modules of dimensions 0-4 over the six builtins,
 each also with one entry perturbed, the `graded_projection` pairs and
 seeded projected modules, the shipped partial module algebras and the
-induced algebras of the graded group algebra; for `echelon_coords`,
+induced algebras of the graded group algebra; dilations built by hand on
+those projected modules, whose embedding is the inclusion of im t, that
+inclusion in another basis, perturbed, not injective, or leaving im t; for `echelon_coords`,
 random subspaces with consistent and inconsistent right-hand sides.
 """
 
@@ -32,7 +39,7 @@ from hopf_partial.reports import ValidationError
 
 import dilation_reference as ref
 import gen
-from test_intertwining_differential import perturbed_module
+from test_intertwining_differential import perturbed, perturbed_module
 from test_linalg_differential import entries
 
 DRAWS = 2
@@ -60,13 +67,14 @@ def route_through_oracle(patch):
                   lambda d: tuple(ref.evaluate_dilation(d).checks))
     patch.setattr(dl, "is_minimal", ref.is_minimal)
     patch.setattr(pj, "restrict", ref.restrict)
+    patch.setattr(pj.ProjectedModule, "build", staticmethod(ref.build_projected))
     for module in (pj, pm, ac):
         patch.setattr(module, "restrict_operators",
                       lambda ops, sub: ref.restrict_operators(ops, sub.basis.transpose()))
     patch.setattr(ac, "_subalgebra_left", lambda sub, ops, extra, msg:
                   ref.subalgebra_left(sub.basis.transpose(), ops, extra, msg))
     patch.setattr(ac, "echelon_coords",
-                  lambda sub, blocks: la.solve_blocks(sub.basis.transpose(), blocks))
+                  lambda sub, blocks: ref.solve_blocks(sub.basis.transpose(), blocks))
 
 
 def both_ways(monkeypatch, fn, *args):
@@ -141,6 +149,44 @@ def test_restrictions_and_universal_morphisms_match(monkeypatch):
         d2 = dl.Dilation.build(source, pj.ProjectedModule(p.module, p.t), incl)
         got, expected = both_ways(monkeypatch, dl.universal_morphism, d2)
         assert got == expected
+
+
+def embeddings(r, p):
+    """(kind, source, theta) for hand-built dilations on p: the restriction
+    and its inclusion, the inclusion in another basis with the source
+    carried along, the inclusion perturbed, with a column dropped, and
+    moved off im t."""
+    source, incl = ref.restrict(p)
+    n, k = p.module.dim, incl.cols
+    yield "restriction", source, incl
+    q = gen.rand_invertible(r, k)
+    yield "new basis", gen.conjugate_module(source, la.inverse(q)), incl * q
+    if k:
+        yield "perturbed", source, perturbed(r, incl)
+        drop = la.Mat([[int(i == j and j < k - 1) for j in range(k)] for i in range(k)])
+        yield "not injective", source, incl * drop
+        other = la.Mat.identity(n) - p.t
+        yield "off im t", source, incl + other * la.Mat(
+            [[gen.rand_frac(r) for _ in range(k)] for _ in range(n)], cols=k)
+
+
+def test_hand_built_dilations_check_alike():
+    r = gen.rng("dilation-differential-hand-built")
+    seen = set()
+    for p in projected_inputs():
+        for kind, source, theta in embeddings(r, p):
+            fresh = pj.ProjectedModule(p.module, p.t)
+            d = dl.Dilation(source, fresh, theta, False, False)
+            report = dl.check_dilation(d).to_json()
+            assert report == ref.evaluate_dilation(d).to_json()
+            checks = {c["name"]: c["passed"] for c in report["checks"]}
+            seen.add((kind, checks["image of theta is im t"],
+                      checks["restriction isomorphic to source via theta"]))
+            assert pj.restrict(fresh) == ref.restrict(p)
+            incl, r_rows = pj._image(fresh)
+            assert r_rows * incl == la.Mat.identity(incl.cols)
+    assert {("restriction", True, True), ("new basis", True, True),
+            ("not injective", False, False), ("off im t", False, False)} <= seen
 
 
 def test_direct_sums_dilate_alike(monkeypatch):
@@ -230,7 +276,7 @@ def systems(draw):
 def test_echelon_coords_match_solve_blocks(system):
     sub, blocks = system
     got = la.echelon_coords(sub, blocks)
-    expected = la.solve_blocks(sub.basis.transpose(), blocks)
+    expected = ref.solve_blocks(sub.basis.transpose(), blocks)
     if expected is None:
         assert got is None
     else:

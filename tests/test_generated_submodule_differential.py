@@ -68,7 +68,7 @@ def test_is_proper_and_minimalize_use_the_fixpoint_closure(monkeypatch):
     for p in _pairs():
         assert pm.is_algebra_map(p.module)
         closure = _fixpoint(p.t, p.module.pi)
-        assert pj._generated_submodule(p.module, p.t) == closure
+        assert pj._generated_submodule(pj._pi_t(p)) == closure
         # a new equal pair carries no memo, so is_proper is computed afresh
         fresh = pj.ProjectedModule(p.module, p.t)
         assert pj.is_proper(fresh) == (closure.dim == p.module.dim)

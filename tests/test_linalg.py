@@ -175,6 +175,18 @@ def test_no_floats_allowed():
         la.Mat([[0.5]])
 
 
+def test_int_row_reads_integer_rows_as_they_are():
+    row = (3, -6, 0)
+    num, den = la._int_row(row)
+    assert (num, den) == ([3, -6, 0], 1) and type(num) is list
+    # bools, strings and Fractions are coerced; a float among ints raises
+    assert la._int_row((True, 2)) == ([1, 2], 1)
+    assert la._int_row((1, "1/2", F(-2, 3))) == ([6, 3, -4], 6)
+    with pytest.raises(TypeError):
+        la._int_row((1, 0.5))
+    assert la.Mat([[2, 4], [0, 6]]) == la.Mat([[F(2), "4"], [0, 6]])
+
+
 def test_solve_and_inverse():
     a = la.Mat([[2, 1], [1, 1]])
     x = la.solve(a, (3, 2))

@@ -5,8 +5,8 @@ right-hand side at the basis' pivots, checked by one product
 (`linalg.echelon_coords`), so no `solve_matrix` call may take the
 transpose of such a basis as its left side.  A left side whose transpose
 merely happens to be in reduced echelon form is allowed: the pivot-column
-basis of im t that the restriction solves against often is, and so is
-the identity that `inverse` solves against.  So the run-time pin follows
+basis of im t often is, and so is the identity that `inverse` solves
+against.  So the run-time pin follows
 where each left side came from: it records every `Subspace` built and
 every transpose taken of one's basis, and fails on a `solve_matrix` call
 whose left side is one of those transposes.
@@ -102,7 +102,7 @@ def test_the_pin_catches_a_solve_against_an_echelon_basis(monkeypatch):
     found = echelon_solves(monkeypatch)
     sub = la.column_space(la.Mat([[1, 0], [2, 0], [0, 3]]))
     incl = sub.basis.transpose()
-    assert la.solve_blocks(incl, [incl]) is not None
+    assert la.solve_matrix(incl, incl) is not None
     assert found == [incl]
     # an equal matrix of another origin is not flagged
     la.solve_matrix(la.Mat([[1, 0], [2, 0], [0, 1]]), incl)

@@ -235,11 +235,27 @@ def _count_annihilated_calls(monkeypatch):
 
 
 def test_restrict_solves_once_for_all_operators(monkeypatch, p36):
-    # the d matrices t pi(e_i) on im t come from one solve against incl
+    # the d matrices t pi(e_i) on im t are read from the one rref of t,
+    # memoized on p, with no solve against incl
     p = pj.ProjectedModule(p36.module, p36.t)
     calls = gen.count_solves(monkeypatch)
-    _, incl = pj.restrict(p)
-    assert calls == [incl]
+    rrefs = gen.count_calls(monkeypatch, pj, "rref")
+    pj.restrict(p)
+    assert calls == [] and rrefs == [(p.t,)]
+    pj.restrict(pj.ProjectedModule(p36.module, p36.t))
+    assert len(rrefs) == 2
+
+
+def test_image_coords_are_read_from_rref_and_proved(p36):
+    # R incl_r = I for an idempotent t; a right side that leaves im t,
+    # here the columns of 1 - t, fails the verifying product
+    p = pj.ProjectedModule(p36.module, p36.t)
+    incl, r = pj._image(p)
+    n, k = p.module.dim, incl.cols
+    assert 0 < k < n and r * incl == la.Mat.identity(k)
+    assert pj._image_coords(p, incl) == la.Mat.identity(k)
+    assert pj._image_coords(p, p.t) == r
+    assert pj._image_coords(p, la.Mat.identity(n) - p.t) is None
 
 
 def test_minimalize_solves_once_for_its_restriction(monkeypatch, p36):
