@@ -43,8 +43,8 @@ from .linalg import (Mat, ShapeError, Subspace, _col, _columns, block_diag, colu
                      first_nonzero_col, first_unstable, frac, hstack,
                      echelon_coords, intertwining_witness, kron, rank, reshape,
                      restrict_operators, solve_matrix, split_blocks, vstack)
-from .partial import (ModuleMorphism, PartialModule, _mult_grid, check_partial_rep,
-                      is_global, regular_module)
+from .partial import (ModuleMorphism, PartialModule, _algebra_generators, _mult_grid,
+                      check_partial_rep, is_global, regular_module)
 from .projection import _translates
 from .reports import ValidationError, ValidationReport
 
@@ -150,15 +150,16 @@ def _first_difference(sides, width):
                  for i, (lhs, rhs) in enumerate(sides) if lhs != rhs), None)
 
 
-def _pa2_sides(b):
-    """Per e_i, the m x m^2 sides of PA2, whose block a is pi(e_i) L_a and
-    sum c L(e_p . e_a) pi(e_q) over Delta(e_i) = sum c e_p (x) e_q: column
-    (a, c) is e_i . (e_a e_c) and (e_i(1) . e_a)(e_i(2) . e_c), the witness."""
+def _pa2_sides(b, indices=None):
+    """Per e_i, i in indices (every basis index when None), the m x m^2
+    sides of PA2, whose block a is pi(e_i) L_a and sum c L(e_p . e_a) pi(e_q)
+    over Delta(e_i) = sum c e_p (x) e_q: column (a, c) is e_i . (e_a e_c)
+    and (e_i(1) . e_a)(e_i(2) . e_c), the witness."""
     h, m, pi, mu = b.hopf, b.dim, b.action, _columns(b.dim, b.left)
     moved = [mult_by(b.left, a) for a in pi]  # L(e_p . e_a)
-    return [(a * mu, _columns(m, [hp.comult_sum(h, i, lambda p, q: moved[p][k] * pi[q],
-                                                m, m) for k in range(m)]))
-            for i, a in enumerate(pi)]
+    return [(pi[i] * mu, _columns(m, [hp.comult_sum(h, i, lambda p, q: moved[p][k] * pi[q],
+                                                    m, m) for k in range(m)]))
+            for i in (range(h.dim) if indices is None else indices)]
 
 
 def _pa3_sides(b):
@@ -406,6 +407,18 @@ def globalize(b: PartialModuleAlgebra):
     non-unital global module algebra on the dilation of the underlying
     module, and phi embeds B multiplicatively as an ideal; the restriction
     of the global action along phi recovers the partial action exactly.
+
+    "Action by algebra maps" checks PA2 on Bbar for the algebra generators
+    g of H only, and they suffice.  The set S of the h with
+    h . (ab) = (h_(1) . a)(h_(2) . b) for all a, b in Bbar is a subspace,
+    as both sides are linear in h.  Bbar's module is global, as
+    `ProjectedModule.build` proved for the dilation, so 1 acts as the
+    identity and 1 is in S.  For h, k in S, (hk) . (ab) = h . (k . (ab)) =
+    h . ((k_(1) . a)(k_(2) . b)) = (h_(1) k_(1) . a)(h_(2) k_(2) . b), and
+    Delta(hk) = Delta(h) Delta(k) makes that ((hk)_(1) . a)((hk)_(2) . b).
+    So S is a unital subalgebra that contains the generators, hence S = H.
+    PA2 on B, in `check_partial_action`, is checked on every basis
+    element, as a partial action is not multiplicative.
     """
     rep = check_partial_action(b)
     if not rep.ok:
@@ -440,7 +453,7 @@ def globalize(b: PartialModuleAlgebra):
     report.record("Bbar is idempotent", column_space(_columns(mb, left)).dim == mb)
 
     report.record("action by algebra maps",
-                  _first_difference(_pa2_sides(gb), mb) is None)
+                  _first_difference(_pa2_sides(gb, _algebra_generators(h)), mb) is None)
 
     # theta pi(e_i) = t pi_N(e_i) theta, proved for the dilation of b.as_module()
     report.record("restricted action equals the partial action",

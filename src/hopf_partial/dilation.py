@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .hopf import _memo
 from .linalg import (Mat, block_diag, column_space, echelon_coords, hstack,
-                     intertwining_witness, kernel_basis, kron, rank, solve_matrix,
+                     intertwining_witness, kernel_basis, kron, rank, rref, solve_matrix,
                      split_blocks, vstack)
 from .partial import (ModuleMorphism, PartialModule, _mult_grid, check_partial_rep,
                       direct_sum, is_global, is_module_iso)
@@ -161,14 +161,18 @@ def _factor_through(dec: Mat, target: Mat) -> Mat:
 
     F exists exactly when ker dec is contained in ker target, that is when
     the exact system dec^T F^T = target^T is consistent: its consistency
-    is the kernel-containment check.
+    is the kernel-containment check.  One elimination of [dec^T | target^T]
+    decides both checks: dec has full row rank r exactly when columns
+    0..r-1 are all pivots, the system is consistent exactly when no other
+    column is, and then the reduced rows are [I | F^T].
     """
-    if rank(dec) != dec.rows:
+    r = dec.rows
+    red, pivots = rref(hstack([dec.transpose(), target.transpose()]))
+    if pivots[:r] != list(range(r)):
         raise ValidationError("decomposition map is not surjective")
-    ft = solve_matrix(dec.transpose(), target.transpose())
-    if ft is None:
+    if len(pivots) > r:
         raise ValidationError("map is not well defined: kernel containment fails")
-    return ft.transpose()
+    return split_blocks(red, [r, red.rows - r], [r, target.rows])[0][1].transpose()
 
 
 def universal_morphism(d2: Dilation) -> Mat:

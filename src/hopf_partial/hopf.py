@@ -57,7 +57,7 @@ from functools import lru_cache
 from math import lcm
 
 from .linalg import (Mat, ShapeError, _col, _columns, _common_den, _mat_sum, _reduced,
-                     first_nonzero_col, frac, inverse, kron, unit_vec, vstack)
+                     first_nonzero_col, frac, inverse, kron, reshape, unit_vec, vstack)
 from .reports import ValidationError, ValidationReport
 
 
@@ -286,9 +286,14 @@ def _associativity_witness(left):
 def _unit_witness(left, unit: Mat):
     """First basis index j where the column unit fails to be a two-sided unit,
     given the L_s: the first nonzero column of L(u) - I over
-    [L_0 u | ... | L_{n-1} u] - I, whose columns j are u e_j and e_j u."""
-    ident = Mat.identity(unit.rows)
-    by_unit = _columns(unit.rows, [a * unit for a in left])
+    [L_0 u | ... | L_{n-1} u] - I, whose columns j are u e_j and e_j u.
+
+    The second block is one product: vstack(left) u stacks the columns
+    L_s u, s major, so refilled row-major into n x n its row s is L_s u,
+    and the transpose puts it in column s."""
+    n = unit.rows
+    ident = Mat.identity(n)
+    by_unit = reshape(vstack(left) * unit, n, n).transpose() if left else ident
     return first_nonzero_col(vstack([mult_by(left, unit)[0] - ident, by_unit - ident]))
 
 

@@ -24,14 +24,20 @@ its r-th pivot, so row r of X is row p_r of B, and one product proves
 the system consistent (`echelon_coords`).  So a family of operators gets
 its matrices on an invariant subspace from [op_1 incl | ... | op_k incl]
 with no elimination, cut back into blocks by `split_blocks`.  The entry
-views (``m[i, j]``, ``row``, ``col``, ``entries``) are
-`fractions.Fraction`s built on demand.
+views (``m[i, j]``, ``row``, ``col``, ``entries``, ``col_list``) are
+`fractions.Fraction`s built on demand; ``entries`` and ``col_list`` build
+one per distinct numerator and share it among the entries equal to it.
+A linear combination of matrices (`_mat_sum`) is one pass over integer
+rows lifted to a common denominator, reduced once.
 
 Three helpers report the first failure of an identity, or None:
 `first_nonzero_col` (the first nonzero column of a difference),
 `first_unstable` (the first operator that moves a subspace off itself)
 and `intertwining_witness` (the first i with f src[i] != dst[i] f).  Every
 check that a map intertwines two operator families goes through the last.
+`first_unstable` is the `echelon_coords` read of [op_1 incl | ... |
+op_k incl]: the first column its verifying product misses names the
+operator, with no membership test per vector.
 
 Conventions, fixed once for the whole package:
 
@@ -185,8 +191,10 @@ class Mat:
 
     @property
     def entries(self):
-        """The entries as a tuple of rows of Fractions."""
-        return tuple(_fracs(r, self.den) for r in self.num)
+        """The entries as a tuple of rows of Fractions, one Fraction built per
+        distinct numerator and shared by every entry equal to it."""
+        view = {x: Fraction(x, self.den) for x in set(chain.from_iterable(self.num))}
+        return tuple(tuple(map(view.__getitem__, r)) for r in self.num)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -201,7 +209,7 @@ class Mat:
         return _fracs([r[j] for r in self.num], self.den)
 
     def col_list(self):
-        return [self.col(j) for j in range(self.cols)]
+        return list(_transpose(self).entries)
 
     def __eq__(self, other):
         return (isinstance(other, Mat)
@@ -494,7 +502,11 @@ class Subspace:
         return _span_test(self.basis)(v)
 
     def contains_subspace(self, other):
-        return all(self.contains(v) for v in other.vectors())
+        """Every basis vector of other lies in self: one membership test,
+        fed the integer rows of other's basis, positive multiples of them."""
+        if other.dim and other.ambient_dim != self.ambient_dim:
+            raise ShapeError("vector length mismatch")
+        return all(map(_span_test(self.basis), other.basis.num))
 
     def add(self, other):
         if self.ambient_dim != other.ambient_dim:
@@ -583,11 +595,20 @@ def intertwining_witness(f: Mat, src, dst):
 
 
 def first_unstable(sub: Subspace, operators):
-    """Index of the first operator mapping some vector of sub outside it, or None."""
-    inside = _span_test(sub.basis)
-    return next((k for k, op in enumerate(operators)
-                 if not all(inside(_image(op, v)) for v in sub.basis.num)),
-                None)
+    """Index of the first operator mapping some vector of sub outside it, or None.
+
+    The `echelon_coords` read of [op_1 incl | ... | op_k incl], incl =
+    sub.basis^T: column j of block k is op_k applied to basis vector j, and
+    it lies in sub exactly when the verifying product reproduces it.  The
+    first column that the product misses lies in the block of the first
+    operator that moves sub.
+    """
+    operators = list(operators)
+    if not operators or not sub.dim:
+        return None
+    incl = sub.basis.transpose()
+    _, lhs, rhs = _echelon_read(sub, hstack([op * incl for op in operators]))
+    return None if lhs == rhs else first_nonzero_col(lhs - rhs) // sub.dim
 
 
 def quotient_map(ambient_dim, w: Subspace):
@@ -650,9 +671,32 @@ def inverse(a: Mat) -> Mat:
 
 
 def _mat_sum(terms, rows, cols):
-    """sum c m over (m, c) pairs; unscaled when c == 1, zeros(rows, cols) if none."""
-    mats = [m if c == 1 else m.scale(c) for m, c in terms]
-    return sum(mats[1:], mats[0]) if mats else Mat.zeros(rows, cols)
+    """sum c m over (m, c) pairs, c an int or a Fraction; zeros(rows, cols) if
+    there are none, and a single term with c == 1 is returned as it is.
+
+    Every c m is lifted to the lcm D of the denominators c.den m.den: its
+    numerators times D / (c.den m.den) c.num.  The lifted rows, flattened,
+    are accumulated in one pass, and the sum is reduced once.  Raises
+    ShapeError when two terms differ in shape.
+    """
+    terms = list(terms)
+    if not terms:
+        return Mat.zeros(rows, cols)
+    m0 = terms[0][0]
+    if len(terms) == 1 and terms[0][1] == 1:
+        return m0
+    if any((m.rows, m.cols) != (m0.rows, m0.cols) for m, _ in terms):
+        raise ShapeError("addition shape mismatch")
+    dens = [m.den * c.denominator for m, c in terms]
+    den = lcm(*dens)
+    acc = None
+    for (m, c), d in zip(terms, dens):
+        f = den // d * c.numerator
+        flat = chain.from_iterable(m.num)
+        acc = ([f * x for x in flat] if acc is None
+               else [y + f * x for y, x in zip(acc, flat)])
+    n = m0.cols
+    return _reduced([acc[i * n:(i + 1) * n] for i in range(m0.rows)], den, n)
 
 
 def first_nonzero_col(m: Mat):
@@ -701,7 +745,16 @@ def echelon_coords(sub: Subspace, blocks):
     canonical block per B_j.
     """
     blocks = list(blocks)
-    b = hstack(blocks)
+    x, lhs, rhs = _echelon_read(sub, hstack(blocks))
+    if lhs != rhs:
+        return None
+    return split_blocks(x, [sub.dim], [m.cols for m in blocks])[0]
+
+
+def _echelon_read(sub: Subspace, b: Mat):
+    """(X, lhs, rhs): X the rows of b at the pivots of sub's echelon basis,
+    lhs the other rows of basis^T X and rhs the other rows of b; each
+    column of b lies in sub exactly when it is the same in lhs and rhs."""
     if b.rows != sub.ambient_dim:
         raise ShapeError("row count mismatch")
     pivots = _pivots(sub.basis)
@@ -709,9 +762,7 @@ def echelon_coords(sub: Subspace, blocks):
     others = [c for c in range(b.rows) if c not in pivots]
     basis_rows = _reduced([[row[c] for row in sub.basis.num] for c in others],
                           sub.basis.den, sub.dim)
-    if basis_rows * x != _reduced([b.num[c] for c in others], b.den, b.cols):
-        return None
-    return split_blocks(x, [sub.dim], [m.cols for m in blocks])[0]
+    return x, basis_rows * x, _reduced([b.num[c] for c in others], b.den, b.cols)
 
 
 def restrict_operators(ops, sub: Subspace):

@@ -41,8 +41,12 @@ from .reports import ValidationError, ValidationReport
 class ProjectedModule:
     """A global module with an idempotent satisfying the commutation condition.
 
-    Construction validates everything eagerly: invalid pairs cannot exist
-    as values, so downstream operations may rely on the invariants.
+    `build` is the validating constructor: it checks the shape, that the
+    module is global, that t is idempotent and the commutation condition,
+    and downstream operations rely on those invariants.  Direct
+    construction ProjectedModule(module, t) checks nothing; it is for
+    pairs already known to be valid, and an invalid one makes later
+    operations raise or return meaningless results.
     """
 
     module: PartialModule

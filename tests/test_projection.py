@@ -180,6 +180,17 @@ def test_restrict_identity_gives_module_back():
     assert out.pi == reg.pi and incl == la.Mat.identity(4)
 
 
+def test_restrict_refuses_a_directly_built_non_idempotent_pair():
+    # direct construction checks nothing, and build refuses the pair:
+    # t^2 = 2t, so R incl_r = 2 and the coordinates of t pi(e_i) incl_r
+    # in im t fail their verifying product
+    reg, t = pm.regular_module(hp.builtin("kC2")), la.Mat([[2, 1], [0, 0]])
+    with pytest.raises(ValidationError, match="not idempotent"):
+        pj.ProjectedModule.build(reg, t)
+    with pytest.raises(ValueError):
+        pj.restrict(pj.ProjectedModule(reg, t))
+
+
 def test_restrict_graded_projection(p36):
     out, incl = pj.restrict(p36)
     assert out.dim == 3
